@@ -162,6 +162,11 @@ def simulate(config_path, population, pools, backend_name, mixing, scheme, seed,
               help="Pool per-post values instead of per-agent means.")
 def analyze(corpus_dir, lexicon_dir, out, per_post):
     """Extract the cue report from a simulated corpus."""
+    manifest = read_manifest(corpus_dir)
+    verify_manifest_files(corpus_dir, manifest, ("tweets.jsonl", "population.json"))
+    if manifest.get("status") == "aborted":
+        click.echo(f"note: {corpus_dir} is an aborted run ({manifest.get('error')}); "
+                   "analyzing the tweets it committed", err=True)
     pop, tweets = load_corpus(corpus_dir)
     lexicons = load_lexicons(lexicon_dir)
     graph = build_comm_graph(tweets, pop)

@@ -10,15 +10,16 @@ the whole pipeline reproducible offline.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import os
 import random
 import re
 import time
 from dataclasses import dataclass
+from email.utils import parsedate_to_datetime
 from pathlib import Path
-
-import requests
+from urllib.parse import urlsplit
 
 from .errors import BackendError, SchemaError, ValidationError
 from .persona import STANCES, Persona
@@ -210,7 +211,7 @@ def truncate_to_limit(text: str, limit: int = TWEET_MAX_CHARS) -> str:
 TASK_KINDS = ("original", "retweet", "quote", "reply")
 
 
-@dataclass
+@dataclass(slots=True)
 class GenerationTask:
     """One post to produce: what kind, for which slot, responding to what.
 
@@ -278,19 +279,33 @@ POOL_SAMPLE_CAP = 5
 _EMPTY_POOL_TEXT = "(none)"
 
 
-def _pool_text(items: list[str], rng) -> str:
-    if not items:
-        return _EMPTY_POOL_TEXT
-    if len(items) > POOL_SAMPLE_CAP:
-        idx = sorted(rng.choice(len(items), size=POOL_SAMPLE_CAP, replace=False).tolist())
-        items = [items[i] for i in idx]
-    return " ".join(items)
+def _sample(items: list[str], rng) -> list[str]:
+    if len(items) <= POOL_SAMPLE_CAP:
+        return items
+    idx = sorted(rng.choice(len(items), size=POOL_SAMPLE_CAP, replace=False).tolist())
+    return [items[i] for i in idx]
+
+
+def sample_pools(pools: dict[str, list[str]], rng) -> dict[str, list[str]]:
+    """The slice of each common pool that one prompt lists, hashtags drawn first.
+
+    A pool of more than POOL_SAMPLE_CAP items gives POOL_SAMPLE_CAP of them,
+    drawn without replacement and kept in pool order. A smaller pool is
+    listed whole and draws nothing, so a sample passed back in as the pools
+    comes out unchanged, whatever the rng.
+    """
+    return {"hashtags": _sample(pools["hashtags"], rng), "urls": _sample(pools["urls"], rng)}
+
+
+def _pool_text(items: list[str]) -> str:
+    return " ".join(items) if items else _EMPTY_POOL_TEXT
 
 
 def build_user_prompt(task: GenerationTask, pools: dict[str, list[str]], rng) -> str:
     """The task-side prompt, with an rng-sampled slice of the common pools."""
-    hashtags = _pool_text(pools["hashtags"], rng)
-    urls = _pool_text(pools["urls"], rng)
+    sample = sample_pools(pools, rng)
+    hashtags = _pool_text(sample["hashtags"])
+    urls = _pool_text(sample["urls"])
     if task.kind == "original":
         return ORIGINAL_USER_PROMPT.format(
             narrative=task.narrative, hashtags=hashtags, urls=urls
@@ -314,8 +329,14 @@ def build_user_prompt(task: GenerationTask, pools: dict[str, list[str]], rng) ->
 class ContentBackend:
     """Interface: complete(system_text, user_text, params) -> generated text.
 
-    Implementations must be safe for concurrent calls.
+    Implementations must be safe for concurrent calls. io_bound says a call
+    mostly waits on something outside the process, so the simulator keeps
+    up to max_in_flight calls outstanding; a backend that computes its text
+    in Python sets it False and is called inline, one call at a time. A
+    backend without the attribute counts as io_bound.
     """
+
+    io_bound = True
 
     def complete(self, system_text: str, user_text: str, params: dict) -> str:
         raise NotImplementedError
@@ -394,6 +415,8 @@ class TemplateBackend(ContentBackend):
     Stateless per call, hence trivially thread-safe.
     """
 
+    io_bound = False  # pure CPU: threads would only add overhead
+
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
 
@@ -471,12 +494,35 @@ class TemplateBackend(ContentBackend):
         return json.dumps(records)
 
 
+# Statuses worth a retry: timeout, rate limit, and every 5xx.
+RETRY_STATUSES = frozenset({408, 429})
+
+
+def _retry_after_s(value: str | None) -> float | None:
+    """Seconds a Retry-After header asks to wait (delta-seconds or HTTP-date), or None."""
+    if value is None:
+        return None
+    try:
+        return max(0.0, float(int(value)))
+    except ValueError:
+        pass
+    try:
+        when = parsedate_to_datetime(value)
+    except (TypeError, ValueError):
+        return None
+    return max(0.0, when.timestamp() - time.time())
+
+
 class LlmHttpBackend(ContentBackend):
     """HTTP client for a chat-completion endpoint.
 
     POSTs {model, temperature, messages} to the configured URL with a bearer
-    token from the environment, retries transport errors and 429/5xx up to
-    the configured cap with exponential backoff, and never retries beyond it.
+    token from the environment. Transport errors, 408, 429 and 5xx are
+    retried up to the configured cap, after the server's Retry-After when it
+    sends one and otherwise after exponential backoff; nothing is retried
+    beyond the cap. Each request opens its own connection and closes it
+    before returning, so calls from several threads share no state. Proxy
+    environment variables are not read.
     """
 
     def __init__(
@@ -490,16 +536,43 @@ class LlmHttpBackend(ContentBackend):
     ):
         if not base_url:
             raise ValidationError("llm-http backend requires a base_url")
+        url = urlsplit(base_url)
+        try:
+            port = url.port
+        except ValueError:  # a port that is not a number in range
+            port = 0
+        if url.scheme not in ("http", "https") or not url.hostname or port == 0:
+            raise ValidationError(f"base_url {base_url!r} must be an http:// or https:// URL")
         key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         if not key:
             raise BackendError(
                 f"no API key: set the {API_KEY_ENV} environment variable"
             )
         self.base_url = base_url
+        self._connection_class = (
+            http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
+        )
+        self._host = url.hostname
+        self._port = port or (443 if url.scheme == "https" else 80)
+        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
         self._api_key = key
         self.max_retries = int(max_retries)
         self.backoff_s = float(backoff_s)
         self.timeout_s = float(timeout_s)
+
+    def _post(self, body: bytes) -> tuple[int, str | None, bytes]:
+        """One request on a connection of its own: (status, Retry-After, body)."""
+        conn = self._connection_class(self._host, self._port, timeout=self.timeout_s)
+        try:
+            conn.request("POST", self._path, body=body, headers={
+                "Authorization": f"Bearer {self._api_key}",
+                "Content-Type": "application/json",
+                "Connection": "close",
+            })
+            resp = conn.getresponse()
+            return resp.status, resp.getheader("Retry-After"), resp.read()
+        finally:
+            conn.close()
 
     def complete(self, system_text: str, user_text: str, params: dict) -> str:
         body = {
@@ -512,47 +585,51 @@ class LlmHttpBackend(ContentBackend):
         }
         if params.get("max_tokens") is not None:
             body["max_tokens"] = params["max_tokens"]
+        data = json.dumps(body, allow_nan=False).encode("utf-8")
 
         last_error = "no attempt made"
+        retry_after = None
         for attempt in range(self.max_retries + 1):
             if attempt:
-                time.sleep(self.backoff_s * (2 ** (attempt - 1)))
-            try:
-                resp = requests.post(
-                    self.base_url,
-                    json=body,
-                    headers={"Authorization": f"Bearer {self._api_key}"},
-                    timeout=self.timeout_s,
+                time.sleep(
+                    retry_after if retry_after is not None
+                    else self.backoff_s * (2 ** (attempt - 1))
                 )
-            except requests.RequestException as exc:
+            try:
+                status, retry_header, payload = self._post(data)
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = f"transport error: {exc}"
+                retry_after = None
                 continue
-            if resp.status_code == 200:
-                return self._extract(resp)
-            if resp.status_code == 429 or resp.status_code >= 500:
-                last_error = f"HTTP {resp.status_code}"
+            if status == 200:
+                return self._extract(payload)
+            if status in RETRY_STATUSES or status >= 500:
+                last_error = f"HTTP {status}"
+                retry_after = _retry_after_s(retry_header)
                 continue
             raise BackendError(
-                f"backend rejected the request: HTTP {resp.status_code}", raw_text=resp.text
+                f"backend rejected the request: HTTP {status}",
+                raw_text=payload.decode("utf-8", "replace"),
             )
         raise BackendError(
             f"backend unreachable after {self.max_retries + 1} attempts ({last_error})"
         )
 
     @staticmethod
-    def _extract(resp) -> str:
+    def _extract(payload: bytes) -> str:
+        raw_text = payload.decode("utf-8", "replace")
         try:
-            payload = resp.json()
+            doc = json.loads(payload)
         except ValueError:
-            raise BackendError("backend response was not JSON", raw_text=resp.text) from None
+            raise BackendError("backend response was not JSON", raw_text=raw_text) from None
         try:
-            content = payload["choices"][0]["message"]["content"]
+            content = doc["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError):
             raise BackendError(
-                "backend response missing choices[0].message.content", raw_text=resp.text
+                "backend response missing choices[0].message.content", raw_text=raw_text
             ) from None
         if not isinstance(content, str):
-            raise BackendError("backend message content was not text", raw_text=resp.text)
+            raise BackendError("backend message content was not text", raw_text=raw_text)
         return content
 
 
@@ -604,6 +681,8 @@ def generate_post(
 ):
     """Produce the finished Tweet for one generation task.
 
+    Prompt pools are sampled with rng as build_user_prompt does; pools that
+    are already a sample_pools slice draw nothing, so rng may then be None.
     Retweets are verbatim copies and never call the backend. Replies and
     quotes are guaranteed to mention the target's display name (prepended
     when the backend leaves it out). All texts are capped at 280 characters

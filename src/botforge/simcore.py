@@ -12,7 +12,10 @@ append to the corpus.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -25,6 +28,7 @@ from .content import (
     load_pools,
     make_backend,
     parse_scheme,
+    sample_pools,
     select_narrative,
 )
 from .errors import BackendError, BotforgeError, ManifestError, SchemaError, ValidationError
@@ -43,7 +47,7 @@ from .netgraph import (
     select_partner_detail,
     weighted_density,
 )
-from .persona import Population, load_seed_personas, save_personas, validate_population
+from .persona import Persona, Population, load_seed_personas, save_personas, validate_population
 from .rng import stream
 
 TWEET_KINDS = ("original", "retweet", "quote", "reply")
@@ -51,6 +55,8 @@ TWEET_KINDS = ("original", "retweet", "quote", "reply")
 SLOT_ORDER = (("retweet", "retweets"), ("reply", "replies"), ("quote", "quotes"))
 
 MANIFEST_FORMAT = "botforge-run-v1"
+# Backend calls one simulation may keep outstanding, at most; each is a thread.
+MAX_IN_FLIGHT_LIMIT = 64
 
 _TWEET_KEYS = (
     "id",
@@ -197,7 +203,7 @@ class ScenarioConfig:
     pools_path: str | None = None
     out_dir: str | None = None
     require_both_eligibility: bool = False
-    max_in_flight: int = 1
+    max_in_flight: int = 8
     max_retries: int = 3
     backoff_s: float = 0.5
 
@@ -208,8 +214,9 @@ class ScenarioConfig:
             raise ValidationError(f"temperature must be >= 0 (got {self.temperature})")
         if self.runs < 1:
             raise ValidationError(f"runs must be >= 1 (got {self.runs})")
-        if self.max_in_flight < 1:
-            raise ValidationError(f"max_in_flight must be >= 1 (got {self.max_in_flight})")
+        if not 1 <= self.max_in_flight <= MAX_IN_FLIGHT_LIMIT:
+            raise ValidationError(f"max_in_flight must be between 1 and {MAX_IN_FLIGHT_LIMIT} "
+                                  f"(got {self.max_in_flight})")
         if self.max_retries < 0:
             raise ValidationError(f"max_retries must be >= 0 (got {self.max_retries})")
 
@@ -243,6 +250,35 @@ class ScenarioConfig:
 
 
 _CONFIG_KEYS = set(ScenarioConfig().to_manifest_dict())
+
+# The types config values may have in JSON (mixing and scheme are parsed on
+# their own). bool is a subclass of int, so it is refused wherever int is asked.
+_CONFIG_TYPES = {
+    "seed": int,
+    "runs": int,
+    "max_in_flight": int,
+    "max_retries": int,
+    "max_tokens": int | None,
+    "temperature": int | float,
+    "backoff_s": int | float,
+    "backend": str,
+    "model_name": str,
+    "base_url": str | None,
+    "population_path": str | None,
+    "pools_path": str | None,
+    "out_dir": str | None,
+    "require_both_eligibility": bool,
+}
+
+
+def _check_config_types(doc: dict, path: str) -> None:
+    for key, expected in _CONFIG_TYPES.items():
+        if key not in doc:
+            continue
+        value = doc[key]
+        if not isinstance(value, expected) or (isinstance(value, bool) and expected is not bool):
+            name = getattr(expected, "__name__", str(expected))
+            raise SchemaError(f"{path}.{key}", f"must be {name}", value)
 
 
 def _parse_mixing(value) -> MixingPolicy:
@@ -286,6 +322,7 @@ def config_from_dict(doc: dict, path: str = "config") -> ScenarioConfig:
     unknown = set(doc) - _CONFIG_KEYS
     if unknown:
         raise SchemaError(path, f"unknown config keys {sorted(unknown)}")
+    _check_config_types(doc, path)
     kwargs = dict(doc)
     if "mixing" in kwargs:
         kwargs["mixing"] = _parse_mixing(kwargs["mixing"])
@@ -316,6 +353,152 @@ class SimResult:
     error: str | None = None
 
 
+@dataclass(slots=True)
+class _PlannedPost:
+    """One post of a run's plan: everything about it but its text.
+
+    target is the plan index of the tweet it responds to when that tweet is
+    planned in the same run (its text is filled in once rendered); a target
+    from an earlier run has its text set at planning. log_end counts the
+    plan's log lines that come before the post's commit, and interactions
+    the interactions committed before it.
+    """
+
+    persona: Persona
+    task: GenerationTask
+    pool_sample: dict[str, list[str]] | None  # None for a retweet, which has no prompt
+    target: int | None
+    log_end: int
+    interactions: int
+    events: list[str] = field(default_factory=list)
+
+
+def _plan_run(cfg, pop, pools, run_index, first_id, degrees, cache, last_by_agent):
+    """Every structural decision of one run, in commit order, with no backend call.
+
+    Draws counts, narratives, partners and prompt pool samples from their
+    streams in the order the posts commit, and commits each interaction to
+    degrees as it is planned. Returns the planned posts and the run's log
+    lines; last_by_agent (tweets of earlier runs) is read, not changed.
+    """
+    plan: list[_PlannedPost] = []
+    log: list[str] = []
+    planned_last: dict[str, int] = {}  # agent id -> plan index of its latest post
+
+    for pid in sorted(pop.ids()):
+        p = pop.get(pid)
+        counts = draw_interaction_counts(p, stream(cfg.seed, "counts", str(run_index), pid))
+        log.append(f"[run {run_index}] agent {pid}: "
+                   + " ".join(f"{k}={v}" for k, v in counts.items()))
+        rng_narrative = stream(cfg.seed, "narrative", str(run_index), pid)
+        rng_partner = stream(cfg.seed, "partner", str(run_index), pid)
+        rng_prompt = stream(cfg.seed, "prompt", str(run_index), pid)
+        slot = 0
+
+        def add(task: GenerationTask, target: int | None = None) -> None:
+            sample = None if task.kind == "retweet" else sample_pools(pools, rng_prompt)
+            plan.append(_PlannedPost(p, task, sample, target, len(log), degrees.n_interactions))
+            planned_last[pid] = len(plan) - 1
+
+        for _ in range(counts["posts"]):
+            add(GenerationTask(kind="original", tweet_id=first_id + len(plan),
+                               run_index=run_index, slot_index=slot,
+                               narrative=select_narrative(p, rng_narrative)))
+            slot += 1
+
+        for slot_kind, count_key in SLOT_ORDER:
+            for _ in range(counts[count_key]):
+                here = f"[run {run_index}] agent {pid} slot {slot}"
+                if len(pop) < 2:
+                    log.append(f"{here}: no other agents; {slot_kind} slot skipped")
+                    slot += 1
+                    continue
+                choice = select_partner_detail(p, pop, cfg.mixing, degrees, rng_partner,
+                                               cache=cache)
+                log.extend(f"{here}: fallback {fb}" for fb in choice.fallbacks)
+                partner = choice.partner_id
+                task = GenerationTask(kind=slot_kind, tweet_id=first_id + len(plan),
+                                      run_index=run_index, slot_index=slot,
+                                      target_agent_id=partner,
+                                      target_display=pop.get(partner).display_name,
+                                      slot_kind=slot_kind)
+                target = planned_last.get(partner)
+                if target is not None:
+                    task.target_tweet_id = plan[target].task.tweet_id
+                elif partner in last_by_agent:
+                    task.target_tweet_id = last_by_agent[partner].id
+                    task.target_text = last_by_agent[partner].text
+                else:
+                    log.append(f"{here}: partner {partner} has no tweets; "
+                               f"{slot_kind} degraded to mention reply")
+                    task.kind = "reply"
+                add(task, target)
+                degrees.commit(pid, partner)
+                slot += 1
+    return plan, log
+
+
+def _render_in_order(plan, render, executor, limit):
+    """Render a run's plan, yielding (post, Tweet or exception) in plan order.
+
+    A post is started once the tweet it responds to has rendered, lowest
+    plan index first. Retweets and every post without an executor render
+    inline; with one, up to limit backend posts are outstanding at a time,
+    and no worker ever waits on another. Iteration ends after the first
+    failure in plan order: posts before it are still rendered and yielded,
+    posts after it are not started.
+    """
+    outcomes: list = [None] * len(plan)
+    dependents: dict[int, list[int]] = {}
+    ready: list[int] = []  # a heap of plan indices whose target text exists
+    for i, post in enumerate(plan):
+        if post.target is None:
+            ready.append(i)
+        else:
+            dependents.setdefault(post.target, []).append(i)
+    running: dict = {}  # future -> plan index
+    stop = len(plan)  # plan index of the first failure so far
+
+    def finish(i, outcome):
+        nonlocal stop
+        outcomes[i] = outcome
+        if isinstance(outcome, BaseException):
+            stop = min(stop, i)
+        else:
+            for k in dependents.pop(i, ()):
+                heapq.heappush(ready, k)
+
+    def render_inline(post):
+        try:
+            return render(post)
+        except Exception as exc:  # delivered in plan order, like a worker's failure
+            return exc
+
+    committed = 0
+    while committed < len(plan):
+        while ready and ready[0] < stop:
+            post = plan[ready[0]]
+            inline = executor is None or post.task.kind == "retweet"
+            if not inline and len(running) >= limit:
+                break
+            i = heapq.heappop(ready)
+            if post.target is not None:
+                post.task.target_text = outcomes[post.target].text
+            if inline:
+                finish(i, render_inline(post))
+            else:
+                running[executor.submit(render, post)] = i
+        while committed < len(plan) and outcomes[committed] is not None:
+            yield plan[committed], outcomes[committed]
+            if isinstance(outcomes[committed], BaseException):
+                return
+            committed += 1
+        if running:
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                finish(running.pop(future), future.exception() or future.result())
+
+
 def run_simulation(
     cfg: ScenarioConfig,
     pop: Population,
@@ -328,8 +511,14 @@ def run_simulation(
 ) -> SimResult:
     """Execute cfg.runs simulation runs and return the full committed corpus.
 
-    Backend failure aborts with partial results attached (SimulationAborted);
-    everything committed up to that point stays valid.
+    Each run is planned first, with no backend call, then rendered: up to
+    cfg.max_in_flight backend calls are outstanding when the backend is
+    io_bound, and tweets commit strictly in (run, agent, slot) order, so the
+    output does not depend on max_in_flight. Backend failure aborts with
+    partial results attached (SimulationAborted): everything committed before
+    the first failing post in commit order stays valid, and the interactions
+    planned past it are not counted. The degree state then already holds the
+    aborted run's whole plan.
     """
     cfg.validate()
     violations = validate_population(pop)
@@ -341,12 +530,12 @@ def run_simulation(
     degrees = initial_degrees if initial_degrees is not None else DegreeState(pop)
     cache = CandidateCache(pop, require_both=cfg.require_both_eligibility)
     tweets: list[Tweet] = list(initial_tweets or ())
-    last_by_agent: dict[str, Tweet] = {}
-    for t in tweets:
-        last_by_agent[t.author_id] = t
-    next_id = tweets[-1].id + 1 if tweets else 1
+    last_by_agent: dict[str, Tweet] = {t.author_id: t for t in tweets}
     params = cfg.backend_params()
-    agent_order = sorted(pop.ids())
+
+    def render(post: _PlannedPost) -> Tweet:
+        return generate_post(post.persona, post.task, cfg.scheme, post.pool_sample, backend, None,
+                             params=params, on_event=post.events.append)
 
     log = [
         f"simulation: seed={cfg.seed} runs={cfg.runs} start_run={start_run_index} "
@@ -355,105 +544,35 @@ def run_simulation(
     ]
     status, error = "ok", None
     runs_done = start_run_index
+    interactions = None  # committed interactions, when a failure leaves planned ones behind
+    overlap = cfg.max_in_flight > 1 and getattr(backend, "io_bound", True)
 
-    try:
-        for run_index in range(start_run_index, start_run_index + cfg.runs):
-            for pid in agent_order:
-                p = pop.get(pid)
-                counts = draw_interaction_counts(p, stream(cfg.seed, "counts", str(run_index), pid))
-                log.append(
-                    f"[run {run_index}] agent {pid}: "
-                    + " ".join(f"{k}={v}" for k, v in counts.items())
-                )
-                rng_narrative = stream(cfg.seed, "narrative", str(run_index), pid)
-                rng_partner = stream(cfg.seed, "partner", str(run_index), pid)
-                rng_prompt = stream(cfg.seed, "prompt", str(run_index), pid)
-                slot = 0
+    with ThreadPoolExecutor(cfg.max_in_flight) if overlap else nullcontext() as executor:
+        try:
+            for run_index in range(start_run_index, start_run_index + cfg.runs):
+                first_id = tweets[-1].id + 1 if tweets else 1
+                plan, plan_log = _plan_run(cfg, pop, pools, run_index, first_id, degrees, cache,
+                                           last_by_agent)
+                logged = 0
+                for post, outcome in _render_in_order(plan, render, executor, cfg.max_in_flight):
+                    log.extend(plan_log[logged:post.log_end])
+                    logged = post.log_end
+                    here = f"[run {run_index}] agent {post.persona.id} slot {post.task.slot_index}"
+                    log.extend(f"{here}: {msg}" for msg in post.events)
+                    if isinstance(outcome, BaseException):
+                        interactions = post.interactions
+                        raise outcome
+                    tweets.append(outcome)
+                    last_by_agent[outcome.author_id] = outcome
+                log.extend(plan_log[logged:])
+                runs_done = run_index + 1
+        except BackendError as exc:
+            status, error = "aborted", str(exc)
+            log.append(f"ABORTED: {error}")
 
-                def _commit(task: GenerationTask) -> None:
-                    nonlocal next_id
-                    here = f"[run {run_index}] agent {pid} slot {task.slot_index}"
-                    tw = generate_post(
-                        p,
-                        task,
-                        cfg.scheme,
-                        pools,
-                        backend,
-                        rng_prompt,
-                        params=params,
-                        on_event=lambda msg: log.append(f"{here}: {msg}"),
-                    )
-                    tweets.append(tw)
-                    last_by_agent[pid] = tw
-                    next_id += 1
-
-                for _ in range(counts["posts"]):
-                    narrative = select_narrative(p, rng_narrative)
-                    _commit(
-                        GenerationTask(
-                            kind="original",
-                            tweet_id=next_id,
-                            run_index=run_index,
-                            slot_index=slot,
-                            narrative=narrative,
-                        )
-                    )
-                    slot += 1
-
-                for slot_kind, count_key in SLOT_ORDER:
-                    for _ in range(counts[count_key]):
-                        if len(pop) < 2:
-                            log.append(
-                                f"[run {run_index}] agent {pid} slot {slot}: "
-                                f"no other agents; {slot_kind} slot skipped"
-                            )
-                            slot += 1
-                            continue
-                        choice = select_partner_detail(
-                            p, pop, cfg.mixing, degrees, rng_partner, cache=cache
-                        )
-                        for fb in choice.fallbacks:
-                            log.append(
-                                f"[run {run_index}] agent {pid} slot {slot}: fallback {fb}"
-                            )
-                        partner = choice.partner_id
-                        display = pop.get(partner).display_name
-                        target = last_by_agent.get(partner)
-                        if target is None:
-                            log.append(
-                                f"[run {run_index}] agent {pid} slot {slot}: partner {partner} "
-                                f"has no tweets; {slot_kind} degraded to mention reply"
-                            )
-                            task = GenerationTask(
-                                kind="reply",
-                                tweet_id=next_id,
-                                run_index=run_index,
-                                slot_index=slot,
-                                target_agent_id=partner,
-                                target_display=display,
-                                slot_kind=slot_kind,
-                            )
-                        else:
-                            task = GenerationTask(
-                                kind=slot_kind,
-                                tweet_id=next_id,
-                                run_index=run_index,
-                                slot_index=slot,
-                                target_tweet_id=target.id,
-                                target_text=target.text,
-                                target_agent_id=partner,
-                                target_display=display,
-                                slot_kind=slot_kind,
-                            )
-                        _commit(task)
-                        degrees.commit(pid, partner)
-                        slot += 1
-            runs_done = run_index + 1
-    except BackendError as exc:
-        status, error = "aborted", str(exc)
-        log.append(f"ABORTED: {error}")
-
-    log.append(f"committed {len(tweets)} tweets, {degrees.n_interactions} interactions")
+    if interactions is None:
+        interactions = degrees.n_interactions
+    log.append(f"committed {len(tweets)} tweets, {interactions} interactions")
     graph = build_comm_graph(tweets, pop)
     metrics = graph_metrics(graph, pop) if len(pop) >= 2 else None
     result = SimResult(

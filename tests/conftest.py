@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
 import pytest
 
 from botforge.content import TemplateBackend, default_pools_path, load_pools
@@ -82,3 +86,62 @@ def pair_pop():
 @pytest.fixture()
 def backend():
     return TemplateBackend(seed=7)
+
+
+class ChatServer:
+    """An in-process chat-completion endpoint on 127.0.0.1.
+
+    Each POST is recorded as (path, headers, parsed body) and answered by
+    answer(body) -> (status, headers, payload). By default the answers are
+    the scripted replies, in order, with the last one repeating; payload is
+    JSON-encoded unless it is bytes already.
+    """
+
+    def __init__(self):
+        self.replies: list[tuple[int, dict, object]] = []
+        self.requests: list[tuple[str, dict, dict]] = []
+        self.answer = self._scripted
+        self._lock = threading.Lock()
+        server = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                with server._lock:
+                    server.requests.append((self.path, dict(self.headers), body))
+                status, headers, payload = server.answer(body)
+                data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
+                self.send_response(status)
+                for name, value in headers.items():
+                    self.send_header(name, value)
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+
+            def log_message(self, *args):
+                pass
+
+        self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self._httpd.server_port}/v1/chat/completions"
+
+    def _scripted(self, body):
+        with self._lock:
+            return self.replies.pop(0) if len(self.replies) > 1 else self.replies[0]
+
+
+def ok_payload(content="generated text"):
+    return {"choices": [{"message": {"content": content}}]}
+
+
+@pytest.fixture()
+def chat_server():
+    server = ChatServer()
+    thread = threading.Thread(target=server._httpd.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server._httpd.shutdown()
+        server._httpd.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()

@@ -1,12 +1,14 @@
 """End-to-end command-line coverage: every subcommand plus the exit-code map."""
 
 import json
+import threading
 
 import pytest
 
 from botforge.cli import main
+from botforge.errors import BackendError
 from botforge.persona import load_seed_personas, save_personas
-from botforge.simcore import read_manifest
+from botforge.simcore import SimulationAborted, config_from_dict, read_manifest, simulate_to_dir
 
 
 @pytest.fixture()
@@ -100,6 +102,14 @@ class TestSimulate:
         # flags outrank the config file
         assert read_manifest(tmp_path / "run3")["config"]["seed"] == 7
 
+    def test_wrong_typed_config_value_is_validation_error(self, pop_file, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"runs": "3"}))
+        assert main(["simulate", "--config", str(cfg_path), "--population", pop_file,
+                     "--out-dir", str(tmp_path / "run")]) == 1
+        assert "config.runs: must be int" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_config_file_must_be_json(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{nope")
@@ -118,6 +128,40 @@ class TestAnalyzeCompareExport:
         assert "over 4 agents" in capsys.readouterr().out
         header = cues.read_text().splitlines()[0]
         assert header == "cue,per_agent_mean,per_agent_std,n_agents"
+
+    def test_analyze_refuses_tampered_corpus(self, cli_run_dir, tmp_path, capsys):
+        path = cli_run_dir / "tweets.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        tweet = json.loads(lines[0])
+        tweet["text"] += " edited"
+        lines[0] = json.dumps(tweet) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        cues = tmp_path / "cues.csv"
+        assert main(["analyze", "--corpus-dir", str(cli_run_dir), "--out", str(cues)]) == 1
+        assert "hash mismatch for tweets.jsonl" in capsys.readouterr().err
+        assert not cues.exists()
+
+    def test_analyze_notes_aborted_run(self, micro_pop, tmp_path, capsys):
+        class _DownAfterFive:
+            def __init__(self):
+                self.calls = 0
+                self.lock = threading.Lock()
+
+            def complete(self, system_text, user_text, params):
+                with self.lock:
+                    self.calls += 1
+                    if self.calls > 5:
+                        raise BackendError("backend down")
+                return "A planned note for the schedule."
+
+        out = tmp_path / "aborted"
+        cfg = config_from_dict({"seed": 5, "out_dir": str(out)})
+        with pytest.raises(SimulationAborted):
+            simulate_to_dir(cfg, pop=micro_pop, backend=_DownAfterFive())
+        cues = tmp_path / "cues.csv"
+        assert main(["analyze", "--corpus-dir", str(out), "--out", str(cues)]) == 0
+        assert "aborted run (backend down)" in capsys.readouterr().err
+        assert cues.is_file()
 
     def test_compare_to_stdout(self, cli_run_dir, tmp_path, capsys):
         cues = tmp_path / "cues.csv"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from botforge.content import (
 from botforge.cues import count_lexicon_terms
 from botforge.errors import BackendError, SchemaError, ValidationError
 
-from conftest import make_persona
+from conftest import make_persona, ok_payload
 
 NO_POOLS = {"hashtags": [], "urls": []}
 
@@ -432,89 +433,101 @@ class TestGeneratePost:
         assert system_text.endswith("Use positive terms and language")
 
 
-class _Resp:
-    def __init__(self, status_code, payload=None, text=""):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text or json.dumps(payload or {})
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("not json")
-        return self._payload
-
-
-def _ok_payload(content="generated text"):
-    return {"choices": [{"message": {"content": content}}]}
-
-
 class TestLlmHttpBackend:
     def test_requires_api_key(self, monkeypatch):
         monkeypatch.delenv("BOTFORGE_API_KEY", raising=False)
         with pytest.raises(BackendError, match="BOTFORGE_API_KEY"):
             LlmHttpBackend("https://api.example/v1/chat")
 
-    def test_success_extracts_content(self, monkeypatch):
+    @pytest.mark.parametrize("url", ["ftp://api.example/v1", "api.example/v1",
+                                     "http://api.example:notaport/v1"])
+    def test_rejects_non_http_url(self, monkeypatch, url):
         monkeypatch.setenv("BOTFORGE_API_KEY", "k-test")
-        calls = []
+        with pytest.raises(ValidationError, match="http"):
+            LlmHttpBackend(url)
 
-        def fake_post(url, json=None, headers=None, timeout=None):
-            calls.append((url, json, headers))
-            return _Resp(200, _ok_payload("hello"))
-
-        monkeypatch.setattr("botforge.content.requests.post", fake_post)
-        backend = LlmHttpBackend("https://api.example/v1/chat")
+    def test_success_extracts_content(self, monkeypatch, chat_server):
+        monkeypatch.setenv("BOTFORGE_API_KEY", "k-test")
+        chat_server.replies.append((200, {}, ok_payload("hello")))
+        backend = LlmHttpBackend(chat_server.url)
         out = backend.complete("sys", "user", {"model_name": "m", "temperature": 0.3})
         assert out == "hello"
-        url, body, headers = calls[0]
+        path, headers, body = chat_server.requests[0]
+        assert path == "/v1/chat/completions"
         assert headers["Authorization"] == "Bearer k-test"
         assert body["model"] == "m"
         assert body["temperature"] == 0.3
         assert body["messages"][0] == {"role": "system", "content": "sys"}
 
-    def test_retries_429_then_succeeds(self, monkeypatch):
+    def test_retries_429_then_succeeds(self, monkeypatch, chat_server):
         monkeypatch.setenv("BOTFORGE_API_KEY", "k-test")
         monkeypatch.setattr("botforge.content.time.sleep", lambda s: None)
-        responses = [_Resp(429), _Resp(503), _Resp(200, _ok_payload())]
-        monkeypatch.setattr(
-            "botforge.content.requests.post", lambda *a, **k: responses.pop(0)
-        )
-        backend = LlmHttpBackend("https://api.example/v1/chat", max_retries=3)
+        chat_server.replies.extend([(429, {}, {}), (503, {}, {}), (200, {}, ok_payload())])
+        backend = LlmHttpBackend(chat_server.url, max_retries=3)
         assert backend.complete("s", "u", {}) == "generated text"
+        assert len(chat_server.requests) == 3
 
-    def test_retry_budget_exhausted(self, monkeypatch):
+    def test_retries_408_then_succeeds(self, monkeypatch, chat_server):
         monkeypatch.setenv("BOTFORGE_API_KEY", "k-test")
         monkeypatch.setattr("botforge.content.time.sleep", lambda s: None)
-        monkeypatch.setattr(
-            "botforge.content.requests.post", lambda *a, **k: _Resp(500)
-        )
-        backend = LlmHttpBackend("https://api.example/v1/chat", max_retries=2)
+        chat_server.replies.extend([(408, {}, {}), (200, {}, ok_payload())])
+        backend = LlmHttpBackend(chat_server.url, max_retries=3)
+        assert backend.complete("s", "u", {}) == "generated text"
+        assert len(chat_server.requests) == 2
+
+    @pytest.mark.parametrize("retry_after", ["0", "Wed, 21 Oct 2015 07:28:00 GMT"])
+    def test_retry_after_replaces_backoff(self, monkeypatch, chat_server, retry_after):
+        monkeypatch.setenv("BOTFORGE_API_KEY", "k-test")
+        sleeps = []
+        monkeypatch.setattr("botforge.content.time.sleep", sleeps.append)
+        chat_server.replies.append((429, {"Retry-After": retry_after}, {}))
+        chat_server.replies.append((503, {}, {}))
+        chat_server.replies.append((200, {}, ok_payload()))
+        backend = LlmHttpBackend(chat_server.url, max_retries=3, backoff_s=30.0)
+        assert backend.complete("s", "u", {}) == "generated text"
+        assert sleeps == [0.0, 60.0]  # the header's wait, then backoff_s * 2
+
+    def test_retry_budget_exhausted(self, monkeypatch, chat_server):
+        monkeypatch.setenv("BOTFORGE_API_KEY", "k-test")
+        monkeypatch.setattr("botforge.content.time.sleep", lambda s: None)
+        chat_server.replies.append((500, {}, {}))
+        backend = LlmHttpBackend(chat_server.url, max_retries=2)
         with pytest.raises(BackendError, match="3 attempts"):
             backend.complete("s", "u", {})
+        assert len(chat_server.requests) == 3
 
-    def test_client_error_not_retried(self, monkeypatch):
+    def test_transport_error_retried(self, monkeypatch):
         monkeypatch.setenv("BOTFORGE_API_KEY", "k-test")
-        calls = {"n": 0}
-
-        def fake_post(*a, **k):
-            calls["n"] += 1
-            return _Resp(400, {"error": "bad request"})
-
-        monkeypatch.setattr("botforge.content.requests.post", fake_post)
-        backend = LlmHttpBackend("https://api.example/v1/chat", max_retries=3)
-        with pytest.raises(BackendError, match="HTTP 400"):
+        monkeypatch.setattr("botforge.content.time.sleep", lambda s: None)
+        with socket.create_server(("127.0.0.1", 0)) as sock:
+            port = sock.getsockname()[1]  # closed again before the backend connects
+        backend = LlmHttpBackend(f"http://127.0.0.1:{port}/v1", max_retries=1)
+        with pytest.raises(BackendError, match="2 attempts.*transport error"):
             backend.complete("s", "u", {})
-        assert calls["n"] == 1
 
-    def test_malformed_payload_rejected(self, monkeypatch):
+    def test_client_error_not_retried(self, monkeypatch, chat_server):
         monkeypatch.setenv("BOTFORGE_API_KEY", "k-test")
-        monkeypatch.setattr(
-            "botforge.content.requests.post",
-            lambda *a, **k: _Resp(200, {"choices": []}),
-        )
-        backend = LlmHttpBackend("https://api.example/v1/chat")
+        chat_server.replies.append((400, {}, {"error": "bad request"}))
+        backend = LlmHttpBackend(chat_server.url, max_retries=3)
+        with pytest.raises(BackendError, match="HTTP 400") as exc:
+            backend.complete("s", "u", {})
+        assert len(chat_server.requests) == 1
+        assert "bad request" in exc.value.raw_text
+
+    def test_malformed_payload_rejected(self, monkeypatch, chat_server):
+        monkeypatch.setenv("BOTFORGE_API_KEY", "k-test")
+        chat_server.replies.append((200, {}, {"choices": []}))
+        backend = LlmHttpBackend(chat_server.url)
         with pytest.raises(BackendError, match="choices"):
             backend.complete("s", "u", {})
+
+    def test_non_json_payload_rejected(self, monkeypatch, chat_server):
+        monkeypatch.setenv("BOTFORGE_API_KEY", "k-test")
+        chat_server.replies.append((200, {}, b"<html>"))
+        backend = LlmHttpBackend(chat_server.url)
+        with pytest.raises(BackendError, match="not JSON") as exc:
+            backend.complete("s", "u", {})
+        assert exc.value.raw_text == "<html>"
 
 
 class TestMakeBackend:

@@ -210,6 +210,14 @@ class TestScenarioConfig:
         with pytest.raises(ValidationError, match="max_in_flight"):
             ScenarioConfig(max_in_flight=0).validate()
 
+    def test_max_in_flight_capped_at_64(self):
+        ScenarioConfig(max_in_flight=64).validate()
+        with pytest.raises(ValidationError, match="between 1 and 64"):
+            ScenarioConfig(max_in_flight=65).validate()
+
+    def test_max_in_flight_defaults_to_8(self):
+        assert ScenarioConfig().max_in_flight == 8
+
     def test_max_retries_nonnegative(self):
         with pytest.raises(ValidationError, match="max_retries"):
             ScenarioConfig(max_retries=-1).validate()
@@ -242,6 +250,23 @@ class TestScenarioConfig:
     def test_config_must_be_object(self):
         with pytest.raises(SchemaError, match="must be an object"):
             config_from_dict("seed=1")
+
+    @pytest.mark.parametrize("key,value", [
+        (key, value)
+        for key in ("runs", "seed", "max_in_flight", "max_retries")
+        for value in ("3", 3.0, True)
+    ] + [
+        (key, value)
+        for key in ("backoff_s", "temperature")
+        for value in ("0.5", None, False, [1])
+    ] + [("max_tokens", "64"), ("base_url", 8080), ("require_both_eligibility", 1)])
+    def test_wrong_typed_values_rejected(self, key, value):
+        with pytest.raises(SchemaError, match=f"config.{key}: must be"):
+            config_from_dict({key: value})
+
+    def test_optional_values_may_be_null(self):
+        cfg = config_from_dict({"max_tokens": None, "base_url": None, "temperature": 1})
+        assert cfg.max_tokens is None and cfg.temperature == 1
 
     def test_invalid_values_still_checked(self):
         with pytest.raises(ValidationError, match="runs"):
