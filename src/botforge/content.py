@@ -21,6 +21,7 @@ from email.utils import parsedate_to_datetime
 from pathlib import Path
 from urllib.parse import urlsplit
 
+from .cues import classify_tokens
 from .errors import BackendError, SchemaError, ValidationError
 from .persona import STANCES, Persona
 
@@ -655,17 +656,9 @@ def make_backend(
 
 
 def _extract_artifacts(text: str) -> tuple[list[str], list[str], list[str]]:
-    from .cues import is_artifact_token, tokenize  # shared tokenizer, one source of truth
-
-    mentions, hashtags, urls = [], [], []
-    for tok in tokenize(text):
-        if tok.startswith("http://") or tok.startswith("https://"):
-            urls.append(tok)
-        elif tok.startswith("@") and is_artifact_token(tok):
-            mentions.append(tok)
-        elif tok.startswith("#") and is_artifact_token(tok):
-            hashtags.append(tok)
-    return mentions, hashtags, urls
+    """Mentions, hashtags and URLs of a post, classified as the cue extractor does."""
+    toks = classify_tokens(text)
+    return toks.mentions, toks.hashtags, toks.urls
 
 
 def generate_post(

@@ -15,6 +15,7 @@ import re
 import string
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,14 +63,48 @@ LEXICON_CUE = {
 }
 
 _PUNCT = string.punctuation
+_URL_PREFIXES = ("http://", "https://")
 _MENTION_RE = re.compile(r"@\w+")
 _HASHTAG_RE = re.compile(r"#\w+")
 _VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
 _SENTENCE_SPLIT_RE = re.compile(r"[.!?]+")
 
 
-def _is_url(raw: str) -> bool:
-    return raw.startswith("http://") or raw.startswith("https://")
+class Tokens(NamedTuple):
+    """The tokens of one text in order, and each in the class is_artifact_token gives it."""
+
+    tokens: list[str]
+    words: list[str]  # non-artifact tokens, case kept
+    mentions: list[str]
+    hashtags: list[str]
+    urls: list[str]
+    prose: list[str]  # raw whitespace tokens other than URLs, for sentence splitting
+
+
+def classify_tokens(text: str) -> Tokens:
+    """Tokenize and classify in one pass over text.split(); see tokenize for the rules."""
+    tokens, words, mentions, hashtags, urls, prose = [], [], [], [], [], []
+    mention, hashtag = _MENTION_RE.fullmatch, _HASHTAG_RE.fullmatch
+    for raw in text.split():
+        if raw.startswith(_URL_PREFIXES):
+            tokens.append(raw)
+            urls.append(raw)
+            continue
+        prose.append(raw)
+        if raw[0] == "@":
+            tok = "@" + raw[1:].strip(_PUNCT)
+            (mentions if mention(tok) else words).append(tok)
+        elif raw[0] == "#":
+            tok = "#" + raw[1:].strip(_PUNCT)
+            (hashtags if hashtag(tok) else words).append(tok)
+        else:
+            # The strip removes every leading @ and #; what remains may be a URL.
+            tok = raw.strip(_PUNCT)
+            if not tok:
+                continue
+            (urls if tok.startswith(_URL_PREFIXES) else words).append(tok)
+        tokens.append(tok)
+    return Tokens(tokens, words, mentions, hashtags, urls, prose)
 
 
 def tokenize(text: str) -> list[str]:
@@ -78,23 +113,13 @@ def tokenize(text: str) -> list[str]:
     A leading `@` or `#` survives the strip (mention/hashtag markers); empty
     results are dropped.
     """
-    out = []
-    for raw in text.split():
-        if _is_url(raw):
-            out.append(raw)
-            continue
-        if raw[0] in "@#":
-            tok = raw[0] + raw[1:].strip(_PUNCT)
-        else:
-            tok = raw.strip(_PUNCT)
-        if tok:
-            out.append(tok)
-    return out
+    return classify_tokens(text).tokens
 
 
 def is_artifact_token(tok: str) -> bool:
     """True for mention, hashtag, and URL tokens (excluded from word-level cues)."""
-    return bool(_is_url(tok) or _MENTION_RE.fullmatch(tok) or _HASHTAG_RE.fullmatch(tok))
+    return bool(tok.startswith(_URL_PREFIXES) or _MENTION_RE.fullmatch(tok)
+                or _HASHTAG_RE.fullmatch(tok))
 
 
 @dataclass(frozen=True)
@@ -116,10 +141,6 @@ class Lexicon:
         if not parsed:
             raise SchemaError(f"lexicon[{category}]", "lexicon must be non-empty")
         return cls(category=category, terms=frozenset(parsed), max_n=max(len(t) for t in parsed))
-
-    def union(self, other: Lexicon) -> Lexicon:
-        merged = self.terms | other.terms
-        return Lexicon(self.category, merged, max(len(t) for t in merged))
 
 
 def load_lexicon(path: str | Path, category: str) -> Lexicon:
@@ -146,6 +167,32 @@ def load_lexicons(directory: str | Path | None = None) -> dict[str, Lexicon]:
     return {cat: load_lexicon(directory / f"{cat}.txt", cat) for cat in LEXICON_CATEGORIES}
 
 
+@dataclass(frozen=True)
+class LexiconTable:
+    """The seven category lexicons merged for one-pass counting.
+
+    A lexicon's longest-match count equals the count of words that are its
+    one-word terms unless a word of the post starts one of its multi-word
+    terms; only then does that lexicon need the n-gram scan.
+    """
+
+    unigrams: dict[str, tuple[str, ...]]  # word -> cues whose lexicon holds it
+    multi: tuple[tuple[str, Lexicon, frozenset[str]], ...]  # (cue, lexicon, first words)
+
+    @classmethod
+    def from_lexicons(cls, lexicons: dict[str, Lexicon]) -> LexiconTable:
+        unigrams: dict[str, tuple[str, ...]] = {}
+        multi = []
+        for cat in LEXICON_CATEGORIES:
+            lex, cue = lexicons[cat], LEXICON_CUE[cat]
+            for term in lex.terms:
+                if len(term) == 1:
+                    unigrams[term[0]] = unigrams.get(term[0], ()) + (cue,)
+            if lex.max_n > 1:
+                multi.append((cue, lex, frozenset(term[0] for term in lex.terms if len(term) > 1)))
+        return cls(unigrams, tuple(multi))
+
+
 def _count_tokens(word_tokens: list[str], lex: Lexicon) -> int:
     """Longest-match-first, non-overlapping n-gram matches over lowered tokens."""
     count = 0
@@ -164,20 +211,29 @@ def _count_tokens(word_tokens: list[str], lex: Lexicon) -> int:
 
 def count_lexicon_terms(text: str, lex: Lexicon) -> int:
     """Matching term occurrences in text; mention/hashtag/URL tokens never match."""
-    words = [t.lower() for t in tokenize(text) if not is_artifact_token(t)]
-    return _count_tokens(words, lex)
+    return _count_tokens([w.lower() for w in classify_tokens(text).words], lex)
 
 
 def _syllables(word: str) -> int:
-    """Contiguous vowel-group count (aeiouy), minimum 1.
+    """Contiguous vowel-group count (aeiouy) of a lowercase word, minimum 1.
 
     A trailing standalone "e" is silent when the word has another vowel group.
     """
-    w = word.lower()
-    groups = len(_VOWEL_GROUP_RE.findall(w))
-    if groups >= 2 and w.endswith("e") and len(w) >= 2 and w[-2] not in "aeiouy":
+    groups = len(_VOWEL_GROUP_RE.findall(word))
+    if groups >= 2 and word.endswith("e") and len(word) >= 2 and word[-2] not in "aeiouy":
         groups -= 1
     return max(groups, 1)
+
+
+def _reading_score(lowered: list[str], prose: list[str]) -> float:
+    if not lowered:
+        return 0.0
+    # URL tokens carry dots that are not sentence ends; prose leaves them out.
+    segments = _SENTENCE_SPLIT_RE.split(" ".join(prose))
+    sentences = max(1, sum(1 for seg in segments if seg.strip()))
+    syllables = sum(_syllables(w) for w in lowered)
+    grade = 0.39 * (len(lowered) / sentences) + 11.8 * (syllables / len(lowered)) - 15.59
+    return min(max(grade / 100.0, 0.0), 1.0)
 
 
 def reading_difficulty(text: str) -> float:
@@ -186,29 +242,15 @@ def reading_difficulty(text: str) -> float:
     grade = 0.39*(words/sentences) + 11.8*(syllables/words) - 15.59, over
     non-mention/hashtag/URL tokens. Empty text scores 0.
     """
-    words = [t for t in tokenize(text) if not is_artifact_token(t)]
-    if not words:
-        return 0.0
-    # URL tokens carry dots that are not sentence ends; drop them before splitting.
-    prose = " ".join(raw for raw in text.split() if not _is_url(raw))
-    sentences = max(1, sum(1 for seg in _SENTENCE_SPLIT_RE.split(prose) if seg.strip()))
-    syllables = sum(_syllables(w) for w in words)
-    grade = 0.39 * (len(words) / sentences) + 11.8 * (syllables / len(words)) - 15.59
-    return min(max(grade / 100.0, 0.0), 1.0)
+    toks = classify_tokens(text)
+    return _reading_score([w.lower() for w in toks.words], toks.prose)
 
 
 def metadata_cues(tweet_or_text) -> dict[str, int]:
     """Mention/URL/hashtag token counts for one post (accepts a Tweet or raw text)."""
     text = tweet_or_text if isinstance(tweet_or_text, str) else tweet_or_text.text
-    mentions = urls = hashtags = 0
-    for tok in tokenize(text):
-        if _is_url(tok):
-            urls += 1
-        elif _MENTION_RE.fullmatch(tok):
-            mentions += 1
-        elif _HASHTAG_RE.fullmatch(tok):
-            hashtags += 1
-    return {"mentions": mentions, "urls": urls, "hashtags": hashtags}
+    toks = classify_tokens(text)
+    return {"mentions": len(toks.mentions), "urls": len(toks.urls), "hashtags": len(toks.hashtags)}
 
 
 # Cues computed from text alone, in CUE_NAMES order.
@@ -216,18 +258,28 @@ TEXT_CUES = tuple(c for c in CUE_NAMES if c not in ("total_degree", "in_degree",
 NETWORK_CUES = ("total_degree", "in_degree", "out_degree")
 
 
-def text_cues(text: str, lexicons: dict[str, Lexicon]) -> dict[str, float]:
-    """All eleven text-derived cue values for one post."""
-    tokens = tokenize(text)
-    words = [t.lower() for t in tokens if not is_artifact_token(t)]
-    out = {}
-    for cat in LEXICON_CATEGORIES:
-        out[LEXICON_CUE[cat]] = float(_count_tokens(words, lexicons[cat]))
-    out["reading_difficulty"] = reading_difficulty(text)
-    meta = metadata_cues(text)
-    out["mentions"] = float(meta["mentions"])
-    out["urls"] = float(meta["urls"])
-    out["hashtags"] = float(meta["hashtags"])
+def text_cues(text: str, lexicons: dict[str, Lexicon] | LexiconTable) -> dict[str, float]:
+    """All eleven text-derived cue values for one post, from one tokenizer pass.
+
+    lexicons is the category -> Lexicon dict or its LexiconTable;
+    aggregate_cues builds the table once and passes it for every post.
+    """
+    table = lexicons if isinstance(lexicons, LexiconTable) else LexiconTable.from_lexicons(lexicons)
+    toks = classify_tokens(text)
+    lowered = [w.lower() for w in toks.words]
+    counts = dict.fromkeys(LEXICON_CUE.values(), 0)
+    unigrams = table.unigrams
+    for w in lowered:
+        for cue in unigrams.get(w, ()):
+            counts[cue] += 1
+    for cue, lex, starts in table.multi:
+        if not starts.isdisjoint(lowered):
+            counts[cue] = _count_tokens(lowered, lex)
+    out = {cue: float(n) for cue, n in counts.items()}
+    out["reading_difficulty"] = _reading_score(lowered, toks.prose)
+    out["mentions"] = float(len(toks.mentions))
+    out["urls"] = float(len(toks.urls))
+    out["hashtags"] = float(len(toks.hashtags))
     return out
 
 
@@ -291,15 +343,14 @@ def aggregate_cues(
     """
     if not tweets:
         raise ValidationError("empty corpus: cue aggregation requires at least one tweet")
-    if lexicons is None:
-        lexicons = load_lexicons()
+    table = LexiconTable.from_lexicons(lexicons if lexicons is not None else load_lexicons())
 
     by_agent: dict[str, list[dict[str, float]]] = {}
     pooled: list[dict[str, float]] = []
     for t in tweets:
         if t.author_id not in pop:
             raise ValidationError(f"tweet {t.id}: unknown author {t.author_id!r}")
-        tv = text_cues(t.text, lexicons)
+        tv = text_cues(t.text, table)
         by_agent.setdefault(t.author_id, []).append(tv)
         pooled.append(tv)
 

@@ -58,20 +58,21 @@ MANIFEST_FORMAT = "botforge-run-v1"
 # Backend calls one simulation may keep outstanding, at most; each is a thread.
 MAX_IN_FLIGHT_LIMIT = 64
 
-_TWEET_KEYS = (
-    "id",
-    "author_id",
-    "kind",
-    "slot_kind",
-    "text",
-    "target_tweet_id",
-    "target_agent_id",
-    "run_index",
-    "slot_index",
-    "mentions",
-    "hashtags",
-    "urls",
-)
+_TWEET_TYPES = {
+    "id": int,
+    "author_id": str,
+    "kind": str,
+    "slot_kind": str,
+    "text": str,
+    "target_tweet_id": int | None,
+    "target_agent_id": str | None,
+    "run_index": int,
+    "slot_index": int,
+    "mentions": list,
+    "hashtags": list,
+    "urls": list,
+}
+_TWEET_KEYS = tuple(_TWEET_TYPES)
 
 
 @dataclass(frozen=True)
@@ -136,15 +137,32 @@ class Tweet:
         }
 
 
+def _check_types(doc: dict, types: dict, path: str) -> None:
+    """SchemaError for a value of doc that is not of its type (a bool is not an int)."""
+    for key, expected in types.items():
+        if key not in doc:
+            continue
+        value = doc[key]
+        # Identity tests, not isinstance(value, bool), as this runs on every tweet read.
+        if not isinstance(value, expected) or (
+                (value is True or value is False) and expected is not bool):
+            name = getattr(expected, "__name__", str(expected))
+            raise SchemaError(f"{path}.{key}", f"must be {name}", value)
+
+
 def tweet_from_dict(obj, path: str = "tweet") -> Tweet:
     if not isinstance(obj, dict):
         raise SchemaError(path, "must be an object", obj)
-    unknown = set(obj) - set(_TWEET_KEYS)
+    unknown = obj.keys() - _TWEET_TYPES.keys()
     if unknown:
         raise SchemaError(path, f"unknown keys {sorted(unknown)}")
-    missing = [k for k in _TWEET_KEYS if k not in obj]
-    if missing:
-        raise SchemaError(path, f"missing keys {missing}")
+    if len(obj) < len(_TWEET_KEYS):
+        raise SchemaError(path, f"missing keys {[k for k in _TWEET_KEYS if k not in obj]}")
+    _check_types(obj, _TWEET_TYPES, path)
+    for key in ("mentions", "hashtags", "urls"):
+        for value in obj[key]:
+            if not isinstance(value, str):
+                raise SchemaError(f"{path}.{key}", "must be a list of str", obj[key])
     t = Tweet(
         id=obj["id"],
         author_id=obj["author_id"],
@@ -271,16 +289,6 @@ _CONFIG_TYPES = {
 }
 
 
-def _check_config_types(doc: dict, path: str) -> None:
-    for key, expected in _CONFIG_TYPES.items():
-        if key not in doc:
-            continue
-        value = doc[key]
-        if not isinstance(value, expected) or (isinstance(value, bool) and expected is not bool):
-            name = getattr(expected, "__name__", str(expected))
-            raise SchemaError(f"{path}.{key}", f"must be {name}", value)
-
-
 def _parse_mixing(value) -> MixingPolicy:
     if isinstance(value, MixingPolicy):
         return value
@@ -322,7 +330,7 @@ def config_from_dict(doc: dict, path: str = "config") -> ScenarioConfig:
     unknown = set(doc) - _CONFIG_KEYS
     if unknown:
         raise SchemaError(path, f"unknown config keys {sorted(unknown)}")
-    _check_config_types(doc, path)
+    _check_types(doc, _CONFIG_TYPES, path)
     kwargs = dict(doc)
     if "mixing" in kwargs:
         kwargs["mixing"] = _parse_mixing(kwargs["mixing"])

@@ -2,20 +2,26 @@
 
 from __future__ import annotations
 
+import re
+import string
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from botforge.content import _extract_artifacts
 from botforge.cues import (
     CUE_NAMES,
     LEXICON_CATEGORIES,
+    LEXICON_CUE,
     CueVector,
     Lexicon,
     aggregate_cues,
     count_lexicon_terms,
     is_artifact_token,
     load_lexicon,
+    load_lexicons,
     metadata_cues,
     read_cue_report,
     reading_difficulty,
@@ -34,8 +40,6 @@ FLAT_METRICS = GraphMetrics(0.0, 0.0, 0.0, 0.0)
 
 
 def post(tid, author, text, run=0, slot=0):
-    from botforge.content import _extract_artifacts
-
     mentions, hashtags, urls = _extract_artifacts(text)
     return Tweet(id=tid, author_id=author, kind="original", text=text,
                  target_tweet_id=None, target_agent_id=None, run_index=run,
@@ -108,11 +112,9 @@ class TestLexicon:
         lex = Lexicon.from_terms("positive", ["love", "win"])
         assert count_lexicon_terms("#love @love http://love.example love", lex) == 1
 
-    def test_union(self):
-        a = Lexicon.from_terms("positive", ["good"])
-        b = Lexicon.from_terms("positive", ["great good"])
-        u = a.union(b)
-        assert count_lexicon_terms("great good and good", u) == 2
+    def test_unigram_inside_longer_term(self):
+        lex = Lexicon.from_terms("positive", ["good", "great good"])
+        assert count_lexicon_terms("great good and good", lex) == 2
 
     def test_shipped_categories_complete(self, lexicons):
         assert set(lexicons) == set(LEXICON_CATEGORIES)
@@ -354,3 +356,169 @@ class TestProperties:
         assert counts["mentions"] <= len(toks)
         assert counts["hashtags"] <= len(toks)
         assert counts["urls"] == sum(t.startswith(("http://", "https://")) for t in toks)
+
+
+# The three-tokenize text_cues that predates the one-pass scan, copied here
+# unchanged as an oracle: tokenize three times per post and scan every
+# lexicon separately.
+_ORACLE_PUNCT = string.punctuation
+_ORACLE_MENTION_RE = re.compile(r"@\w+")
+_ORACLE_HASHTAG_RE = re.compile(r"#\w+")
+_ORACLE_VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
+_ORACLE_SENTENCE_SPLIT_RE = re.compile(r"[.!?]+")
+
+
+def _oracle_is_url(raw):
+    return raw.startswith("http://") or raw.startswith("https://")
+
+
+def _oracle_tokenize(text):
+    out = []
+    for raw in text.split():
+        if _oracle_is_url(raw):
+            out.append(raw)
+            continue
+        if raw[0] in "@#":
+            tok = raw[0] + raw[1:].strip(_ORACLE_PUNCT)
+        else:
+            tok = raw.strip(_ORACLE_PUNCT)
+        if tok:
+            out.append(tok)
+    return out
+
+
+def _oracle_is_artifact(tok):
+    return bool(_oracle_is_url(tok) or _ORACLE_MENTION_RE.fullmatch(tok)
+                or _ORACLE_HASHTAG_RE.fullmatch(tok))
+
+
+def _oracle_count_tokens(word_tokens, lex):
+    count = 0
+    i = 0
+    n_toks = len(word_tokens)
+    while i < n_toks:
+        step = 1
+        for n in range(min(lex.max_n, n_toks - i), 0, -1):
+            if tuple(word_tokens[i : i + n]) in lex.terms:
+                count += 1
+                step = n
+                break
+        i += step
+    return count
+
+
+def _oracle_syllables(word):
+    w = word.lower()
+    groups = len(_ORACLE_VOWEL_GROUP_RE.findall(w))
+    if groups >= 2 and w.endswith("e") and len(w) >= 2 and w[-2] not in "aeiouy":
+        groups -= 1
+    return max(groups, 1)
+
+
+def _oracle_reading_difficulty(text):
+    words = [t for t in _oracle_tokenize(text) if not _oracle_is_artifact(t)]
+    if not words:
+        return 0.0
+    prose = " ".join(raw for raw in text.split() if not _oracle_is_url(raw))
+    sentences = max(1, sum(1 for seg in _ORACLE_SENTENCE_SPLIT_RE.split(prose) if seg.strip()))
+    syllables = sum(_oracle_syllables(w) for w in words)
+    grade = 0.39 * (len(words) / sentences) + 11.8 * (syllables / len(words)) - 15.59
+    return min(max(grade / 100.0, 0.0), 1.0)
+
+
+def _oracle_metadata_cues(text):
+    mentions = urls = hashtags = 0
+    for tok in _oracle_tokenize(text):
+        if _oracle_is_url(tok):
+            urls += 1
+        elif _ORACLE_MENTION_RE.fullmatch(tok):
+            mentions += 1
+        elif _ORACLE_HASHTAG_RE.fullmatch(tok):
+            hashtags += 1
+    return {"mentions": mentions, "urls": urls, "hashtags": hashtags}
+
+
+def _oracle_text_cues(text, lexicons):
+    words = [t.lower() for t in _oracle_tokenize(text) if not _oracle_is_artifact(t)]
+    out = {}
+    for cat in LEXICON_CATEGORIES:
+        out[LEXICON_CUE[cat]] = float(_oracle_count_tokens(words, lexicons[cat]))
+    out["reading_difficulty"] = _oracle_reading_difficulty(text)
+    meta = _oracle_metadata_cues(text)
+    out["mentions"] = float(meta["mentions"])
+    out["urls"] = float(meta["urls"])
+    out["hashtags"] = float(meta["hashtags"])
+    return out
+
+
+def _oracle_artifacts(text):
+    """Mentions, hashtags and URLs in token order, as post generation records them."""
+    toks = _oracle_tokenize(text)
+    return ([t for t in toks if t.startswith("@") and _oracle_is_artifact(t)],
+            [t for t in toks if t.startswith("#") and _oracle_is_artifact(t)],
+            [t for t in toks if _oracle_is_url(t)])
+
+
+SHIPPED_LEXICONS = load_lexicons()
+# Every word of every shipped term (so the multi-word terms and their
+# prefixes occur), plus filler words no lexicon holds.
+_SHIPPED_WORDS = sorted({w for lex in SHIPPED_LEXICONS.values() for term in lex.terms
+                         for w in term} | {"the", "cat", "watermelon", "sat", "café"})
+_EDGE = st.sampled_from(["", "", "", "(", ")", ",", ".", "!", "?!", "'", '"', "...", "'s"])
+_MARKERS = st.sampled_from([
+    "@", "#", "#!", "@!", "@bob", "@bob's", "#win", "#win!", "@_x_", "(@bob)", "##x",
+    "http://a.example/x.y", "https://t.co/a.b.", "(http://p.q/r)", "http:", "...", "!?",
+])
+_CASE = st.sampled_from([str.lower, str.upper, str.title, str.capitalize])
+_SEP = st.sampled_from([" ", " ", " ", "  ", "\n", "\t"])
+
+
+def _texts(words):
+    word = st.tuples(_EDGE, st.sampled_from(words), _CASE, _EDGE).map(
+        lambda p: p[0] + p[2](p[1]) + p[3])
+    piece = st.one_of(word, word, word, _MARKERS)
+    return st.lists(st.tuples(piece, _SEP), max_size=30).map(
+        lambda parts: "".join(p + s for p, s in parts))
+
+
+# Custom lexicon sets over a small vocabulary: a term often sits in several
+# categories, and 1-, 2- and 3-grams overlap.
+_SMALL_VOCAB = ("a", "b", "c", "shut", "up")
+_TERMS = st.lists(st.lists(st.sampled_from(_SMALL_VOCAB), min_size=1, max_size=3).map(" ".join),
+                  min_size=1, max_size=8)
+_LEXICON_SETS = st.fixed_dictionaries({cat: _TERMS for cat in LEXICON_CATEGORIES}).map(
+    lambda d: {cat: Lexicon.from_terms(cat, terms) for cat, terms in d.items()})
+
+
+class TestOnePassMatchesOracle:
+    @given(_texts(_SHIPPED_WORDS))
+    @settings(max_examples=400, deadline=None)
+    def test_shipped_lexicons(self, text):
+        assert text_cues(text, SHIPPED_LEXICONS) == _oracle_text_cues(text, SHIPPED_LEXICONS)
+
+    @given(SAFE_TEXT)
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_text(self, text):
+        assert text_cues(text, SHIPPED_LEXICONS) == _oracle_text_cues(text, SHIPPED_LEXICONS)
+
+    @given(_LEXICON_SETS, _texts(_SMALL_VOCAB))
+    @settings(max_examples=300, deadline=None)
+    def test_custom_lexicon_sets(self, lexicons, text):
+        assert text_cues(text, lexicons) == _oracle_text_cues(text, lexicons)
+        for cat in LEXICON_CATEGORIES:
+            words = [t.lower() for t in _oracle_tokenize(text) if not _oracle_is_artifact(t)]
+            assert count_lexicon_terms(text, lexicons[cat]) == _oracle_count_tokens(
+                words, lexicons[cat])
+
+    @given(st.one_of(_texts(_SHIPPED_WORDS), SAFE_TEXT))
+    @settings(max_examples=300, deadline=None)
+    def test_public_helpers_and_artifacts(self, text):
+        assert tokenize(text) == _oracle_tokenize(text)
+        assert reading_difficulty(text) == _oracle_reading_difficulty(text)
+        assert metadata_cues(text) == _oracle_metadata_cues(text)
+        assert _extract_artifacts(text) == _oracle_artifacts(text)
+
+    def test_marker_edge_cases(self):
+        text = "@ #! @bob's shut up, well done done (http://a.b/c.d) Lack OF #x"
+        assert text_cues(text, SHIPPED_LEXICONS) == _oracle_text_cues(text, SHIPPED_LEXICONS)
+        assert _extract_artifacts(text) == ([], ["#x"], ["http://a.b/c.d"])

@@ -1,8 +1,10 @@
 """Golden digests and output independence from max_in_flight.
 
 The pinned SHA-256 values were computed with the sequential simulator that
-predates the plan/render split; a change that moves any of them changes what
-the simulator produces and must say so and re-pin on purpose. The remaining
+predates the plan/render split, and the per-post cue report's with the cue
+extractor that tokenized each post three times; a change that moves any of
+them changes what the simulator produces and must say so and re-pin on
+purpose. The remaining
 tests run one config through a thread-safe fake LLM whose calls finish out of
 order, and require the same bytes at 1 and at 8 requests in flight, for a
 finished run and for one that a backend failure aborts.
@@ -70,6 +72,8 @@ PINNED = {
         "run.log": "3cb875c0dd9391a20e5311c8fe78617f3ca56c601b88156383d049c67db52cf8",
     },
 }
+# cues.csv under per_post for ("pa+leader+random", "targets:all").
+PINNED_PER_POST_CUES = "b132280a4777a63d45e866c8a9b9cc92c637dbd80b4ba9819ae3811d9689245e"
 # The paper's config, aborted by a backend failure on its ABORT_CALL-th call
 # (counted in commit order, inside the second run).
 ABORT_CALL = 2500
@@ -90,10 +94,11 @@ def _config(out_dir, mixing="pa+leader+random", scheme="targets:all", **extra):
                              **extra})
 
 
-def _analyze(run_dir, lexicons) -> None:
+def _analyze(run_dir, lexicons, per_post=False) -> None:
     pop, tweets = load_corpus(run_dir)
     metrics = graph_metrics(build_comm_graph(tweets, pop), pop)
-    write_cue_report(aggregate_cues(tweets, metrics, pop, lexicons), run_dir / "cues.csv")
+    write_cue_report(aggregate_cues(tweets, metrics, pop, lexicons, per_post=per_post),
+                     run_dir / "cues.csv")
 
 
 def _run_files(run_dir) -> dict[str, bytes]:
@@ -162,6 +167,13 @@ def test_template_outputs_match_pinned_digests(mixing, scheme, seed_pop, pools, 
     simulate_to_dir(_config(out, mixing, scheme), pop=seed_pop, pools=pools)
     _analyze(out, lexicons)
     assert {name: _sha256(out / name) for name in PINNED_FILES} == PINNED[(mixing, scheme)]
+
+
+def test_per_post_cue_report_matches_pinned_digest(seed_pop, pools, lexicons, tmp_path):
+    out = tmp_path / "run"
+    simulate_to_dir(_config(out), pop=seed_pop, pools=pools)
+    _analyze(out, lexicons, per_post=True)
+    assert _sha256(out / "cues.csv") == PINNED_PER_POST_CUES
 
 
 def _kth_prompt(seed_pop, pools, tmp_path, k):

@@ -155,6 +155,32 @@ class TestTweetSerde:
         with pytest.raises(SchemaError, match="carry no target"):
             tweet_from_dict(doc)
 
+    @pytest.mark.parametrize("key,value", [
+        ("text", 5),
+        ("id", "1"),
+        ("id", True),
+        ("run_index", None),
+        ("slot_index", 1.0),
+        ("author_id", 7),
+        ("target_tweet_id", "3"),
+        ("mentions", "@bob"),
+        ("hashtags", None),
+        ("urls", [5]),
+    ])
+    def test_wrong_value_type_rejected(self, key, value):
+        doc = original(1).to_dict()
+        doc[key] = value
+        with pytest.raises(SchemaError, match=rf"tweet\.{key}: must be"):
+            tweet_from_dict(doc)
+
+    def test_jsonl_wrong_type_reports_position(self, tmp_path):
+        path = tmp_path / "tweets.jsonl"
+        doc = original(2).to_dict()
+        doc["text"] = 5
+        path.write_text(json.dumps(original(1).to_dict()) + "\n" + json.dumps(doc) + "\n")
+        with pytest.raises(SchemaError, match=r"tweets\.jsonl:2\.text: must be str"):
+            read_tweets_jsonl(path)
+
     def test_jsonl_round_trip(self, tmp_path):
         tweets = [
             original(1, text="Café notes ☕ before the set."),
