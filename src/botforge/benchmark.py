@@ -112,26 +112,35 @@ def _betacf(a: float, b: float, x: float) -> float:
     raise ArithmeticError("incomplete beta continued fraction did not converge")
 
 
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) for a, b > 0 and x in [0, 1], accurate to ~1e-10."""
-    if not 0.0 <= x <= 1.0:
-        raise ValidationError(f"x must be in [0, 1] (got {x})")
+def _incomplete_beta(a: float, b: float, x: float, y: float) -> float:
+    """I_x(a, b) given both x and y = 1 - x.
+
+    A caller that knows 1 - x to more digits than the float expression 1 - x
+    passes it as y: near x = 1 the float x rounds to 1.0 and would lose them.
+    """
     if x == 0.0:
         return 0.0
-    if x == 1.0:
+    if y == 0.0:
         return 1.0
     ln_front = (
         math.lgamma(a + b)
         - math.lgamma(a)
         - math.lgamma(b)
         + a * math.log(x)
-        + b * math.log1p(-x)
+        + b * math.log(y)
     )
     front = math.exp(ln_front)
     # the continued fraction converges fast only for x below the split point
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
+    return 1.0 - front * _betacf(b, a, y) / b
+
+
+def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
+    """I_x(a, b) for a, b > 0 and x in [0, 1], accurate to ~1e-10."""
+    if not 0.0 <= x <= 1.0:
+        raise ValidationError(f"x must be in [0, 1] (got {x})")
+    return _incomplete_beta(a, b, x, 1.0 - x)
 
 
 def student_t_two_sided_p(t: float, df: int) -> float:
@@ -140,7 +149,10 @@ def student_t_two_sided_p(t: float, df: int) -> float:
         raise ValidationError(f"degrees of freedom must be >= 1 (got {df})")
     if math.isinf(t):
         return 0.0
-    return regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
+    # 1 - x = t^2 / (df + t^2) is formed directly: for small |t| the float
+    # df / (df + t^2) rounds to 1.0 and the tail mass near p = 1 is lost
+    t2 = t * t
+    return _incomplete_beta(df / 2.0, 0.5, df / (df + t2), t2 / (df + t2))
 
 
 @dataclass(frozen=True)

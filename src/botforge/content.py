@@ -209,7 +209,7 @@ def truncate_to_limit(text: str, limit: int = TWEET_MAX_CHARS) -> str:
     return cut.rstrip()
 
 
-TASK_KINDS = ("original", "retweet", "quote", "reply")
+TWEET_KINDS = ("original", "retweet", "quote", "reply")
 
 
 @dataclass(slots=True)
@@ -237,7 +237,7 @@ class GenerationTask:
             self.slot_kind = self.kind
 
     def validate(self) -> None:
-        if self.kind not in TASK_KINDS:
+        if self.kind not in TWEET_KINDS:
             raise ValidationError(f"unknown task kind {self.kind!r}")
         if self.kind == "original":
             if self.narrative is None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import re
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -81,30 +81,39 @@ class Tokens(NamedTuple):
     prose: list[str]  # raw whitespace tokens other than URLs, for sentence splitting
 
 
+def _classify_raw(raw: str) -> tuple[str | None, str]:
+    """(class, token) of one whitespace token; see tokenize for the rules.
+
+    The class is "words", "mentions", "hashtags" or "urls", or None for a
+    token the punctuation strip empties.
+    """
+    if raw.startswith(_URL_PREFIXES):
+        return "urls", raw
+    if raw[0] == "@":
+        tok = "@" + raw[1:].strip(_PUNCT)
+        return ("mentions" if _MENTION_RE.fullmatch(tok) else "words"), tok
+    if raw[0] == "#":
+        tok = "#" + raw[1:].strip(_PUNCT)
+        return ("hashtags" if _HASHTAG_RE.fullmatch(tok) else "words"), tok
+    # The strip removes every leading @ and #; what remains may be a URL.
+    tok = raw.strip(_PUNCT)
+    if not tok:
+        return None, tok
+    return ("urls" if tok.startswith(_URL_PREFIXES) else "words"), tok
+
+
 def classify_tokens(text: str) -> Tokens:
     """Tokenize and classify in one pass over text.split(); see tokenize for the rules."""
-    tokens, words, mentions, hashtags, urls, prose = [], [], [], [], [], []
-    mention, hashtag = _MENTION_RE.fullmatch, _HASHTAG_RE.fullmatch
+    tokens, prose = [], []
+    by_class: dict[str, list[str]] = {"words": [], "mentions": [], "hashtags": [], "urls": []}
     for raw in text.split():
-        if raw.startswith(_URL_PREFIXES):
-            tokens.append(raw)
-            urls.append(raw)
-            continue
-        prose.append(raw)
-        if raw[0] == "@":
-            tok = "@" + raw[1:].strip(_PUNCT)
-            (mentions if mention(tok) else words).append(tok)
-        elif raw[0] == "#":
-            tok = "#" + raw[1:].strip(_PUNCT)
-            (hashtags if hashtag(tok) else words).append(tok)
-        else:
-            # The strip removes every leading @ and #; what remains may be a URL.
-            tok = raw.strip(_PUNCT)
-            if not tok:
-                continue
-            (urls if tok.startswith(_URL_PREFIXES) else words).append(tok)
-        tokens.append(tok)
-    return Tokens(tokens, words, mentions, hashtags, urls, prose)
+        cls, tok = _classify_raw(raw)
+        if not raw.startswith(_URL_PREFIXES):
+            prose.append(raw)
+        if cls is not None:
+            tokens.append(tok)
+            by_class[cls].append(tok)
+    return Tokens(tokens, prose=prose, **by_class)
 
 
 def tokenize(text: str) -> list[str]:
@@ -173,11 +182,14 @@ class LexiconTable:
 
     A lexicon's longest-match count equals the count of words that are its
     one-word terms unless a word of the post starts one of its multi-word
-    terms; only then does that lexicon need the n-gram scan.
+    terms; only then does that lexicon need the n-gram scan. The table also
+    caches each whitespace token text_cues meets; the cached cues depend on
+    the lexicons, so the cache lives and dies with the table.
     """
 
     unigrams: dict[str, tuple[str, ...]]  # word -> cues whose lexicon holds it
     multi: tuple[tuple[str, Lexicon, frozenset[str]], ...]  # (cue, lexicon, first words)
+    tokens: dict[str, tuple] = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def from_lexicons(cls, lexicons: dict[str, Lexicon]) -> LexiconTable:
@@ -191,6 +203,19 @@ class LexiconTable:
             if lex.max_n > 1:
                 multi.append((cue, lex, frozenset(term[0] for term in lex.terms if len(term) > 1)))
         return cls(unigrams, tuple(multi))
+
+    def token(self, raw: str) -> tuple[tuple[str, ...], str | None, int, bool]:
+        """(cues it counts toward, lowercase word, syllables, in prose) of one whitespace token.
+
+        A word counts toward the cues whose lexicons hold it as a one-word
+        term, an artifact toward its own count cue.
+        """
+        cls, tok = _classify_raw(raw)
+        in_prose = not raw.startswith(_URL_PREFIXES)
+        if cls != "words":
+            return ((cls,) if cls else ()), None, 0, in_prose
+        low = tok.lower()
+        return self.unigrams.get(low, ()), low, _syllables(low), in_prose
 
 
 def _count_tokens(word_tokens: list[str], lex: Lexicon) -> int:
@@ -225,14 +250,13 @@ def _syllables(word: str) -> int:
     return max(groups, 1)
 
 
-def _reading_score(lowered: list[str], prose: list[str]) -> float:
-    if not lowered:
+def _reading_score(n_words: int, syllables: int, prose: list[str]) -> float:
+    if not n_words:
         return 0.0
     # URL tokens carry dots that are not sentence ends; prose leaves them out.
     segments = _SENTENCE_SPLIT_RE.split(" ".join(prose))
     sentences = max(1, sum(1 for seg in segments if seg.strip()))
-    syllables = sum(_syllables(w) for w in lowered)
-    grade = 0.39 * (len(lowered) / sentences) + 11.8 * (syllables / len(lowered)) - 15.59
+    grade = 0.39 * (n_words / sentences) + 11.8 * (syllables / n_words) - 15.59
     return min(max(grade / 100.0, 0.0), 1.0)
 
 
@@ -243,7 +267,8 @@ def reading_difficulty(text: str) -> float:
     non-mention/hashtag/URL tokens. Empty text scores 0.
     """
     toks = classify_tokens(text)
-    return _reading_score([w.lower() for w in toks.words], toks.prose)
+    syllables = sum(_syllables(w.lower()) for w in toks.words)
+    return _reading_score(len(toks.words), syllables, toks.prose)
 
 
 def metadata_cues(tweet_or_text) -> dict[str, int]:
@@ -256,30 +281,39 @@ def metadata_cues(tweet_or_text) -> dict[str, int]:
 # Cues computed from text alone, in CUE_NAMES order.
 TEXT_CUES = tuple(c for c in CUE_NAMES if c not in ("total_degree", "in_degree", "out_degree"))
 NETWORK_CUES = ("total_degree", "in_degree", "out_degree")
+# The text cues that count tokens: the lexicon cues, then the artifact classes.
+_COUNT_CUES = (*LEXICON_CUE.values(), "mentions", "urls", "hashtags")
 
 
 def text_cues(text: str, lexicons: dict[str, Lexicon] | LexiconTable) -> dict[str, float]:
     """All eleven text-derived cue values for one post, from one tokenizer pass.
 
     lexicons is the category -> Lexicon dict or its LexiconTable;
-    aggregate_cues builds the table once and passes it for every post.
+    aggregate_cues builds the table once and passes it for every post, so
+    each distinct token is classified once per call.
     """
     table = lexicons if isinstance(lexicons, LexiconTable) else LexiconTable.from_lexicons(lexicons)
-    toks = classify_tokens(text)
-    lowered = [w.lower() for w in toks.words]
-    counts = dict.fromkeys(LEXICON_CUE.values(), 0)
-    unigrams = table.unigrams
-    for w in lowered:
-        for cue in unigrams.get(w, ()):
+    cache = table.tokens
+    counts = dict.fromkeys(_COUNT_CUES, 0)
+    lowered, prose = [], []
+    syllables = 0
+    for raw in text.split():
+        record = cache.get(raw)
+        if record is None:
+            record = cache[raw] = table.token(raw)
+        cues, low, syl, in_prose = record
+        for cue in cues:
             counts[cue] += 1
+        if low is not None:
+            lowered.append(low)
+            syllables += syl
+        if in_prose:
+            prose.append(raw)
     for cue, lex, starts in table.multi:
         if not starts.isdisjoint(lowered):
             counts[cue] = _count_tokens(lowered, lex)
     out = {cue: float(n) for cue, n in counts.items()}
-    out["reading_difficulty"] = _reading_score(lowered, toks.prose)
-    out["mentions"] = float(len(toks.mentions))
-    out["urls"] = float(len(toks.urls))
-    out["hashtags"] = float(len(toks.hashtags))
+    out["reading_difficulty"] = _reading_score(len(lowered), syllables, prose)
     return out
 
 
@@ -347,10 +381,13 @@ def aggregate_cues(
 
     by_agent: dict[str, list[dict[str, float]]] = {}
     pooled: list[dict[str, float]] = []
+    by_text: dict[str, dict[str, float]] = {}  # posts with one text share one cue dict
     for t in tweets:
         if t.author_id not in pop:
             raise ValidationError(f"tweet {t.id}: unknown author {t.author_id!r}")
-        tv = text_cues(t.text, table)
+        tv = by_text.get(t.text)
+        if tv is None:
+            tv = by_text[t.text] = text_cues(t.text, table)
         by_agent.setdefault(t.author_id, []).append(tv)
         pooled.append(tv)
 

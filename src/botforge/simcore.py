@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import os
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -22,6 +23,7 @@ from pathlib import Path
 from .content import (
     DEFAULT_MODEL_NAME,
     EMPTY_POOLS,
+    TWEET_KINDS,
     GenerationTask,
     PromptScheme,
     generate_post,
@@ -50,11 +52,13 @@ from .netgraph import (
 from .persona import Persona, Population, load_seed_personas, save_personas, validate_population
 from .rng import stream
 
-TWEET_KINDS = ("original", "retweet", "quote", "reply")
 # Slot kinds are processed in this order within an agent's turn.
 SLOT_ORDER = (("retweet", "retweets"), ("reply", "replies"), ("quote", "quotes"))
 
 MANIFEST_FORMAT = "botforge-run-v1"
+# The files of a run directory that its manifest hashes.
+_DATA_FILES = ("tweets.jsonl", "graph.csv", "graph.graphml", "metrics.json",
+               "run.log", "population.json", "pools.json")
 # Backend calls one simulation may keep outstanding, at most; each is a thread.
 MAX_IN_FLIGHT_LIMIT = 64
 
@@ -613,49 +617,57 @@ def write_outputs(
     pools: dict[str, list[str]],
     out_dir: str | Path,
 ) -> Path:
-    """Write the full output directory layout; the manifest is written last."""
+    """Write the full output directory layout, staged so a failure keeps a prior run.
+
+    Every file is first written under a staging name in out_dir and hashed
+    there; the data files then replace their namesakes, the manifest last.
+    A failure while staging leaves the directory as it was and removes the
+    staged files.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    staged = {name: out / f".{name}.staged" for name in (*_DATA_FILES, "manifest.json")}
+    try:
+        write_tweets_jsonl(result.tweets, staged["tweets.jsonl"])
+        export_edges_csv(result.graph, staged["graph.csv"])
+        export_graphml(result.graph, pop, staged["graph.graphml"])
 
-    write_tweets_jsonl(result.tweets, out / "tweets.jsonl")
-    export_edges_csv(result.graph, out / "graph.csv")
-    export_graphml(result.graph, pop, out / "graph.graphml")
+        if result.metrics is not None:
+            metrics_doc = dict(result.metrics.to_dict())
+            metrics_doc["weighted_density"] = weighted_density(result.graph)
+            metrics_doc["defined"] = True
+        else:
+            metrics_doc = {"defined": False, "reason": "fewer than 2 agents"}
+        metrics_doc["n_nodes"] = result.graph.n_nodes
+        metrics_doc["n_edges"] = result.graph.n_edges
+        metrics_doc["n_interactions"] = result.graph.total_weight()
+        staged["metrics.json"].write_text(
+            json.dumps(metrics_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
 
-    if result.metrics is not None:
-        metrics_doc = dict(result.metrics.to_dict())
-        metrics_doc["weighted_density"] = weighted_density(result.graph)
-        metrics_doc["defined"] = True
-    else:
-        metrics_doc = {"defined": False, "reason": "fewer than 2 agents"}
-    metrics_doc["n_nodes"] = result.graph.n_nodes
-    metrics_doc["n_edges"] = result.graph.n_edges
-    metrics_doc["n_interactions"] = result.graph.total_weight()
-    (out / "metrics.json").write_text(
-        json.dumps(metrics_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+        staged["run.log"].write_text("\n".join(result.log) + "\n", encoding="utf-8")
+        save_personas(pop, staged["population.json"])
+        staged["pools.json"].write_text(
+            json.dumps(pools, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
 
-    (out / "run.log").write_text("\n".join(result.log) + "\n", encoding="utf-8")
-    save_personas(pop, out / "population.json")
-    (out / "pools.json").write_text(
-        json.dumps(pools, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-    files = {}
-    for name in ("tweets.jsonl", "graph.csv", "graph.graphml", "metrics.json",
-                 "run.log", "population.json", "pools.json"):
-        files[name] = _sha256_file(out / name)
-    manifest = {
-        "format": MANIFEST_FORMAT,
-        "status": result.status,
-        "error": result.error,
-        "config": cfg.to_manifest_dict(),
-        "runs_completed": result.runs_completed,
-        "tweet_count": len(result.tweets),
-        "files": files,
-    }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+        manifest = {
+            "format": MANIFEST_FORMAT,
+            "status": result.status,
+            "error": result.error,
+            "config": cfg.to_manifest_dict(),
+            "runs_completed": result.runs_completed,
+            "tweet_count": len(result.tweets),
+            "files": {name: _sha256_file(staged[name]) for name in _DATA_FILES},
+        }
+        staged["manifest.json"].write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+        for name, path in staged.items():
+            os.replace(path, out / name)
+    finally:
+        for path in staged.values():
+            path.unlink(missing_ok=True)
     return out
 
 

@@ -15,6 +15,7 @@ from botforge.cues import (
     CUE_NAMES,
     LEXICON_CATEGORIES,
     LEXICON_CUE,
+    TEXT_CUES,
     CueVector,
     Lexicon,
     aggregate_cues,
@@ -490,6 +491,32 @@ _LEXICON_SETS = st.fixed_dictionaries({cat: _TERMS for cat in LEXICON_CATEGORIES
     lambda d: {cat: Lexicon.from_terms(cat, terms) for cat, terms in d.items()})
 
 
+_AUTHORS = Population(personas=[make_persona(f"a_{i:02d}") for i in range(4)])
+
+
+def _assert_aggregate_matches_oracle(tweets, lexicons, per_post):
+    """aggregate_cues' text-cue samples equal those from the oracle's cues of every post."""
+    rows = [(t.author_id, _oracle_text_cues(t.text, lexicons)) for t in tweets]
+    if per_post:
+        expected = {c: [cv[c] for _, cv in rows] for c in TEXT_CUES}
+    else:
+        by_agent = {pid: [cv for author, cv in rows if author == pid] for pid in _AUTHORS.ids()}
+        expected = {c: [float(np.mean([cv[c] for cv in agent_rows]))
+                        for agent_rows in by_agent.values() if agent_rows] for c in TEXT_CUES}
+    agg = aggregate_cues(tweets, FLAT_METRICS, _AUTHORS, lexicons, per_post=per_post)
+    assert {c: agg.samples[c].tolist() for c in TEXT_CUES} == expected
+
+
+@st.composite
+def _corpora(draw, texts, lexicons=None):
+    """(lexicons, tweets): a few texts, each posted any number of times by any author."""
+    lexicons = draw(_LEXICON_SETS) if lexicons is None else lexicons
+    pool = draw(st.lists(texts, min_size=1, max_size=5))
+    picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(_AUTHORS.ids())),
+                          min_size=1, max_size=25))
+    return lexicons, [post(i, author, text) for i, (text, author) in enumerate(picks, start=1)]
+
+
 class TestOnePassMatchesOracle:
     @given(_texts(_SHIPPED_WORDS))
     @settings(max_examples=400, deadline=None)
@@ -522,3 +549,32 @@ class TestOnePassMatchesOracle:
         text = "@ #! @bob's shut up, well done done (http://a.b/c.d) Lack OF #x"
         assert text_cues(text, SHIPPED_LEXICONS) == _oracle_text_cues(text, SHIPPED_LEXICONS)
         assert _extract_artifacts(text) == ([], ["#x"], ["http://a.b/c.d"])
+
+    @given(st.one_of(_corpora(_texts(_SHIPPED_WORDS), SHIPPED_LEXICONS),
+                     _corpora(_texts(_SMALL_VOCAB))),
+           st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_aggregate_with_repeated_texts(self, corpus, per_post):
+        lexicons, tweets = corpus
+        _assert_aggregate_matches_oracle(tweets, lexicons, per_post)
+
+    @pytest.mark.parametrize("per_post", [False, True])
+    def test_aggregate_shared_tokens_in_different_positions(self, per_post):
+        lexicons = {cat: Lexicon.from_terms(cat, ["shut up", "up"]) for cat in LEXICON_CATEGORIES}
+        lexicons["abusive"] = Lexicon.from_terms("abusive", ["shut", "up shut up"])
+        texts = ["shut up", "up shut up.", "Shut! up shut", "@up #shut up", "shut",
+                 "up", "http://up.shut/x up shut up", "shut up"]
+        tweets = [post(i, _AUTHORS.ids()[i % 3], text) for i, text in enumerate(texts, start=1)]
+        _assert_aggregate_matches_oracle(tweets, lexicons, per_post)
+
+    def test_each_call_counts_with_its_own_lexicons(self):
+        # One word in a different category per lexicon set: a token cache that
+        # outlived one call would carry that call's categories into the next.
+        base = {cat: Lexicon.from_terms(cat, ["zzz"]) for cat in LEXICON_CATEGORIES}
+        sets = [{**base, cat: Lexicon.from_terms(cat, ["shut", "shut up"])}
+                for cat in ("abusive", "positive", "first_person")]
+        tweets = [post(1, "a_00", "Shut up, shut it."), post(2, "a_01", "shut"),
+                  post(3, "a_00", "Shut up, shut it.")]
+        for lexicons in [*sets, sets[0]]:
+            for per_post in (False, True):
+                _assert_aggregate_matches_oracle(tweets, lexicons, per_post)

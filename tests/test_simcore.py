@@ -1,16 +1,21 @@
 """Simulation loop, output directory layout, manifests, and run extension."""
 
 import json
+import re
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_persona
+from test_netgraph import tiny_population
 
 from botforge.content import TemplateBackend
 from botforge.errors import BackendError, ManifestError, SchemaError, ValidationError
-from botforge.netgraph import MixingPolicy
+from botforge.netgraph import POLICY_PRESETS, MixingPolicy
 from botforge.persona import Population, load_seed_personas
 from botforge.simcore import (
     MANIFEST_FORMAT,
@@ -527,6 +532,11 @@ class TestOutputLayout:
         for name in OUTPUT_FILES:
             assert (out / name).is_file(), name
 
+    def test_no_staging_files_left(self, run_dir):
+        out, cfg, _ = run_dir
+        resume_or_extend(out, replace(cfg, out_dir=None))
+        assert sorted(path.name for path in out.iterdir()) == sorted(OUTPUT_FILES)
+
     def test_manifest_contents(self, run_dir):
         out, cfg, result = run_dir
         manifest = read_manifest(out)
@@ -642,6 +652,21 @@ class TestResumeOrExtend:
         assert len(read_tweets_jsonl(out / "tweets.jsonl")) == len(ext.tweets)
         assert len(ext.tweets) > len(first.tweets)
 
+    def test_crash_while_extending_in_place_keeps_prior_run(self, run_dir, monkeypatch):
+        out, cfg, first = run_dir
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+        def fail(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("botforge.simcore.export_graphml", fail)
+        with pytest.raises(OSError, match="disk full"):
+            resume_or_extend(out, replace(cfg, out_dir=None))
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        manifest = read_manifest(out)
+        verify_manifest_files(out, manifest, manifest["files"])
+        assert load_corpus(out)[1] == first.tweets
+
     def test_tampered_corpus_refused(self, run_dir):
         out, cfg, _ = run_dir
         with open(out / "tweets.jsonl", "a", encoding="utf-8") as fh:
@@ -665,3 +690,59 @@ class TestLoadCorpus:
         write_tweets_jsonl([original(1)], tmp_path / "tweets.jsonl")
         with pytest.raises(FileNotFoundError, match="population.json"):
             load_corpus(tmp_path)
+
+
+_SEEDS = st.integers(0, 2**32 - 1)
+_MIXING = st.sampled_from(sorted(POLICY_PRESETS)).map(lambda name: POLICY_PRESETS[name]())
+
+
+class TestInvariantProperties:
+    """The paper's run invariants on small random populations."""
+
+    @given(pop=tiny_population(), seed=_SEEDS, mixing=_MIXING, m=st.integers(1, 2),
+           n=st.integers(1, 2))
+    @settings(max_examples=12, deadline=None)
+    def test_extend_equals_fresh_run(self, pools, pop, seed, mixing, m, n):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            cfg = micro_cfg(seed=seed, mixing=mixing, runs=m, out_dir=str(tmp / "base"))
+            simulate_to_dir(cfg, pop=pop, pools=pools)
+            resume_or_extend(tmp / "base", replace(cfg, runs=n, out_dir=str(tmp / "ext")))
+            simulate_to_dir(replace(cfg, runs=m + n, out_dir=str(tmp / "fresh")),
+                            pop=pop, pools=pools)
+            for name in ("tweets.jsonl", "graph.csv"):
+                assert (tmp / "ext" / name).read_bytes() == (tmp / "fresh" / name).read_bytes()
+
+    @given(pop=tiny_population(), seed=_SEEDS, mixing=_MIXING, runs=st.integers(1, 3))
+    @settings(max_examples=25, deadline=None)
+    def test_run_invariants(self, pools, pop, seed, mixing, runs):
+        cfg = micro_cfg(seed=seed, mixing=mixing, runs=runs)
+        result = run_simulation(cfg, pop, TemplateBackend(seed=seed), pools=pools)
+        interactions = [t for t in result.tweets if t.kind != "original"]
+
+        # Weighted in- and out-degrees each sum to the interaction count.
+        committed = re.fullmatch(r"committed (\d+) tweets, (\d+) interactions", result.log[-1])
+        assert int(committed.group(2)) == len(interactions)
+        out_deg, in_deg = {}, {}
+        for (src, dst), edge in result.graph.edges.items():
+            out_deg[src] = out_deg.get(src, 0) + edge.weight
+            in_deg[dst] = in_deg.get(dst, 0) + edge.weight
+        assert sum(out_deg.values()) == sum(in_deg.values()) == len(interactions)
+
+        # Per run, every persona's slot counts stay within its bounds.
+        slots = {}
+        for t in result.tweets:
+            key = (t.run_index, t.author_id, t.slot_kind)
+            slots[key] = slots.get(key, 0) + 1
+        for run in range(runs):
+            for p in pop.personas:
+                for kind, (lo, hi) in (("original", p.posts_per_run),
+                                       ("retweet", p.retweets_per_run),
+                                       ("reply", p.replies_per_run),
+                                       ("quote", p.quotes_per_run)):
+                    assert lo <= slots.get((run, p.id, kind), 0) <= hi, (run, p.id, kind)
+
+        # Replies and quotes mention their target by display name.
+        for t in interactions:
+            if t.kind in ("reply", "quote"):
+                assert f"@{pop.get(t.target_agent_id).display_name}" in t.text, t
