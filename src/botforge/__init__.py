@@ -16,6 +16,7 @@ from .content import (
     make_backend,
     parse_scheme,
 )
+from .corpus import Tweet
 from .cues import CUE_NAMES, aggregate_cues, load_lexicons, reading_difficulty, tokenize
 from .errors import (
     BackendError,
@@ -33,13 +34,11 @@ from .netgraph import (
     eligible_candidates,
     graph_metrics,
     pa_select,
-    select_partner,
 )
 from .persona import Persona, Population, expand_personas, load_seed_personas, save_personas
 from .simcore import (
     ScenarioConfig,
     SimResult,
-    Tweet,
     resume_or_extend,
     run_simulation,
     simulate_to_dir,
@@ -87,7 +86,6 @@ __all__ = [
     "resume_or_extend",
     "run_simulation",
     "save_personas",
-    "select_partner",
     "simulate_to_dir",
     "tokenize",
     "__version__",

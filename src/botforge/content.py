@@ -21,6 +21,7 @@ from email.utils import parsedate_to_datetime
 from pathlib import Path
 from urllib.parse import urlsplit
 
+from .corpus import TWEET_KINDS, Tweet
 from .cues import classify_tokens
 from .errors import BackendError, SchemaError, ValidationError
 from .persona import STANCES, Persona
@@ -207,9 +208,6 @@ def truncate_to_limit(text: str, limit: int = TWEET_MAX_CHARS) -> str:
         if sp > 0:
             cut = cut[:sp]
     return cut.rstrip()
-
-
-TWEET_KINDS = ("original", "retweet", "quote", "reply")
 
 
 @dataclass(slots=True)
@@ -671,7 +669,7 @@ def generate_post(
     *,
     params: dict | None = None,
     on_event=None,
-):
+) -> Tweet:
     """Produce the finished Tweet for one generation task.
 
     Prompt pools are sampled with rng as build_user_prompt does; pools that
@@ -682,8 +680,6 @@ def generate_post(
     on a word boundary. An empty backend output is regenerated once, with the
     retry reported through on_event.
     """
-    from .simcore import Tweet  # deferred: simcore imports this module at top level
-
     task.validate()
     params = dict(params or {})
 

@@ -1,0 +1,224 @@
+"""The tweet record and the tweets.jsonl corpus file.
+
+A corpus is one JSON object per line, in commit order. The reader streams
+it one line at a time and type-checks every value; the writer can
+start a new corpus with the bytes of a finished one (verified against its
+recorded digest) and append only the new tweets, so extending a run never
+re-serializes what it already holds.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+from dataclasses import dataclass, fields
+from operator import itemgetter
+from pathlib import Path
+from types import UnionType
+
+from .errors import ManifestError, SchemaError
+
+TWEET_KINDS = ("original", "retweet", "quote", "reply")
+
+_TWEET_TYPES = {
+    "id": int,
+    "author_id": str,
+    "kind": str,
+    "slot_kind": str,
+    "text": str,
+    "target_tweet_id": int | None,
+    "target_agent_id": str | None,
+    "run_index": int,
+    "slot_index": int,
+    "mentions": list,
+    "hashtags": list,
+    "urls": list,
+}
+_TWEET_KEYS = tuple(_TWEET_TYPES)
+# Each key's exact value types, for the check most documents pass: no bool
+# passes for an int.
+_EXACT_TYPES = {key: expected.__args__ if isinstance(expected, UnionType) else (expected,)
+                for key, expected in _TWEET_TYPES.items()}
+_ARTIFACT_KEYS = tuple(key for key, expected in _TWEET_TYPES.items() if expected is list)
+
+
+@dataclass(slots=True)
+class Tweet:
+    """One committed post with its interaction targets and extracted artifacts.
+
+    slot_kind is the drawn slot (retweet/reply/quote) that produced an
+    interaction tweet; it differs from kind only when a missing target tweet
+    degraded the slot to a mention reply. A plain slots record: it is never
+    changed after it is built.
+    """
+
+    id: int
+    author_id: str
+    kind: str
+    text: str
+    target_tweet_id: int | None
+    target_agent_id: str | None
+    run_index: int
+    slot_index: int
+    slot_kind: str = "original"
+    mentions: tuple[str, ...] = ()
+    hashtags: tuple[str, ...] = ()
+    urls: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        self.mentions = tuple(self.mentions)
+        self.hashtags = tuple(self.hashtags)
+        self.urls = tuple(self.urls)
+
+    def violations(self) -> list[str]:
+        out = []
+        if self.kind not in TWEET_KINDS:
+            out.append(f"tweet {self.id}: unknown kind {self.kind!r}")
+        if self.slot_kind not in TWEET_KINDS:
+            out.append(f"tweet {self.id}: unknown slot_kind {self.slot_kind!r}")
+        if len(self.text) > 280:
+            out.append(f"tweet {self.id}: text exceeds 280 characters")
+        if self.kind == "original":
+            if self.target_tweet_id is not None or self.target_agent_id is not None:
+                out.append(f"tweet {self.id}: original tweets carry no target")
+        else:
+            if self.target_agent_id is None:
+                out.append(f"tweet {self.id}: {self.kind} requires a target agent")
+            if self.kind in ("retweet", "quote") and self.target_tweet_id is None:
+                out.append(f"tweet {self.id}: {self.kind} requires a target tweet")
+        return out
+
+    def to_dict(self) -> dict:
+        return {
+            "id": self.id,
+            "author_id": self.author_id,
+            "kind": self.kind,
+            "slot_kind": self.slot_kind,
+            "text": self.text,
+            "target_tweet_id": self.target_tweet_id,
+            "target_agent_id": self.target_agent_id,
+            "run_index": self.run_index,
+            "slot_index": self.slot_index,
+            "mentions": list(self.mentions),
+            "hashtags": list(self.hashtags),
+            "urls": list(self.urls),
+        }
+
+
+def _check_types(doc: dict, types: dict, path: str) -> None:
+    """SchemaError for a value of doc that is not of its type (a bool is not an int)."""
+    for key, expected in types.items():
+        if key not in doc:
+            continue
+        value = doc[key]
+        # Identity tests, not isinstance(value, bool), as this runs on every tweet read.
+        if not isinstance(value, expected) or (
+                (value is True or value is False) and expected is not bool):
+            name = getattr(expected, "__name__", str(expected))
+            raise SchemaError(f"{path}.{key}", f"must be {name}", value)
+
+
+# A tweet document's values in Tweet's field order.
+_tweet_args = itemgetter(*(f.name for f in fields(Tweet)))
+
+
+def _well_typed(obj: dict) -> bool:
+    """Whether obj holds exactly the tweet keys, each value of its exact type."""
+    if obj.keys() != _EXACT_TYPES.keys():
+        return False
+    for key, allowed in _EXACT_TYPES.items():
+        if type(obj[key]) not in allowed:
+            return False
+    for key in _ARTIFACT_KEYS:
+        for value in obj[key]:
+            if type(value) is not str:
+                return False
+    return True
+
+
+def tweet_from_dict(obj, path: str = "tweet") -> Tweet:
+    # Most documents pass _well_typed; the checks after it name the first
+    # problem of one that does not.
+    if type(obj) is not dict or not _well_typed(obj):
+        if not isinstance(obj, dict):
+            raise SchemaError(path, "must be an object", obj)
+        unknown = obj.keys() - _TWEET_TYPES.keys()
+        if unknown:
+            raise SchemaError(path, f"unknown keys {sorted(unknown)}")
+        if len(obj) < len(_TWEET_KEYS):
+            raise SchemaError(path, f"missing keys {[k for k in _TWEET_KEYS if k not in obj]}")
+        _check_types(obj, _TWEET_TYPES, path)
+        for key in _ARTIFACT_KEYS:
+            for value in obj[key]:
+                if not isinstance(value, str):
+                    raise SchemaError(f"{path}.{key}", "must be a list of str", obj[key])
+    return _checked(Tweet(*_tweet_args(obj)), path)
+
+
+def _checked(t: Tweet, path: str) -> Tweet:
+    problems = t.violations()
+    if problems:
+        raise SchemaError(path, "; ".join(problems))
+    return t
+
+
+def read_tweets_jsonl(path: str | Path) -> list[Tweet]:
+    """Every tweet of a corpus file, read one line at a time; blank lines are skipped."""
+    tweets = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"{path}:{lineno}", f"not valid JSON: {exc}") from exc
+            tweets.append(tweet_from_dict(obj, path=f"{path}:{lineno}"))
+    return tweets
+
+
+@dataclass(frozen=True)
+class CorpusPrefix:
+    """A finished corpus file whose bytes begin a new corpus.
+
+    sha256 is the digest recorded for the file when it was verified, and
+    tweet_count the number of tweets it holds.
+    """
+
+    path: Path
+    sha256: str
+    tweet_count: int
+
+
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def write_tweets_jsonl(tweets: list[Tweet], path: str | Path,
+                       prefix: CorpusPrefix | None = None) -> None:
+    """Write the corpus tweets to path, one JSON object per line.
+
+    With a prefix, its file's bytes stand for the first prefix.tweet_count
+    tweets: they are copied unchanged, and only the tweets after them are
+    serialized. The copy is hashed as it goes, and a digest other than the
+    recorded one raises ManifestError (the file changed after it was
+    verified). A newline is added before the first appended line when the
+    copied bytes do not end with one.
+    """
+    new = tweets
+    with open(path, "wb") as fh:
+        if prefix is not None:
+            new = tweets[prefix.tweet_count:]
+            digest = hashlib.sha256()
+            last = b"\n"
+            with open(prefix.path, "rb") as src:
+                for chunk in iter(lambda: src.read(1 << 20), b""):
+                    digest.update(chunk)
+                    fh.write(chunk)
+                    last = chunk[-1:]
+            if digest.hexdigest() != prefix.sha256:
+                raise ManifestError(f"{prefix.path} changed after its hash was verified: "
+                                    f"recorded {prefix.sha256}, now {digest.hexdigest()}")
+            if new and last != b"\n":
+                fh.write(b"\n")
+        for t in new:
+            fh.write((_encode(t.to_dict()) + "\n").encode("utf-8"))

@@ -254,20 +254,6 @@ def select_partner_detail(
     return PartnerChoice(pid, "random", requested, tuple(fallbacks))
 
 
-def select_partner(
-    agent: Persona,
-    pop: Population,
-    policy: MixingPolicy,
-    degrees: DegreeState,
-    rng: np.random.Generator,
-    *,
-    cache: CandidateCache | None = None,
-) -> tuple[str, str]:
-    """(partner id, mode actually used). See select_partner_detail."""
-    choice = select_partner_detail(agent, pop, policy, degrees, rng, cache=cache)
-    return choice.partner_id, choice.mode
-
-
 def draw_interaction_counts(p: Persona, rng: np.random.Generator) -> dict[str, int]:
     """Uniform-integer draws over the persona's per-run activity ranges.
 
@@ -415,13 +401,50 @@ def export_edges_csv(g: CommGraph, path: str | Path) -> None:
             writer.writerow([src, dst, e.weight, e.retweets, e.quotes, e.replies])
 
 
-def export_graphml(g: CommGraph, pop: Population, path: str | Path) -> None:
-    """GraphML export with node attribute `community` and edge attribute `weight`."""
-    import networkx as nx
+_GRAPHML_HEAD = (
+    "<?xml version='1.0' encoding='utf-8'?>\n"
+    '<graphml xmlns="http://graphml.graphdrawing.org/xmlns"'
+    ' xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance"'
+    ' xsi:schemaLocation="http://graphml.graphdrawing.org/xmlns'
+    ' http://graphml.graphdrawing.org/xmlns/1.0/graphml.xsd">\n'
+)
+# XML escapes as xml.etree.ElementTree writes them, for text and for attribute values.
+_TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+_ATTR_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+                               "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"})
 
-    dg = nx.DiGraph()
-    for pid in g.nodes:
-        dg.add_node(pid, community=pop.get(pid).community)
-    for (src, dst) in sorted(g.edges):
-        dg.add_edge(src, dst, weight=g.edges[(src, dst)].weight)
-    nx.write_graphml(dg, str(path))
+
+def export_graphml(g: CommGraph, pop: Population, path: str | Path) -> None:
+    """GraphML export with node attribute `community` and edge attribute `weight`.
+
+    Nodes come in population order, each node's out-edges in sorted target
+    order. The bytes are those networkx's ElementTree writer
+    (networkx.write_graphml_xml) writes for a DiGraph built in that order;
+    its lxml writer orders the keys differently. GraphML's structural layer
+    only.
+    """
+    out = [_GRAPHML_HEAD]
+    if g.edges:
+        out.append('  <key id="d1" for="edge" attr.name="weight" attr.type="long" />\n')
+    if g.nodes:
+        out.append('  <key id="d0" for="node" attr.name="community" attr.type="string" />\n'
+                   '  <graph edgedefault="directed">\n')
+        by_source: dict[str, list[str]] = {}
+        for src, dst in sorted(g.edges):
+            by_source.setdefault(src, []).append(dst)
+        for pid in g.nodes:
+            community = pop.get(pid).community.translate(_TEXT_ESCAPES)
+            out.append(f'    <node id="{pid.translate(_ATTR_ESCAPES)}">\n'
+                       f'      <data key="d0">{community}</data>\n    </node>\n')
+        for src in g.nodes:
+            for dst in by_source.get(src, ()):
+                out.append(f'    <edge source="{src.translate(_ATTR_ESCAPES)}"'
+                           f' target="{dst.translate(_ATTR_ESCAPES)}">\n'
+                           f'      <data key="d1">{g.edges[(src, dst)].weight}</data>\n'
+                           '    </edge>\n')
+        out.append("  </graph>\n")
+    else:
+        out.append('  <graph edgedefault="directed" />\n')
+    out.append("</graphml>\n")
+    with open(path, "w", encoding="utf-8", errors="xmlcharrefreplace", newline="\n") as fh:
+        fh.write("".join(out))

@@ -23,7 +23,6 @@ from pathlib import Path
 from .content import (
     DEFAULT_MODEL_NAME,
     EMPTY_POOLS,
-    TWEET_KINDS,
     GenerationTask,
     PromptScheme,
     generate_post,
@@ -32,6 +31,13 @@ from .content import (
     parse_scheme,
     sample_pools,
     select_narrative,
+)
+from .corpus import (
+    CorpusPrefix,
+    Tweet,
+    _check_types,
+    read_tweets_jsonl,
+    write_tweets_jsonl,
 )
 from .errors import BackendError, BotforgeError, ManifestError, SchemaError, ValidationError
 from .netgraph import (
@@ -61,152 +67,6 @@ _DATA_FILES = ("tweets.jsonl", "graph.csv", "graph.graphml", "metrics.json",
                "run.log", "population.json", "pools.json")
 # Backend calls one simulation may keep outstanding, at most; each is a thread.
 MAX_IN_FLIGHT_LIMIT = 64
-
-_TWEET_TYPES = {
-    "id": int,
-    "author_id": str,
-    "kind": str,
-    "slot_kind": str,
-    "text": str,
-    "target_tweet_id": int | None,
-    "target_agent_id": str | None,
-    "run_index": int,
-    "slot_index": int,
-    "mentions": list,
-    "hashtags": list,
-    "urls": list,
-}
-_TWEET_KEYS = tuple(_TWEET_TYPES)
-
-
-@dataclass(frozen=True)
-class Tweet:
-    """One committed post with its interaction targets and extracted artifacts.
-
-    slot_kind is the drawn slot (retweet/reply/quote) that produced an
-    interaction tweet; it differs from kind only when a missing target tweet
-    degraded the slot to a mention reply.
-    """
-
-    id: int
-    author_id: str
-    kind: str
-    text: str
-    target_tweet_id: int | None
-    target_agent_id: str | None
-    run_index: int
-    slot_index: int
-    slot_kind: str = "original"
-    mentions: tuple[str, ...] = ()
-    hashtags: tuple[str, ...] = ()
-    urls: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "mentions", tuple(self.mentions))
-        object.__setattr__(self, "hashtags", tuple(self.hashtags))
-        object.__setattr__(self, "urls", tuple(self.urls))
-
-    def violations(self) -> list[str]:
-        out = []
-        if self.kind not in TWEET_KINDS:
-            out.append(f"tweet {self.id}: unknown kind {self.kind!r}")
-        if self.slot_kind not in TWEET_KINDS:
-            out.append(f"tweet {self.id}: unknown slot_kind {self.slot_kind!r}")
-        if len(self.text) > 280:
-            out.append(f"tweet {self.id}: text exceeds 280 characters")
-        if self.kind == "original":
-            if self.target_tweet_id is not None or self.target_agent_id is not None:
-                out.append(f"tweet {self.id}: original tweets carry no target")
-        else:
-            if self.target_agent_id is None:
-                out.append(f"tweet {self.id}: {self.kind} requires a target agent")
-            if self.kind in ("retweet", "quote") and self.target_tweet_id is None:
-                out.append(f"tweet {self.id}: {self.kind} requires a target tweet")
-        return out
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "author_id": self.author_id,
-            "kind": self.kind,
-            "slot_kind": self.slot_kind,
-            "text": self.text,
-            "target_tweet_id": self.target_tweet_id,
-            "target_agent_id": self.target_agent_id,
-            "run_index": self.run_index,
-            "slot_index": self.slot_index,
-            "mentions": list(self.mentions),
-            "hashtags": list(self.hashtags),
-            "urls": list(self.urls),
-        }
-
-
-def _check_types(doc: dict, types: dict, path: str) -> None:
-    """SchemaError for a value of doc that is not of its type (a bool is not an int)."""
-    for key, expected in types.items():
-        if key not in doc:
-            continue
-        value = doc[key]
-        # Identity tests, not isinstance(value, bool), as this runs on every tweet read.
-        if not isinstance(value, expected) or (
-                (value is True or value is False) and expected is not bool):
-            name = getattr(expected, "__name__", str(expected))
-            raise SchemaError(f"{path}.{key}", f"must be {name}", value)
-
-
-def tweet_from_dict(obj, path: str = "tweet") -> Tweet:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "must be an object", obj)
-    unknown = obj.keys() - _TWEET_TYPES.keys()
-    if unknown:
-        raise SchemaError(path, f"unknown keys {sorted(unknown)}")
-    if len(obj) < len(_TWEET_KEYS):
-        raise SchemaError(path, f"missing keys {[k for k in _TWEET_KEYS if k not in obj]}")
-    _check_types(obj, _TWEET_TYPES, path)
-    for key in ("mentions", "hashtags", "urls"):
-        for value in obj[key]:
-            if not isinstance(value, str):
-                raise SchemaError(f"{path}.{key}", "must be a list of str", obj[key])
-    t = Tweet(
-        id=obj["id"],
-        author_id=obj["author_id"],
-        kind=obj["kind"],
-        text=obj["text"],
-        target_tweet_id=obj["target_tweet_id"],
-        target_agent_id=obj["target_agent_id"],
-        run_index=obj["run_index"],
-        slot_index=obj["slot_index"],
-        slot_kind=obj["slot_kind"],
-        mentions=obj["mentions"],
-        hashtags=obj["hashtags"],
-        urls=obj["urls"],
-    )
-    problems = t.violations()
-    if problems:
-        raise SchemaError(path, "; ".join(problems))
-    return t
-
-
-def write_tweets_jsonl(tweets, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in tweets:
-            fh.write(json.dumps(t.to_dict(), ensure_ascii=False) + "\n")
-
-
-def read_tweets_jsonl(path: str | Path) -> list[Tweet]:
-    tweets = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}:{lineno}", f"not valid JSON: {exc}") from exc
-            tweets.append(tweet_from_dict(obj, path=f"{path}:{lineno}"))
-    return tweets
-
 
 @dataclass
 class ScenarioConfig:
@@ -616,19 +476,21 @@ def write_outputs(
     pop: Population,
     pools: dict[str, list[str]],
     out_dir: str | Path,
+    prefix: CorpusPrefix | None = None,
 ) -> Path:
     """Write the full output directory layout, staged so a failure keeps a prior run.
 
     Every file is first written under a staging name in out_dir and hashed
     there; the data files then replace their namesakes, the manifest last.
     A failure while staging leaves the directory as it was and removes the
-    staged files.
+    staged files. When result extends a finished run, prefix is that run's
+    verified tweets.jsonl: its bytes are copied and the new tweets appended.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     staged = {name: out / f".{name}.staged" for name in (*_DATA_FILES, "manifest.json")}
     try:
-        write_tweets_jsonl(result.tweets, staged["tweets.jsonl"])
+        write_tweets_jsonl(result.tweets, staged["tweets.jsonl"], prefix)
         export_edges_csv(result.graph, staged["graph.csv"])
         export_graphml(result.graph, pop, staged["graph.graphml"])
 
@@ -718,6 +580,15 @@ def read_manifest(run_dir: str | Path) -> dict:
         raise ManifestError(f"manifest.json in {run_dir} is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
         raise ManifestError(f"manifest.json in {run_dir} is not a {MANIFEST_FORMAT} manifest")
+    for key in ("runs_completed", "tweet_count"):
+        value = manifest.get(key)
+        if type(value) is not int or value < 0:
+            raise ManifestError(f"manifest.json in {run_dir}: {key} must be a non-negative "
+                                f"integer (got {value!r})")
+    files = manifest.get("files")
+    if not isinstance(files, dict) or not all(isinstance(v, str) for v in files.values()):
+        raise ManifestError(f"manifest.json in {run_dir}: files must be an object of file "
+                            f"names to hash strings (got {files!r})")
     return manifest
 
 
@@ -725,7 +596,7 @@ def verify_manifest_files(run_dir: str | Path, manifest: dict, names) -> None:
     """Check stored hashes for the named files; any mismatch is a refusal."""
     run_dir = Path(run_dir)
     for name in names:
-        recorded = manifest.get("files", {}).get(name)
+        recorded = manifest["files"].get(name)
         if recorded is None:
             raise ManifestError(f"manifest records no hash for {name}")
         actual = _sha256_file(run_dir / name)
@@ -755,7 +626,9 @@ def resume_or_extend(prev_dir: str | Path, cfg: ScenarioConfig) -> SimResult:
     The prior corpus is loaded from the directory's own snapshots, its
     integrity is verified against the manifest hashes, and the degree state
     is rebuilt from the stored graph so attachment continues from the prior
-    structure. Output goes to cfg.out_dir (defaulting to prev_dir).
+    structure. Output goes to cfg.out_dir (defaulting to prev_dir); its
+    tweets.jsonl is the prior file's bytes with the new tweets appended, and
+    the result holds the whole corpus.
     """
     prev_dir = Path(prev_dir)
     manifest = read_manifest(prev_dir)
@@ -768,8 +641,9 @@ def resume_or_extend(prev_dir: str | Path, cfg: ScenarioConfig) -> SimResult:
     pop = load_seed_personas(prev_dir / "population.json")
     pools = load_pools(prev_dir / "pools.json")
     prior = read_tweets_jsonl(prev_dir / "tweets.jsonl")
+    prefix = CorpusPrefix(prev_dir / "tweets.jsonl", manifest["files"]["tweets.jsonl"], len(prior))
     degrees = _degrees_from_graph_csv(prev_dir / "graph.csv", pop)
-    start = int(manifest["runs_completed"])
+    start = manifest["runs_completed"]
 
     out_dir = cfg.out_dir or str(prev_dir)
     cfg = replace(cfg, out_dir=out_dir, population_path=str(prev_dir / "population.json"),
@@ -792,9 +666,9 @@ def resume_or_extend(prev_dir: str | Path, cfg: ScenarioConfig) -> SimResult:
             initial_degrees=degrees,
         )
     except SimulationAborted as exc:
-        write_outputs(exc.result, cfg, pop, pools, out_dir)
+        write_outputs(exc.result, cfg, pop, pools, out_dir, prefix)
         raise
-    write_outputs(result, cfg, pop, pools, out_dir)
+    write_outputs(result, cfg, pop, pools, out_dir, prefix)
     return result
 
 

@@ -167,6 +167,23 @@ class TestOneSampleT:
         assert res.t == math.inf
         assert res.p == 0.0
 
+    @pytest.mark.parametrize("mean,std", [
+        (0.028951817413355882, 3.479757366814375e-18),  # pa+leader+random, total_degree
+        (0.035538179768949005, 6.95951473362875e-18),  # pa, all three degree rows
+        (-0.035538179768949005, 6.95951473362875e-18),
+    ])
+    def test_rounding_noise_std_is_zero_variance(self, mean, std):
+        # What float rounding leaves of the std of a constant sample of 169
+        # degree centralities (seed 1, one run of the shipped personas).
+        res = one_sample_t_from_stats(mean, std, 169, 0.5)
+        assert res.t == -math.inf and res.p == 0.0
+        assert one_sample_t_from_stats(mean, std, 169, mean) == one_sample_t_from_stats(
+            mean, 0.0, 169, mean)
+
+    def test_small_but_real_std_is_tested(self):
+        res = one_sample_t_from_stats(0.03, 1e-15, 169, 0.5)
+        assert math.isfinite(res.t) and res.t < 0
+
     def test_too_small_sample(self):
         with pytest.raises(ValidationError):
             one_sample_t([1.0], 0.0)
@@ -278,6 +295,27 @@ class TestCompare:
             std = math.sqrt(sum((v - mean) ** 2 for v in vals) / (len(vals) - 1))
             report[cue] = {"mean": mean, "std": std, "n": len(vals)}
         assert compare_from_report(report) == direct
+
+    @pytest.mark.parametrize("mixing", ["pa", "pa+leader+random"])
+    def test_constant_degree_rows_from_a_cue_report(self, seed_pop, pools, lexicons, tmp_path,
+                                                    mixing):
+        # Each agent's degree rows hold the corpus-level centrality, so the
+        # sample is constant; cues.csv keeps the std that rounding leaves.
+        from botforge.cues import aggregate_cues, read_cue_report, write_cue_report
+        from botforge.netgraph import build_comm_graph, graph_metrics
+        from botforge.simcore import config_from_dict, load_corpus, simulate_to_dir
+
+        out = tmp_path / "run"
+        simulate_to_dir(config_from_dict({"seed": 1, "runs": 1, "mixing": mixing,
+                                          "scheme": "naive", "out_dir": str(out)}),
+                        pop=seed_pop, pools=pools)
+        pop, tweets = load_corpus(out)
+        metrics = graph_metrics(build_comm_graph(tweets, pop), pop)
+        write_cue_report(aggregate_cues(tweets, metrics, pop, lexicons), out / "cues.csv")
+        rows = {r.cue: r for r in compare_from_report(read_cue_report(out / "cues.csv"))}
+        for cue in ("total_degree", "in_degree", "out_degree"):
+            assert math.isinf(rows[cue].t_bot) and math.isinf(rows[cue].t_human), rows[cue]
+            assert rows[cue].p_bot == rows[cue].p_human == 0.0
 
     def test_from_report_missing_cue(self):
         with pytest.raises(ValidationError, match="missing"):

@@ -1,6 +1,9 @@
 """End-to-end command-line coverage: every subcommand plus the exit-code map."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -32,6 +35,23 @@ def cli_run_dir(pop_file, tmp_path, capsys):
     assert code == 0, capsys.readouterr().err
     capsys.readouterr()
     return out
+
+
+def test_cli_and_graphml_export_do_not_load_networkx(tmp_path):
+    # networkx is a test-only oracle for the GraphML writer, not a runtime dependency.
+    code = (
+        "import sys, botforge.cli\n"
+        "assert 'networkx' not in sys.modules, 'import'\n"
+        "from botforge.netgraph import build_comm_graph, export_graphml\n"
+        "from botforge.persona import load_seed_personas, default_population_path\n"
+        "pop = load_seed_personas(default_population_path())\n"
+        "export_graphml(build_comm_graph([], pop), pop, sys.argv[1])\n"
+        "assert 'networkx' not in sys.modules, 'export'\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "g.graphml")],
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_help_exits_zero(capsys):
@@ -119,6 +139,21 @@ class TestSimulate:
     def test_extend_from_previous_run(self, cli_run_dir, capsys):
         assert main(["simulate", "--extend-from", str(cli_run_dir), "--runs", "1"]) == 0
         assert read_manifest(cli_run_dir)["runs_completed"] == 2
+
+    @pytest.mark.parametrize("key,value", [("runs_completed", None), ("runs_completed", True),
+                                           ("tweet_count", -1), ("files", [])])
+    def test_extend_from_malformed_manifest(self, cli_run_dir, capsys, key, value):
+        path = cli_run_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        if value is None:
+            del manifest[key]
+        else:
+            manifest[key] = value
+        path.write_text(json.dumps(manifest))
+        before = {p.name: p.read_bytes() for p in cli_run_dir.iterdir()}
+        assert main(["simulate", "--extend-from", str(cli_run_dir), "--runs", "1"]) == 1
+        assert f"{key} must be" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in cli_run_dir.iterdir()} == before
 
 
 class TestAnalyzeCompareExport:

@@ -1,0 +1,330 @@
+"""The corpus reader and writer against the line-at-a-time implementation they replace.
+
+_OracleTweet, _oracle_tweet_from_dict and _oracle_read are the reader as it
+was before it built slots records through one exact-type check: every value
+type-checked, then a frozen dataclass, then its violations. The new reader
+must return the same tweets for every file and raise the same SchemaError
+text for every file it refuses.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+from dataclasses import dataclass
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from botforge.corpus import (
+    TWEET_KINDS,
+    CorpusPrefix,
+    Tweet,
+    _check_types,
+    _TWEET_KEYS,
+    _TWEET_TYPES,
+    read_tweets_jsonl,
+    tweet_from_dict,
+    write_tweets_jsonl,
+)
+from botforge.errors import ManifestError, SchemaError
+
+FIELDS = ("id", "author_id", "kind", "text", "target_tweet_id", "target_agent_id",
+          "run_index", "slot_index", "slot_kind", "mentions", "hashtags", "urls")
+
+
+@dataclass(frozen=True)
+class _OracleTweet:
+    id: int
+    author_id: str
+    kind: str
+    text: str
+    target_tweet_id: int | None
+    target_agent_id: str | None
+    run_index: int
+    slot_index: int
+    slot_kind: str = "original"
+    mentions: tuple[str, ...] = ()
+    hashtags: tuple[str, ...] = ()
+    urls: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "mentions", tuple(self.mentions))
+        object.__setattr__(self, "hashtags", tuple(self.hashtags))
+        object.__setattr__(self, "urls", tuple(self.urls))
+
+    def violations(self) -> list[str]:
+        out = []
+        if self.kind not in TWEET_KINDS:
+            out.append(f"tweet {self.id}: unknown kind {self.kind!r}")
+        if self.slot_kind not in TWEET_KINDS:
+            out.append(f"tweet {self.id}: unknown slot_kind {self.slot_kind!r}")
+        if len(self.text) > 280:
+            out.append(f"tweet {self.id}: text exceeds 280 characters")
+        if self.kind == "original":
+            if self.target_tweet_id is not None or self.target_agent_id is not None:
+                out.append(f"tweet {self.id}: original tweets carry no target")
+        else:
+            if self.target_agent_id is None:
+                out.append(f"tweet {self.id}: {self.kind} requires a target agent")
+            if self.kind in ("retweet", "quote") and self.target_tweet_id is None:
+                out.append(f"tweet {self.id}: {self.kind} requires a target tweet")
+        return out
+
+
+def _oracle_tweet_from_dict(obj, path="tweet"):
+    if not isinstance(obj, dict):
+        raise SchemaError(path, "must be an object", obj)
+    unknown = obj.keys() - _TWEET_TYPES.keys()
+    if unknown:
+        raise SchemaError(path, f"unknown keys {sorted(unknown)}")
+    if len(obj) < len(_TWEET_KEYS):
+        raise SchemaError(path, f"missing keys {[k for k in _TWEET_KEYS if k not in obj]}")
+    _check_types(obj, _TWEET_TYPES, path)
+    for key in ("mentions", "hashtags", "urls"):
+        for value in obj[key]:
+            if not isinstance(value, str):
+                raise SchemaError(f"{path}.{key}", "must be a list of str", obj[key])
+    t = _OracleTweet(**obj)
+    problems = t.violations()
+    if problems:
+        raise SchemaError(path, "; ".join(problems))
+    return t
+
+
+def _oracle_read(path):
+    tweets = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"{path}:{lineno}", f"not valid JSON: {exc}") from exc
+            tweets.append(_oracle_tweet_from_dict(obj, path=f"{path}:{lineno}"))
+    return tweets
+
+
+def _values(tweets):
+    return [tuple(getattr(t, name) for name in FIELDS) for t in tweets]
+
+
+def _outcome(read, path):
+    """(field values of every tweet, None) or (None, the SchemaError text)."""
+    try:
+        return _values(read(path)), None
+    except SchemaError as exc:
+        return None, str(exc)
+
+
+def _doc(tid, kind="original", **kw):
+    doc = {"id": tid, "author_id": "a_01", "kind": kind, "slot_kind": kind,
+           "text": f"Note {tid} before the set.", "target_tweet_id": None,
+           "target_agent_id": None, "run_index": 0, "slot_index": 0,
+           "mentions": [], "hashtags": [], "urls": []}
+    if kind != "original":
+        doc.update(target_tweet_id=1, target_agent_id="a_02", mentions=["@a02"],
+                   text=f"@a02 reply {tid}")
+    doc.update(kw)
+    return doc
+
+
+def _line(doc) -> str:
+    return json.dumps(doc, ensure_ascii=False)
+
+
+# Tweet documents, nearly all valid: a text over 280 characters breaks a rule.
+_texts = st.text(st.characters(blacklist_categories=("Cs",)), max_size=300)
+_strs = st.lists(st.text(max_size=8), max_size=3)
+
+
+@st.composite
+def _docs(draw):
+    kind = draw(st.sampled_from(TWEET_KINDS))
+    doc = _doc(0, kind, text=draw(_texts), run_index=draw(st.integers(0, 5)),
+               slot_index=draw(st.integers(0, 30)), slot_kind=draw(st.sampled_from(TWEET_KINDS)),
+               mentions=draw(_strs), hashtags=draw(_strs), urls=draw(_strs))
+    if kind == "reply":
+        doc["target_tweet_id"] = draw(st.one_of(st.none(), st.integers(1, 10**6)))
+    return doc
+
+
+# Damage to one line, as the file is written.
+_DAMAGE = (
+    "blank", "spaces", "bad json", "two objects", "split list", "indented", "array",
+    "bool id", "int text", "nested mention", "extra key", "missing key", "crlf",
+)
+
+
+def _damaged(line: str, doc: dict, how: str) -> list[str]:
+    if how == "blank":
+        return [line, ""]
+    if how == "spaces":
+        return [line, "   \t"]
+    if how == "bad json":
+        return ["{nope"]
+    if how == "two objects":
+        return [line + ", " + line]
+    if how == "split list":
+        m = dict(doc, mentions=["@a", "@b"])
+        head, tail = _line(m).split('"@a", ', 1)
+        return [head + '"@a"', tail]
+    if how == "indented":
+        return ["  " + line + " "]
+    if how == "array":
+        return ["[1, 2, 3]"]
+    if how == "bool id":
+        return [_line(dict(doc, id=True))]
+    if how == "int text":
+        return [_line(dict(doc, text=5))]
+    if how == "nested mention":
+        return [_line(dict(doc, mentions=[{"x": 1}]))]
+    if how == "extra key":
+        return [_line(dict(doc, likes=3))]
+    if how == "missing key":
+        return [_line({k: v for k, v in doc.items() if k != "slot_index"})]
+    return [line + "\r"]  # crlf: the reader's newline handling turns \r\n into \n
+
+
+@st.composite
+def _corpus_lines(draw):
+    """The lines of a corpus of up to 150 tweets, a few of them damaged."""
+    docs = draw(st.lists(_docs(), min_size=1, max_size=4))
+    n = draw(st.integers(0, 150))
+    damage = dict(draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                          st.sampled_from(_DAMAGE)), max_size=3)))
+    lines = []
+    for i in range(n):
+        doc = dict(docs[i % len(docs)], id=i + 1)
+        lines.extend(_damaged(_line(doc), doc, damage[i]) if i in damage else [_line(doc)])
+    return lines
+
+
+class TestReaderMatchesOracle:
+    @given(lines=_corpus_lines(), final_newline=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_generated_corpora(self, tmp_path_factory, lines, final_newline):
+        path = tmp_path_factory.mktemp("corpus") / "tweets.jsonl"
+        path.write_text("\n".join(lines) + ("\n" if final_newline and lines else ""),
+                        encoding="utf-8", newline="")
+        assert _outcome(read_tweets_jsonl, path) == _outcome(_oracle_read, path)
+
+    @pytest.mark.parametrize("order", ["two alone", "split first", "two first"])
+    def test_lines_that_do_not_hold_one_tweet_each(self, tmp_path, order):
+        # A tweet split over two lines and a line of two tweets are each
+        # refused as invalid JSON, naming the line.
+        split = _damaged("", _doc(2), "split list")
+        two = _damaged(_line(_doc(3)), _doc(3), "two objects")
+        lines = [_line(_doc(1)), *{"two alone": two, "split first": split + two,
+                                   "two first": two + split}[order]]
+        path = tmp_path / "tweets.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        new = _outcome(read_tweets_jsonl, path)
+        assert new == _outcome(_oracle_read, path)
+        assert "not valid JSON" in new[1]
+
+    def test_simulated_corpus(self, tmp_path, micro_pop, pools):
+        from botforge.simcore import ScenarioConfig, simulate_to_dir
+
+        out = tmp_path / "run"
+        simulate_to_dir(ScenarioConfig(seed=3, runs=3, out_dir=str(out)), pop=micro_pop,
+                        pools=pools)
+        new, old = read_tweets_jsonl(out / "tweets.jsonl"), _oracle_read(out / "tweets.jsonl")
+        assert len(new) > 64 and _values(new) == _values(old)
+        assert all(type(getattr(t, k)) is tuple for t in new for k in FIELDS[-3:])
+
+
+# Every malformed document of tests/test_simcore.py::TestTweetSerde.
+_MALFORMED = {
+    "not an object": [1, 2, 3],
+    "unknown key": _doc(7, likes=4),
+    "missing key": {k: v for k, v in _doc(7).items() if k != "slot_index"},
+    "contract violation": _doc(7, target_tweet_id=5, target_agent_id="a_02"),
+    **{f"{key}={value!r}": _doc(7, **{key: value}) for key, value in [
+        ("text", 5), ("id", "1"), ("id", True), ("run_index", None), ("slot_index", 1.0),
+        ("author_id", 7), ("target_tweet_id", "3"), ("mentions", "@bob"), ("hashtags", None),
+        ("urls", [5]),
+    ]},
+}
+
+
+class TestSameErrors:
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    def test_tweet_from_dict(self, case):
+        with pytest.raises(SchemaError) as new:
+            tweet_from_dict(_MALFORMED[case])
+        with pytest.raises(SchemaError) as old:
+            _oracle_tweet_from_dict(_MALFORMED[case])
+        assert str(new.value) == str(old.value)
+
+    @pytest.mark.parametrize("at", [1, 2, 64, 65, 130])
+    @pytest.mark.parametrize("case", [*sorted(_MALFORMED), "bad json"])
+    def test_reader_names_the_line(self, tmp_path, case, at):
+        bad = "{nope" if case == "bad json" else json.dumps(_MALFORMED[case])
+        lines = [_line(_doc(i)) for i in range(1, 140)]
+        lines[at - 1] = bad
+        path = tmp_path / "tweets.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        new, old = _outcome(read_tweets_jsonl, path), _outcome(_oracle_read, path)
+        assert new == old and new[1].startswith(f"{path}:{at}")
+
+    def test_round_trip_and_equality(self):
+        t = Tweet(3, "a_01", "reply", "@a02 yes", 1, "a_02", 0, 4, slot_kind="reply",
+                  mentions=["@a02"])
+        assert t.mentions == ("@a02",)
+        assert tweet_from_dict(t.to_dict()) == t
+        assert t != Tweet(3, "a_01", "reply", "@a02 yes", 1, "a_02", 0, 5, slot_kind="reply",
+                          mentions=["@a02"])
+
+
+def _tweets(n):
+    return [tweet_from_dict(_doc(i)) for i in range(1, n + 1)]
+
+
+def _lines(tweets) -> bytes:
+    return "".join(_line(t.to_dict()) + "\n" for t in tweets).encode()
+
+
+def _prefix(path, count):
+    return CorpusPrefix(path, hashlib.sha256(path.read_bytes()).hexdigest(), count)
+
+
+class TestWriterPrefix:
+    def test_fresh_corpus_is_one_line_per_tweet(self, tmp_path):
+        write_tweets_jsonl(_tweets(3), tmp_path / "t.jsonl")
+        assert (tmp_path / "t.jsonl").read_bytes() == _lines(_tweets(3))
+
+    def test_prior_bytes_kept_and_new_tweets_appended(self, tmp_path):
+        prior = tmp_path / "prior.jsonl"
+        prior.write_bytes(b'{"not": "re-serialized"}\n' * 2)
+        write_tweets_jsonl(_tweets(5), tmp_path / "t.jsonl", _prefix(prior, 2))
+        assert (tmp_path / "t.jsonl").read_bytes() == prior.read_bytes() + _lines(_tweets(5)[2:])
+
+    def test_empty_prior(self, tmp_path):
+        prior = tmp_path / "prior.jsonl"
+        prior.write_bytes(b"")
+        write_tweets_jsonl(_tweets(2), tmp_path / "t.jsonl", _prefix(prior, 0))
+        assert (tmp_path / "t.jsonl").read_bytes() == _lines(_tweets(2))
+
+    def test_newline_inserted_after_prior_without_one(self, tmp_path):
+        prior = tmp_path / "prior.jsonl"
+        prior.write_bytes(_lines(_tweets(2)).rstrip(b"\n"))
+        write_tweets_jsonl(_tweets(4), tmp_path / "t.jsonl", _prefix(prior, 2))
+        assert (tmp_path / "t.jsonl").read_bytes() == _lines(_tweets(4))
+        assert read_tweets_jsonl(tmp_path / "t.jsonl") == _tweets(4)
+
+    def test_nothing_appended_leaves_prior_bytes_alone(self, tmp_path):
+        prior = tmp_path / "prior.jsonl"
+        prior.write_bytes(_lines(_tweets(2)).rstrip(b"\n"))
+        write_tweets_jsonl(_tweets(2), tmp_path / "t.jsonl", _prefix(prior, 2))
+        assert (tmp_path / "t.jsonl").read_bytes() == prior.read_bytes()
+
+    def test_prior_changed_since_verified_is_refused(self, tmp_path):
+        prior = tmp_path / "prior.jsonl"
+        prior.write_bytes(_lines(_tweets(2)))
+        prefix = _prefix(prior, 2)
+        prior.write_bytes(_lines(_tweets(2)) + b"\n")
+        with pytest.raises(ManifestError, match="changed after its hash was verified"):
+            write_tweets_jsonl(_tweets(3), tmp_path / "t.jsonl", prefix)

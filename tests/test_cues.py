@@ -33,7 +33,7 @@ from botforge.cues import (
 from botforge.errors import SchemaError, ValidationError
 from botforge.netgraph import GraphMetrics, build_comm_graph, graph_metrics
 from botforge.persona import Population
-from botforge.simcore import Tweet
+from botforge.corpus import Tweet
 
 from conftest import make_persona
 

@@ -72,6 +72,13 @@ PINNED = {
         "run.log": "3cb875c0dd9391a20e5311c8fe78617f3ca56c601b88156383d049c67db52cf8",
     },
 }
+# graph.graphml per mixing preset (the scheme does not change the graph),
+# as the networkx export wrote it before the stdlib writer replaced it.
+PINNED_GRAPHML = {
+    "pa": "f92aed0eed359b9ee5753756985c791d06dcc9c28358f4261cd63e0ede3a6a22",
+    "pa+leader": "811331525b3fdd4119a2483993ddb599a6543662094896eb97f7fb004bf9157b",
+    "pa+leader+random": "622b932ebc360a46d8cc9f3963a56a46be8080066c3a50064936782446568fc4",
+}
 # cues.csv under per_post for ("pa+leader+random", "targets:all").
 PINNED_PER_POST_CUES = "b132280a4777a63d45e866c8a9b9cc92c637dbd80b4ba9819ae3811d9689245e"
 # The paper's config, aborted by a backend failure on its ABORT_CALL-th call
@@ -167,6 +174,13 @@ def test_template_outputs_match_pinned_digests(mixing, scheme, seed_pop, pools, 
     simulate_to_dir(_config(out, mixing, scheme), pop=seed_pop, pools=pools)
     _analyze(out, lexicons)
     assert {name: _sha256(out / name) for name in PINNED_FILES} == PINNED[(mixing, scheme)]
+
+
+@pytest.mark.parametrize("mixing", sorted(PINNED_GRAPHML))
+def test_graphml_matches_pinned_digest(mixing, seed_pop, pools, tmp_path):
+    out = tmp_path / "run"
+    simulate_to_dir(_config(out, mixing, "naive"), pop=seed_pop, pools=pools)
+    assert _sha256(out / "graph.graphml") == PINNED_GRAPHML[mixing]
 
 
 def test_per_post_cue_report_matches_pinned_digest(seed_pop, pools, lexicons, tmp_path):

@@ -15,6 +15,7 @@ from botforge.netgraph import (
     CandidateCache,
     CommGraph,
     DegreeState,
+    EdgeStats,
     MixingPolicy,
     build_comm_graph,
     draw_interaction_counts,
@@ -24,12 +25,11 @@ from botforge.netgraph import (
     graph_metrics,
     pa_select,
     per_agent_centralities,
-    select_partner,
     select_partner_detail,
     weighted_density,
 )
 from botforge.persona import Population
-from botforge.simcore import Tweet
+from botforge.corpus import Tweet
 
 from conftest import make_persona
 
@@ -169,11 +169,11 @@ class TestSelectPartner:
         rng = np.random.default_rng(0)
         d = DegreeState(micro_pop)
         for _ in range(20):
-            pid, mode = select_partner(
+            choice = select_partner_detail(
                 micro_pop.get("a_02"), micro_pop, MixingPolicy.pa_only(), d, rng
             )
-            assert mode == "pa"
-            assert pid == "a_01"  # only eligible candidate for a_02
+            assert choice.mode == "pa"
+            assert choice.partner_id == "a_01"  # only eligible candidate for a_02
 
     def test_leader_mode_returns_community_leader(self, micro_pop):
         rng = np.random.default_rng(0)
@@ -228,11 +228,11 @@ class TestSelectPartner:
         rng = np.random.default_rng(0)
         d = DegreeState(micro_pop)
         for _ in range(200):
-            pid, mode = select_partner(
+            choice = select_partner_detail(
                 micro_pop.get("a_01"), micro_pop, MixingPolicy(0.0, 0.0, 1.0), d, rng
             )
-            assert mode == "random"
-            assert pid != "a_01"
+            assert choice.mode == "random"
+            assert choice.partner_id != "a_01"
 
     def test_single_agent_population_rejected(self):
         pop = Population(personas=[make_persona("x_01")])
@@ -385,6 +385,57 @@ class TestExports:
         assert back.nodes["a_01"]["community"] == "alpha"
         assert back.edges["a_01", "b_01"]["weight"] == 1
 
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_graphml_bytes_equal_networkx(self, tmp_path_factory, data):
+        pop = data.draw(_xml_population())
+        ids = pop.ids()
+        pairs = [(s, t) for s in ids for t in ids if s != t]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+        edges = {pair: EdgeStats(weight=data.draw(st.integers(1, 10**6))) for pair in chosen}
+        g = CommGraph(nodes=ids, edges=edges)
+        tmp = tmp_path_factory.mktemp("graphml")
+        export_graphml(g, pop, tmp / "ours.graphml")
+        _networkx_graphml(g, pop, tmp / "networkx.graphml")
+        assert (tmp / "ours.graphml").read_bytes() == (tmp / "networkx.graphml").read_bytes()
+
+    def test_graphml_single_node_and_no_edges(self, micro_pop, tmp_path):
+        for pop in (Population(personas=micro_pop.personas[:1]), micro_pop):
+            g = build_comm_graph([], pop)
+            export_graphml(g, pop, tmp_path / "ours.graphml")
+            _networkx_graphml(g, pop, tmp_path / "networkx.graphml")
+            ours = (tmp_path / "ours.graphml").read_bytes()
+            assert ours == (tmp_path / "networkx.graphml").read_bytes()
+            assert b'for="edge"' not in ours
+
+
+def _networkx_graphml(g: CommGraph, pop: Population, path) -> None:
+    """The networkx export that export_graphml replaced: the oracle for its bytes.
+
+    write_graphml_xml, not write_graphml: the latter picks the lxml writer
+    when lxml is installed, which writes the two keys in the other order.
+    """
+    import networkx as nx
+
+    dg = nx.DiGraph()
+    for pid in g.nodes:
+        dg.add_node(pid, community=pop.get(pid).community)
+    for (src, dst) in sorted(g.edges):
+        dg.add_edge(src, dst, weight=g.edges[(src, dst)].weight)
+    nx.write_graphml_xml(dg, str(path))
+
+
+# Names that need escaping in XML text or attributes, with whitespace and non-ASCII.
+_xml_text = st.text(st.one_of(st.sampled_from("&<>\"' \t\n\r"),
+                              st.characters(blacklist_categories=("Cs",))),
+                    min_size=1, max_size=12)
+
+
+@st.composite
+def _xml_population(draw):
+    ids = draw(st.lists(_xml_text, min_size=1, max_size=6, unique=True))
+    return Population(personas=[make_persona(pid, draw(_xml_text)) for pid in ids])
+
 
 @st.composite
 def tiny_population(draw):
@@ -407,12 +458,12 @@ class TestProperties:
     def test_partner_is_valid_and_never_self(self, pop, seed):
         rng = np.random.default_rng(seed)
         agent = pop.personas[0]
-        pid, mode = select_partner(
+        choice = select_partner_detail(
             agent, pop, MixingPolicy.pa_leader_random(), DegreeState(pop), rng
         )
-        assert pid in pop
-        assert pid != agent.id
-        assert mode in {"pa", "leader", "random"}
+        assert choice.partner_id in pop
+        assert choice.partner_id != agent.id
+        assert choice.mode in {"pa", "leader", "random"}
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 """Simulation loop, output directory layout, manifests, and run extension."""
 
+import hashlib
 import json
 import re
 import tempfile
@@ -14,6 +15,13 @@ from conftest import make_persona
 from test_netgraph import tiny_population
 
 from botforge.content import TemplateBackend
+from botforge.corpus import (
+    Tweet,
+    _TWEET_KEYS,
+    read_tweets_jsonl,
+    tweet_from_dict,
+    write_tweets_jsonl,
+)
 from botforge.errors import BackendError, ManifestError, SchemaError, ValidationError
 from botforge.netgraph import POLICY_PRESETS, MixingPolicy
 from botforge.persona import Population, load_seed_personas
@@ -21,20 +29,15 @@ from botforge.simcore import (
     MANIFEST_FORMAT,
     ScenarioConfig,
     SimulationAborted,
-    Tweet,
-    _TWEET_KEYS,
     _parse_mixing,
     config_from_dict,
     load_corpus,
     read_manifest,
-    read_tweets_jsonl,
     resume_or_extend,
     run_simulation,
     simulate_to_dir,
-    tweet_from_dict,
     verify_manifest_files,
     write_outputs,
-    write_tweets_jsonl,
 )
 
 OUTPUT_FILES = (
@@ -604,6 +607,22 @@ class TestOutputLayout:
         with pytest.raises(ManifestError, match=f"not a {MANIFEST_FORMAT} manifest"):
             read_manifest(tmp_path)
 
+    @pytest.mark.parametrize("key,value", [
+        ("runs_completed", None), ("runs_completed", -1), ("runs_completed", True),
+        ("runs_completed", 1.0), ("tweet_count", "12"), ("tweet_count", None),
+        ("files", None), ("files", ["tweets.jsonl"]), ("files", {"tweets.jsonl": 5}),
+    ])
+    def test_read_manifest_checks_counts_and_files(self, run_dir, key, value):
+        out, _, _ = run_dir
+        manifest = json.loads((out / "manifest.json").read_text())
+        if value is None:
+            del manifest[key]
+        else:
+            manifest[key] = value
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ManifestError, match=f"{key} must be"):
+            read_manifest(out)
+
 
 class TestSimulateToDir:
     def test_requires_out_dir(self, micro_pop):
@@ -673,6 +692,97 @@ class TestResumeOrExtend:
             fh.write("\n")
         with pytest.raises(ManifestError, match="hash mismatch for tweets.jsonl"):
             resume_or_extend(out, cfg)
+
+
+def _new_lines(tweets) -> bytes:
+    return "".join(json.dumps(t.to_dict(), ensure_ascii=False) + "\n" for t in tweets).encode()
+
+
+def _rewrite_corpus(run_dir, data: bytes, tweet_count: int) -> None:
+    """Replace a finished run's tweets.jsonl and record its hash, as if it had been written so."""
+    (run_dir / "tweets.jsonl").write_bytes(data)
+    manifest = read_manifest(run_dir)
+    manifest["files"]["tweets.jsonl"] = hashlib.sha256(data).hexdigest()
+    manifest["tweet_count"] = tweet_count
+    (run_dir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+
+class TestExtendAppends:
+    """Extending keeps the prior tweets.jsonl bytes and appends the new tweets' lines."""
+
+    @pytest.mark.parametrize("in_place", [True, False])
+    def test_prior_bytes_then_new_lines(self, run_dir, micro_pop, pools, in_place):
+        out, cfg, first = run_dir
+        prior = (out / "tweets.jsonl").read_bytes()
+        dest = out if in_place else out.parent / "ext"
+        ext = resume_or_extend(out, replace(cfg, out_dir=None if in_place else str(dest)))
+        assert (dest / "tweets.jsonl").read_bytes() == prior + _new_lines(
+            ext.tweets[len(first.tweets):])
+        assert ext.tweets[:len(first.tweets)] == first.tweets
+        fresh = out.parent / "fresh"
+        simulate_to_dir(replace(cfg, runs=2, out_dir=str(fresh)), pop=micro_pop, pools=pools)
+        assert (dest / "tweets.jsonl").read_bytes() == (fresh / "tweets.jsonl").read_bytes()
+        if not in_place:
+            assert (out / "tweets.jsonl").read_bytes() == prior
+        manifest = read_manifest(dest)
+        verify_manifest_files(dest, manifest, manifest["files"])
+
+    def test_aborted_extend_appends_what_committed(self, run_dir, monkeypatch):
+        out, cfg, first = run_dir
+        prior = (out / "tweets.jsonl").read_bytes()
+        monkeypatch.setattr("botforge.simcore.make_backend",
+                            lambda *a, **kw: _FailingBackend(fail_after=5))
+        with pytest.raises(SimulationAborted) as exc:
+            resume_or_extend(out, replace(cfg, out_dir=str(out.parent / "ext")))
+        ext = out.parent / "ext"
+        tweets = exc.value.result.tweets
+        assert len(first.tweets) < len(tweets)
+        assert (ext / "tweets.jsonl").read_bytes() == prior + _new_lines(
+            tweets[len(first.tweets):])
+        manifest = read_manifest(ext)
+        assert manifest["status"] == "aborted"
+        assert manifest["tweet_count"] == len(tweets)
+        verify_manifest_files(ext, manifest, manifest["files"])
+
+    def test_empty_prior_corpus(self, run_dir):
+        out, cfg, _ = run_dir
+        _rewrite_corpus(out, b"", 0)
+        ext = resume_or_extend(out, replace(cfg, out_dir=str(out.parent / "ext")))
+        assert ext.tweets[0].id == 1
+        assert (out.parent / "ext" / "tweets.jsonl").read_bytes() == _new_lines(ext.tweets)
+
+    def test_newline_inserted_after_prior_without_one(self, run_dir):
+        out, cfg, first = run_dir
+        whole = resume_or_extend(out, replace(cfg, out_dir=str(out.parent / "whole")))
+        prior = (out / "tweets.jsonl").read_bytes()
+        _rewrite_corpus(out, prior.rstrip(b"\n"), len(first.tweets))
+        ext = resume_or_extend(out, replace(cfg, out_dir=None))
+        data = (out / "tweets.jsonl").read_bytes()
+        assert data == (out.parent / "whole" / "tweets.jsonl").read_bytes()
+        assert data == prior + _new_lines(ext.tweets[len(first.tweets):])
+        assert read_tweets_jsonl(out / "tweets.jsonl") == ext.tweets == whole.tweets
+
+    @pytest.mark.parametrize("in_place", [True, False])
+    def test_prior_changed_after_check_is_refused(self, run_dir, monkeypatch, in_place):
+        out, cfg, _ = run_dir
+        dest = out if in_place else out.parent / "ext"
+        read = read_tweets_jsonl
+
+        def read_then_change(path):
+            tweets = read(path)
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write("\n")
+            return tweets
+
+        monkeypatch.setattr("botforge.simcore.read_tweets_jsonl", read_then_change)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        with pytest.raises(ManifestError, match="changed after its hash was verified"):
+            resume_or_extend(out, replace(cfg, out_dir=None if in_place else str(dest)))
+        assert not [p.name for p in dest.iterdir() if p.name.endswith(".staged")]
+        after = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert after == dict(before, **{"tweets.jsonl": before["tweets.jsonl"] + b"\n"})
+        if not in_place:
+            assert list(dest.iterdir()) == []
 
 
 class TestLoadCorpus:
