@@ -1,15 +1,19 @@
 """The tweet record and the tweets.jsonl corpus file.
 
 A corpus is one JSON object per line, in commit order. The reader streams
-it one line at a time and type-checks every value; the writer can
-start a new corpus with the bytes of a finished one (verified against its
-recorded digest) and append only the new tweets, so extending a run never
-re-serializes what it already holds.
+it one line at a time and type-checks every value. Extending a run needs
+only the end of a finished corpus, which read_corpus_tail scans backwards;
+the whole extended corpus is a CorpusView, whose finished part is read only
+when something asks for it, and the writer copies that part's bytes
+(verified against their recorded digest) and appends only the new tweets,
+so extending a run never parses or re-serializes what it already holds.
 """
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass, fields
 from operator import itemgetter
 from pathlib import Path
@@ -161,44 +165,156 @@ def _checked(t: Tweet, path: str) -> Tweet:
     return t
 
 
+def _parse_line(line: str, where: str) -> Tweet | None:
+    """The tweet on one corpus line, or None for a blank line."""
+    line = line.strip()
+    if not line:
+        return None
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(where, f"not valid JSON: {exc}") from exc
+    return tweet_from_dict(obj, path=where)
+
+
+def _read_lines(lines, path) -> list[Tweet]:
+    tweets = []
+    for lineno, line in enumerate(lines, start=1):
+        t = _parse_line(line, f"{path}:{lineno}")
+        if t is not None:
+            tweets.append(t)
+    return tweets
+
+
 def read_tweets_jsonl(path: str | Path) -> list[Tweet]:
     """Every tweet of a corpus file, read one line at a time; blank lines are skipped."""
-    tweets = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}:{lineno}", f"not valid JSON: {exc}") from exc
-            tweets.append(tweet_from_dict(obj, path=f"{path}:{lineno}"))
-    return tweets
+        return _read_lines(fh, path)
+
+
+# Bytes read per step of the backward scan.
+_TAIL_BLOCK = 1 << 16
+
+
+def _parse_raw(raw: bytes, where: str) -> Tweet | None:
+    try:
+        line = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(where, f"not valid UTF-8: {exc}") from exc
+    return _parse_line(line, where)
+
+
+def read_corpus_tail(path: str | Path, authors: Collection[str], size: int) -> list[Tweet]:
+    """The last tweets of the first size bytes of a corpus file, in file order.
+
+    Scans backwards in fixed-size blocks and stops at the first line from
+    which every one of authors has a tweet, or at the start of the file;
+    each line read is checked as read_tweets_jsonl checks it, and a bad
+    line's SchemaError names its path:lineno. Lines before the stop are
+    neither read nor checked.
+    """
+    wanted = set(authors)
+    tail: list[Tweet] = []  # newest first
+    rest = b""  # the part read so far of a line that begins in an earlier block
+    pos = size
+    with open(path, "rb") as fh:
+        while wanted and pos > 0:
+            step = min(_TAIL_BLOCK, pos)
+            pos -= step
+            fh.seek(pos)
+            lines = (fh.read(step) + rest).split(b"\n")
+            end = pos + sum(map(len, lines)) + len(lines)  # where the line after them starts
+            rest = lines.pop(0) if pos else b""
+            for line in reversed(lines):
+                end -= len(line) + 1
+                try:
+                    t = _parse_raw(line, str(path))
+                except SchemaError:
+                    # Only an error needs the line's number: count, then fail again with it.
+                    fh.seek(0)
+                    lineno = 1 + fh.read(end).count(b"\n")
+                    _parse_raw(line, f"{path}:{lineno}")
+                    raise
+                if t is None:
+                    continue
+                tail.append(t)
+                wanted.discard(t.author_id)
+                if not wanted:
+                    break
+    tail.reverse()
+    return tail
 
 
 @dataclass(frozen=True)
 class CorpusPrefix:
     """A finished corpus file whose bytes begin a new corpus.
 
-    sha256 is the digest recorded for the file when it was verified, and
-    tweet_count the number of tweets it holds.
+    sha256 is the digest recorded for the file when it was verified,
+    tweet_count the number of tweets it holds and size its length in bytes.
     """
 
     path: Path
     sha256: str
     tweet_count: int
+    size: int
+
+
+class CorpusView(Sequence):
+    """A whole corpus: a finished corpus file's tweets, then new tweets.
+
+    len() needs no read. Any other access reads the prefix file's first
+    prefix.size bytes once, checks their SHA-256 against prefix.sha256
+    and parses them; ManifestError if they changed or do not hold
+    prefix.tweet_count tweets, so no other corpus is ever returned.
+    Indexing, slicing, iteration and == against a list or another view
+    then behave as on the list of every tweet. The prefix file may have
+    grown since (an in-place extend appends to it).
+    """
+
+    def __init__(self, prefix: CorpusPrefix, new: list[Tweet]):
+        self.prefix = prefix
+        self.new = new
+        self._tweets: list[Tweet] | None = None
+
+    def _all(self) -> list[Tweet]:
+        if self._tweets is None:
+            p = self.prefix
+            with open(p.path, "rb") as fh:
+                data = fh.read(p.size)
+            digest = hashlib.sha256(data).hexdigest()
+            if digest != p.sha256:
+                raise ManifestError(f"{p.path} changed after its hash was verified: "
+                                    f"recorded {p.sha256}, now {digest}")
+            tweets = _read_lines(io.StringIO(data.decode("utf-8"), newline=None), p.path)
+            if len(tweets) != p.tweet_count:
+                raise ManifestError(f"{p.path} holds {len(tweets)} tweets, not the "
+                                    f"{p.tweet_count} recorded")
+            self._tweets = tweets + self.new
+        return self._tweets
+
+    def __len__(self) -> int:
+        return self.prefix.tweet_count + len(self.new)
+
+    def __getitem__(self, index):
+        return self._all()[index]
+
+    def __iter__(self):
+        return iter(self._all())
+
+    def __eq__(self, other):
+        if isinstance(other, CorpusView):
+            other = other._all()
+        return self._all() == other if isinstance(other, list) else NotImplemented
 
 
 _encode = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def write_tweets_jsonl(tweets: list[Tweet], path: str | Path,
-                       prefix: CorpusPrefix | None = None) -> None:
+def write_tweets_jsonl(tweets: Sequence[Tweet], path: str | Path) -> None:
     """Write the corpus tweets to path, one JSON object per line.
 
-    With a prefix, its file's bytes stand for the first prefix.tweet_count
-    tweets: they are copied unchanged, and only the tweets after them are
+    A CorpusView is written as its prefix file's bytes, copied unchanged,
+    and then its new tweets; its finished part is never parsed or
     serialized. The copy is hashed as it goes, and a digest other than the
     recorded one raises ManifestError (the file changed after it was
     verified). A newline is added before the first appended line when the
@@ -206,8 +322,8 @@ def write_tweets_jsonl(tweets: list[Tweet], path: str | Path,
     """
     new = tweets
     with open(path, "wb") as fh:
-        if prefix is not None:
-            new = tweets[prefix.tweet_count:]
+        if isinstance(tweets, CorpusView):
+            prefix, new = tweets.prefix, tweets.new
             digest = hashlib.sha256()
             last = b"\n"
             with open(prefix.path, "rb") as src:

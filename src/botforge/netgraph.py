@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import SchemaError, ValidationError
 from .persona import Persona, Population
 
 PARTNER_MODES = ("pa", "leader", "random")
@@ -323,14 +323,17 @@ class GraphMetrics:
         }
 
 
-def build_comm_graph(tweets, pop: Population) -> CommGraph:
+def build_comm_graph(tweets, pop: Population,
+                     edges: dict[tuple[str, str], EdgeStats] | None = None) -> CommGraph:
     """Collapse retweets/quotes/replies into directed author → target edges.
 
     Original posts contribute no edges; agents without interactions remain as
     isolate nodes. Any tweet referencing an agent outside the population, or
-    targeting its own author, is a contract violation.
+    targeting its own author, is a contract violation. Given edges (say, an
+    earlier graph's, from read_edges_csv), the tweets add to a copy of them.
     """
-    edges: dict[tuple[str, str], EdgeStats] = {}
+    edges = {pair: EdgeStats(e.weight, e.retweets, e.quotes, e.replies)
+             for pair, e in (edges or {}).items()}
     for t in tweets:
         if t.author_id not in pop:
             raise ValidationError(f"tweet {t.id}: unknown author {t.author_id!r}")
@@ -391,14 +394,62 @@ def weighted_density(g: CommGraph) -> float:
     return g.total_weight() / (n * (n - 1))
 
 
+EDGES_CSV_HEADER = ["source", "target", "weight", "retweets", "quotes", "replies"]
+
+
 def export_edges_csv(g: CommGraph, path: str | Path) -> None:
     """Edge list CSV `source,target,weight,retweets,quotes,replies`, sorted."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["source", "target", "weight", "retweets", "quotes", "replies"])
+        writer.writerow(EDGES_CSV_HEADER)
         for (src, dst) in sorted(g.edges):
             e = g.edges[(src, dst)]
             writer.writerow([src, dst, e.weight, e.retweets, e.quotes, e.replies])
+
+
+def read_edges_csv(
+    path: str | Path, pop: Population
+) -> tuple[dict[tuple[str, str], EdgeStats], DegreeState]:
+    """The edges of an export_edges_csv file, and the degree state they sum to.
+
+    Each edge's weight counts once toward its source's out-degree and its
+    target's in-degree. A wrong header, a row naming an agent outside pop,
+    a self-loop, a repeated edge, a count that is not a non-negative
+    integer, a weight other than retweets + quotes + replies, or a weight
+    of 0 is a SchemaError naming path:line.
+    """
+    edges: dict[tuple[str, str], EdgeStats] = {}
+    degrees = DegreeState(pop)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = csv.reader(fh)
+        if next(rows, None) != EDGES_CSV_HEADER:
+            raise SchemaError(f"{path}:1", f"header must be {','.join(EDGES_CSV_HEADER)}")
+        for row in rows:
+            where = f"{path}:{rows.line_num}"
+            if len(row) != len(EDGES_CSV_HEADER):
+                raise SchemaError(where, f"must have {len(EDGES_CSV_HEADER)} fields", row)
+            src, dst, *counts = row
+            for agent in (src, dst):
+                if agent not in pop:
+                    raise SchemaError(where, f"unknown agent {agent!r}")
+            if src == dst:
+                raise SchemaError(where, f"self-loop on {src!r}")
+            if (src, dst) in edges:
+                raise SchemaError(where, f"duplicate edge {src} -> {dst}")
+            for name, value in zip(EDGES_CSV_HEADER[2:], counts):
+                if not (value.isascii() and value.isdigit()):
+                    raise SchemaError(where, f"{name} must be a non-negative integer", value)
+            e = EdgeStats(*map(int, counts))
+            if e.weight != e.retweets + e.quotes + e.replies:
+                raise SchemaError(where, f"weight {e.weight} is not retweets + quotes + "
+                                  f"replies ({e.retweets} + {e.quotes} + {e.replies})")
+            if e.weight == 0:
+                raise SchemaError(where, "weight must be 1 or more")
+            edges[(src, dst)] = e
+            degrees.out_deg[pop.index_of(src)] += e.weight
+            degrees.in_deg[pop.index_of(dst)] += e.weight
+            degrees.n_interactions += e.weight
+    return edges, degrees
 
 
 _GRAPHML_HEAD = (

@@ -6,8 +6,9 @@ pick a partner, target the partner's most recent tweet, generate content,
 commit. Commit order is strictly (run, agent, slot), tweet ids are assigned
 in that order, and every random draw comes from a labeled stream of the one
 root seed, so a config fully determines the outputs. Runs can later be
-extended: the degree state is rebuilt from the stored graph and new runs
-append to the corpus.
+extended: the graph and degree state come from the stored graph.csv, each
+agent's last tweet from the end of the stored corpus, and new runs append
+to the corpus without the prior tweets being parsed.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import hashlib
 import heapq
 import json
 import os
+from collections.abc import Sequence
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -34,8 +36,10 @@ from .content import (
 )
 from .corpus import (
     CorpusPrefix,
+    CorpusView,
     Tweet,
     _check_types,
+    read_corpus_tail,
     read_tweets_jsonl,
     write_tweets_jsonl,
 )
@@ -44,6 +48,7 @@ from .netgraph import (
     CandidateCache,
     CommGraph,
     DegreeState,
+    EdgeStats,
     GraphMetrics,
     MixingPolicy,
     POLICY_PRESETS,
@@ -52,6 +57,7 @@ from .netgraph import (
     export_edges_csv,
     export_graphml,
     graph_metrics,
+    read_edges_csv,
     select_partner_detail,
     weighted_density,
 )
@@ -215,7 +221,14 @@ class SimulationAborted(BotforgeError):
 
 @dataclass
 class SimResult:
-    tweets: list[Tweet]
+    """What run_simulation committed.
+
+    tweets is the whole corpus: a list for a fresh run, and for an extend a
+    read-only CorpusView whose prior part is read only when accessed (len()
+    reads nothing). graph and metrics cover the whole corpus too.
+    """
+
+    tweets: Sequence[Tweet]
     graph: CommGraph
     metrics: GraphMetrics | None
     log: list[str]
@@ -223,6 +236,22 @@ class SimResult:
     runs_completed: int  # total runs reflected in tweets (prior + new)
     status: str = "ok"
     error: str | None = None
+
+
+@dataclass
+class PriorRun:
+    """What extending a finished run needs of it, read without parsing its whole corpus.
+
+    prefix is its verified tweets.jsonl (tweet_count tweets, ids 1 to
+    tweet_count), last_by_agent each agent's latest tweet in it, and edges
+    and degrees its graph, as read from graph.csv. run_simulation commits
+    the new interactions to degrees.
+    """
+
+    prefix: CorpusPrefix
+    last_by_agent: dict[str, Tweet]
+    edges: dict[tuple[str, str], EdgeStats]
+    degrees: DegreeState
 
 
 @dataclass(slots=True)
@@ -378,10 +407,15 @@ def run_simulation(
     *,
     pools: dict[str, list[str]] | None = None,
     start_run_index: int = 0,
-    initial_tweets: list[Tweet] | None = None,
-    initial_degrees: DegreeState | None = None,
+    prior: PriorRun | None = None,
 ) -> SimResult:
     """Execute cfg.runs simulation runs and return the full committed corpus.
+
+    With prior, the runs continue a finished run: ids go on from its
+    tweet count, partners respond to its agents' last tweets, attachment
+    starts from its degrees, and the graph is its edges plus the new
+    tweets'. Only the new tweets are held; SimResult.tweets is then a
+    CorpusView over the prior file and them.
 
     Each run is planned first, with no backend call, then rendered: up to
     cfg.max_in_flight backend calls are outstanding when the backend is
@@ -399,10 +433,12 @@ def run_simulation(
     if pools is None:
         pools = load_pools(cfg.pools_path) if cfg.pools_path else EMPTY_POOLS
 
-    degrees = initial_degrees if initial_degrees is not None else DegreeState(pop)
+    degrees = prior.degrees if prior else DegreeState(pop)
     cache = CandidateCache(pop, require_both=cfg.require_both_eligibility)
-    tweets: list[Tweet] = list(initial_tweets or ())
-    last_by_agent: dict[str, Tweet] = {t.author_id: t for t in tweets}
+    tweets: list[Tweet] = []  # this call's tweets
+    corpus = CorpusView(prior.prefix, tweets) if prior else tweets
+    last_by_agent: dict[str, Tweet] = dict(prior.last_by_agent) if prior else {}
+    next_id = prior.prefix.tweet_count + 1 if prior else 1
     params = cfg.backend_params()
 
     def render(post: _PlannedPost) -> Tweet:
@@ -422,7 +458,7 @@ def run_simulation(
     with ThreadPoolExecutor(cfg.max_in_flight) if overlap else nullcontext() as executor:
         try:
             for run_index in range(start_run_index, start_run_index + cfg.runs):
-                first_id = tweets[-1].id + 1 if tweets else 1
+                first_id = next_id + len(tweets)
                 plan, plan_log = _plan_run(cfg, pop, pools, run_index, first_id, degrees, cache,
                                            last_by_agent)
                 logged = 0
@@ -444,11 +480,11 @@ def run_simulation(
 
     if interactions is None:
         interactions = degrees.n_interactions
-    log.append(f"committed {len(tweets)} tweets, {interactions} interactions")
-    graph = build_comm_graph(tweets, pop)
+    log.append(f"committed {len(corpus)} tweets, {interactions} interactions")
+    graph = build_comm_graph(tweets, pop, prior.edges if prior else None)
     metrics = graph_metrics(graph, pop) if len(pop) >= 2 else None
     result = SimResult(
-        tweets=tweets,
+        tweets=corpus,
         graph=graph,
         metrics=metrics,
         log=log,
@@ -476,21 +512,20 @@ def write_outputs(
     pop: Population,
     pools: dict[str, list[str]],
     out_dir: str | Path,
-    prefix: CorpusPrefix | None = None,
 ) -> Path:
     """Write the full output directory layout, staged so a failure keeps a prior run.
 
     Every file is first written under a staging name in out_dir and hashed
     there; the data files then replace their namesakes, the manifest last.
     A failure while staging leaves the directory as it was and removes the
-    staged files. When result extends a finished run, prefix is that run's
-    verified tweets.jsonl: its bytes are copied and the new tweets appended.
+    staged files. When result extends a finished run, its tweets.jsonl is
+    that run's verified file's bytes with the new tweets appended.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     staged = {name: out / f".{name}.staged" for name in (*_DATA_FILES, "manifest.json")}
     try:
-        write_tweets_jsonl(result.tweets, staged["tweets.jsonl"], prefix)
+        write_tweets_jsonl(result.tweets, staged["tweets.jsonl"])
         export_edges_csv(result.graph, staged["graph.csv"])
         export_graphml(result.graph, pop, staged["graph.graphml"])
 
@@ -606,29 +641,42 @@ def verify_manifest_files(run_dir: str | Path, manifest: dict, names) -> None:
             )
 
 
-def _degrees_from_graph_csv(path: Path, pop: Population) -> DegreeState:
-    import csv as _csv
+def _read_prior(prev_dir: Path, manifest: dict, pop: Population) -> PriorRun:
+    """The prior state of a verified run directory, from the end of its corpus and graph.csv.
 
-    degrees = DegreeState(pop)
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in _csv.DictReader(fh):
-            weight = int(row["weight"])
-            src, dst = row["source"], row["target"]
-            degrees.out_deg[pop.index_of(src)] += weight
-            degrees.in_deg[pop.index_of(dst)] += weight
-            degrees.n_interactions += weight
-    return degrees
+    ManifestError when the corpus's last tweet id is not the manifest's
+    tweet_count, or a tweet of the scanned tail names an agent outside pop.
+    """
+    path = prev_dir / "tweets.jsonl"
+    count = manifest["tweet_count"]
+    prefix = CorpusPrefix(path, manifest["files"]["tweets.jsonl"], count, path.stat().st_size)
+    tail = read_corpus_tail(path, pop.ids(), prefix.size)
+    last_id = tail[-1].id if tail else 0
+    if last_id != count:
+        raise ManifestError(f"{path}: last tweet id is {last_id} but the manifest records "
+                            f"{count} tweets")
+    for t in tail:
+        for agent in (t.author_id, t.target_agent_id):
+            if agent is not None and agent not in pop:
+                raise ManifestError(f"{path}: tweet {t.id} names {agent!r}, who is not in "
+                                    f"population.json")
+    edges, degrees = read_edges_csv(prev_dir / "graph.csv", pop)
+    return PriorRun(prefix, {t.author_id: t for t in tail}, edges, degrees)
 
 
 def resume_or_extend(prev_dir: str | Path, cfg: ScenarioConfig) -> SimResult:
     """Append cfg.runs further runs on top of a finished run directory.
 
-    The prior corpus is loaded from the directory's own snapshots, its
-    integrity is verified against the manifest hashes, and the degree state
-    is rebuilt from the stored graph so attachment continues from the prior
-    structure. Output goes to cfg.out_dir (defaulting to prev_dir); its
-    tweets.jsonl is the prior file's bytes with the new tweets appended, and
-    the result holds the whole corpus.
+    The directory's tweets.jsonl, graph.csv, population.json and pools.json
+    are verified against the manifest hashes. The prior corpus is then
+    trusted and not parsed: each agent's last tweet comes from a backward
+    scan of its end (about one run), the next id from the manifest's
+    tweet_count, and the graph and degree state, so that attachment
+    continues from the prior structure, from graph.csv. Output goes to
+    cfg.out_dir (defaulting to prev_dir); its tweets.jsonl is the prior
+    file's bytes with the new tweets appended. The result's tweets are the
+    whole corpus as a CorpusView, which parses the prior tweets only if
+    they are accessed, after checking their hash again.
     """
     prev_dir = Path(prev_dir)
     manifest = read_manifest(prev_dir)
@@ -640,9 +688,7 @@ def resume_or_extend(prev_dir: str | Path, cfg: ScenarioConfig) -> SimResult:
 
     pop = load_seed_personas(prev_dir / "population.json")
     pools = load_pools(prev_dir / "pools.json")
-    prior = read_tweets_jsonl(prev_dir / "tweets.jsonl")
-    prefix = CorpusPrefix(prev_dir / "tweets.jsonl", manifest["files"]["tweets.jsonl"], len(prior))
-    degrees = _degrees_from_graph_csv(prev_dir / "graph.csv", pop)
+    prior = _read_prior(prev_dir, manifest, pop)
     start = manifest["runs_completed"]
 
     out_dir = cfg.out_dir or str(prev_dir)
@@ -656,19 +702,12 @@ def resume_or_extend(prev_dir: str | Path, cfg: ScenarioConfig) -> SimResult:
         backoff_s=cfg.backoff_s,
     )
     try:
-        result = run_simulation(
-            cfg,
-            pop,
-            backend,
-            pools=pools,
-            start_run_index=start,
-            initial_tweets=prior,
-            initial_degrees=degrees,
-        )
+        result = run_simulation(cfg, pop, backend, pools=pools, start_run_index=start,
+                                prior=prior)
     except SimulationAborted as exc:
-        write_outputs(exc.result, cfg, pop, pools, out_dir, prefix)
+        write_outputs(exc.result, cfg, pop, pools, out_dir)
         raise
-    write_outputs(result, cfg, pop, pools, out_dir, prefix)
+    write_outputs(result, cfg, pop, pools, out_dir)
     return result
 
 

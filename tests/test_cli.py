@@ -1,5 +1,6 @@
 """End-to-end command-line coverage: every subcommand plus the exit-code map."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -154,6 +155,44 @@ class TestSimulate:
         assert main(["simulate", "--extend-from", str(cli_run_dir), "--runs", "1"]) == 1
         assert f"{key} must be" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in cli_run_dir.iterdir()} == before
+
+
+def _forge_graph_csv(run_dir, edit) -> None:
+    """Rewrite run_dir's graph.csv rows with edit and record the new file's hash."""
+    path = run_dir / "graph.csv"
+    rows = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("".join(f"{row}\r\n" for row in edit(rows)), encoding="utf-8", newline="")
+    manifest = read_manifest(run_dir)
+    manifest["files"]["graph.csv"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    (run_dir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def _set_field(rows, index, value):
+    first = rows[1].split(",")
+    first[index] = value(first)
+    return [rows[0], ",".join(first), *rows[2:]]
+
+
+# A forged graph.csv, and the line its refusal names.
+_BAD_GRAPHS = {
+    "header": (lambda rows: ["src,dst,weight,retweets,quotes,replies", *rows[1:]], 1),
+    "unknown agent": (lambda rows: _set_field(rows, 0, lambda _: "ghost_agent"), 2),
+    "self-loop": (lambda rows: _set_field(rows, 1, lambda row: row[0]), 2),
+    "duplicate edge": (lambda rows: [*rows[:2], rows[1], *rows[2:]], 3),
+    "non-integer weight": (lambda rows: _set_field(rows, 2, lambda _: "x"), 2),
+    "negative count": (lambda rows: _set_field(rows, 3, lambda _: "-1"), 2),
+    "weight not the sum": (lambda rows: _set_field(rows, 2, lambda row: str(int(row[2]) + 1)), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_GRAPHS))
+def test_extend_refuses_bad_graph_csv(cli_run_dir, capsys, case):
+    edit, line = _BAD_GRAPHS[case]
+    _forge_graph_csv(cli_run_dir, edit)
+    before = {p.name: p.read_bytes() for p in cli_run_dir.iterdir()}
+    assert main(["simulate", "--extend-from", str(cli_run_dir), "--runs", "1"]) == 1
+    assert f"graph.csv:{line}: " in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in cli_run_dir.iterdir()} == before
 
 
 class TestAnalyzeCompareExport:

@@ -16,13 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import botforge.corpus
 from botforge.corpus import (
     TWEET_KINDS,
     CorpusPrefix,
+    CorpusView,
     Tweet,
     _check_types,
     _TWEET_KEYS,
     _TWEET_TYPES,
+    read_corpus_tail,
     read_tweets_jsonl,
     tweet_from_dict,
     write_tweets_jsonl,
@@ -288,7 +291,8 @@ def _lines(tweets) -> bytes:
 
 
 def _prefix(path, count):
-    return CorpusPrefix(path, hashlib.sha256(path.read_bytes()).hexdigest(), count)
+    data = path.read_bytes()
+    return CorpusPrefix(path, hashlib.sha256(data).hexdigest(), count, len(data))
 
 
 class TestWriterPrefix:
@@ -299,32 +303,140 @@ class TestWriterPrefix:
     def test_prior_bytes_kept_and_new_tweets_appended(self, tmp_path):
         prior = tmp_path / "prior.jsonl"
         prior.write_bytes(b'{"not": "re-serialized"}\n' * 2)
-        write_tweets_jsonl(_tweets(5), tmp_path / "t.jsonl", _prefix(prior, 2))
+        write_tweets_jsonl(CorpusView(_prefix(prior, 2), _tweets(5)[2:]), tmp_path / "t.jsonl")
         assert (tmp_path / "t.jsonl").read_bytes() == prior.read_bytes() + _lines(_tweets(5)[2:])
 
     def test_empty_prior(self, tmp_path):
         prior = tmp_path / "prior.jsonl"
         prior.write_bytes(b"")
-        write_tweets_jsonl(_tweets(2), tmp_path / "t.jsonl", _prefix(prior, 0))
+        write_tweets_jsonl(CorpusView(_prefix(prior, 0), _tweets(2)), tmp_path / "t.jsonl")
         assert (tmp_path / "t.jsonl").read_bytes() == _lines(_tweets(2))
 
     def test_newline_inserted_after_prior_without_one(self, tmp_path):
         prior = tmp_path / "prior.jsonl"
         prior.write_bytes(_lines(_tweets(2)).rstrip(b"\n"))
-        write_tweets_jsonl(_tweets(4), tmp_path / "t.jsonl", _prefix(prior, 2))
+        write_tweets_jsonl(CorpusView(_prefix(prior, 2), _tweets(4)[2:]), tmp_path / "t.jsonl")
         assert (tmp_path / "t.jsonl").read_bytes() == _lines(_tweets(4))
         assert read_tweets_jsonl(tmp_path / "t.jsonl") == _tweets(4)
 
     def test_nothing_appended_leaves_prior_bytes_alone(self, tmp_path):
         prior = tmp_path / "prior.jsonl"
         prior.write_bytes(_lines(_tweets(2)).rstrip(b"\n"))
-        write_tweets_jsonl(_tweets(2), tmp_path / "t.jsonl", _prefix(prior, 2))
+        write_tweets_jsonl(CorpusView(_prefix(prior, 2), []), tmp_path / "t.jsonl")
         assert (tmp_path / "t.jsonl").read_bytes() == prior.read_bytes()
 
     def test_prior_changed_since_verified_is_refused(self, tmp_path):
         prior = tmp_path / "prior.jsonl"
         prior.write_bytes(_lines(_tweets(2)))
-        prefix = _prefix(prior, 2)
+        view = CorpusView(_prefix(prior, 2), _tweets(3)[2:])
         prior.write_bytes(_lines(_tweets(2)) + b"\n")
         with pytest.raises(ManifestError, match="changed after its hash was verified"):
-            write_tweets_jsonl(_tweets(3), tmp_path / "t.jsonl", prefix)
+            write_tweets_jsonl(view, tmp_path / "t.jsonl")
+
+
+class TestCorpusView:
+    def test_reads_the_prefix_once_on_first_access(self, tmp_path, monkeypatch):
+        prior = tmp_path / "prior.jsonl"
+        prior.write_bytes(_lines(_tweets(3)))
+        view = CorpusView(_prefix(prior, 3), _tweets(5)[3:])
+        reads = []
+        parse = botforge.corpus.tweet_from_dict
+        monkeypatch.setattr(botforge.corpus, "tweet_from_dict",
+                            lambda *a, **kw: reads.append(None) or parse(*a, **kw))
+        assert len(view) == 5 and reads == []
+        assert view == _tweets(5) and _tweets(5) == view
+        assert view[0] == _tweets(1)[0] and view[-1].id == 5 and view[1:3] == _tweets(3)[1:]
+        assert [t.id for t in view] == [1, 2, 3, 4, 5]
+        assert view == CorpusView(_prefix(prior, 3), _tweets(5)[3:])
+        assert view != _tweets(4) and view != tuple(_tweets(5))
+        assert len(reads) == 3 + 3  # the prior lines, once per view
+
+    def test_only_the_recorded_bytes_are_read(self, tmp_path):
+        # An in-place extend appends to the prefix file after it was verified.
+        prior = tmp_path / "prior.jsonl"
+        prior.write_bytes(_lines(_tweets(2)).rstrip(b"\n"))
+        view = CorpusView(_prefix(prior, 2), _tweets(4)[2:])
+        prior.write_bytes(_lines(_tweets(4)))
+        assert view == _tweets(4)
+
+    def test_changed_prefix_is_refused(self, tmp_path):
+        prior = tmp_path / "prior.jsonl"
+        prior.write_bytes(_lines(_tweets(2)))
+        view = CorpusView(_prefix(prior, 2), [])
+        prior.write_bytes(_lines(_tweets(2)).replace(b"Note 1", b"Note 9"))
+        with pytest.raises(ManifestError, match="changed after its hash was verified"):
+            view[0]
+        assert len(view) == 2
+
+    def test_recorded_count_is_checked(self, tmp_path):
+        prior = tmp_path / "prior.jsonl"
+        prior.write_bytes(_lines(_tweets(3)))
+        with pytest.raises(ManifestError, match="holds 3 tweets, not the 2 recorded"):
+            list(CorpusView(_prefix(prior, 2), _tweets(4)[3:]))
+
+
+def _oracle_tail(path, authors):
+    """Tweets from the end of a corpus back to the line where every author has one."""
+    with open(path, encoding="utf-8") as fh:
+        lines = list(enumerate(fh, start=1))
+    wanted, tail = set(authors), []
+    for lineno, line in reversed(lines):
+        if not wanted:
+            break
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}:{lineno}", f"not valid JSON: {exc}") from exc
+        tail.append(_oracle_tweet_from_dict(obj, path=f"{path}:{lineno}"))
+        wanted.discard(tail[-1].author_id)
+    return tail[::-1]
+
+
+_AUTHORS = ("a_01", "a_02", "b_01", "b_02")
+
+
+@st.composite
+def _authored_lines(draw):
+    """Up to 120 tweet lines by a few authors, one of them perhaps damaged."""
+    lines = []
+    n = draw(st.integers(0, 120))
+    damaged = draw(st.one_of(st.none(), st.tuples(st.integers(0, max(n - 1, 0)),
+                                                  st.sampled_from(_DAMAGE))))
+    for i in range(n):
+        doc = _doc(i + 1, author_id=draw(st.sampled_from(_AUTHORS)))
+        if damaged and damaged[0] == i:
+            lines.extend(_damaged(_line(doc), doc, damaged[1]))
+        else:
+            lines.append(_line(doc))
+    return lines
+
+
+class TestCorpusTail:
+    @given(lines=_authored_lines(), final_newline=st.booleans(),
+           authors=st.sets(st.sampled_from(_AUTHORS), min_size=1),
+           block=st.sampled_from([1, 7, 150, 1 << 16]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_backward_line_scan(self, tmp_path_factory, lines, final_newline,
+                                          authors, block):
+        path = tmp_path_factory.mktemp("corpus") / "tweets.jsonl"
+        path.write_text("\n".join(lines) + ("\n" if final_newline and lines else ""),
+                        encoding="utf-8", newline="")
+        size = path.stat().st_size
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(botforge.corpus, "_TAIL_BLOCK", block)
+            new = _outcome(lambda p: read_corpus_tail(p, authors, size), path)
+        assert new == _outcome(lambda p: _oracle_tail(p, authors), path)
+
+    def test_reads_only_the_first_size_bytes(self, tmp_path):
+        path = tmp_path / "tweets.jsonl"
+        path.write_bytes(_lines(_tweets(3)) + b"{not read}\n")
+        assert read_corpus_tail(path, {"a_01"}, len(_lines(_tweets(3)))) == _tweets(3)[2:]
+
+    def test_unknown_authors_scan_to_the_start(self, tmp_path):
+        path = tmp_path / "tweets.jsonl"
+        path.write_bytes(_lines(_tweets(4)))
+        assert read_corpus_tail(path, {"a_01", "ghost"}, path.stat().st_size) == _tweets(4)
+        assert read_corpus_tail(path, {"a_01"}, 0) == []

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from botforge.errors import ValidationError
+from botforge.errors import SchemaError, ValidationError
 from botforge.netgraph import (
     POLICY_PRESETS,
     CandidateCache,
@@ -25,6 +25,7 @@ from botforge.netgraph import (
     graph_metrics,
     pa_select,
     per_agent_centralities,
+    read_edges_csv,
     select_partner_detail,
     weighted_density,
 )
@@ -356,6 +357,59 @@ class TestGraphMetrics:
         g = build_comm_graph([], pop)
         with pytest.raises(ValidationError):
             graph_metrics(g, pop)
+
+
+_CSV_HEADER = "source,target,weight,retweets,quotes,replies"
+
+
+class TestGraphFromEdges:
+    """A graph continued from stored edges equals the graph of the whole corpus."""
+
+    TWEETS = [
+        interaction(1, "b_02", "a_01", "reply"),
+        interaction(2, "a_01", "b_01", "quote"),
+        interaction(3, "a_01", "b_01", "retweet"),
+        interaction(4, "b_01", "a_02", "reply"),
+        interaction(5, "a_01", "b_01", "reply"),
+        interaction(6, "b_02", "a_02", "quote"),
+    ]
+
+    @pytest.mark.parametrize("split", [0, 1, 3, 6])
+    def test_prior_edges_plus_new_tweets(self, micro_pop, tmp_path, split):
+        path = tmp_path / "graph.csv"
+        export_edges_csv(build_comm_graph(self.TWEETS[:split], micro_pop), path)
+        edges, degrees = read_edges_csv(path, micro_pop)
+        whole = build_comm_graph(self.TWEETS, micro_pop)
+        assert build_comm_graph(self.TWEETS[split:], micro_pop, edges) == whole
+        assert edges == build_comm_graph(self.TWEETS[:split], micro_pop).edges  # not changed
+
+        committed = DegreeState(micro_pop)
+        for t in self.TWEETS[:split]:
+            committed.commit(t.author_id, t.target_agent_id)
+        assert degrees.in_deg.tolist() == committed.in_deg.tolist()
+        assert degrees.out_deg.tolist() == committed.out_deg.tolist()
+        assert degrees.n_interactions == split
+
+    @pytest.mark.parametrize("lines,line,message", [
+        (["source,target,weight,retweets,quotes"], 1, "header must be"),
+        ([], 1, "header must be"),
+        ([_CSV_HEADER, "a_01,b_01,1,0,0"], 2, "must have 6 fields"),
+        ([_CSV_HEADER, "a_01,ghost_agent,1,0,0,1"], 2, "unknown agent 'ghost_agent'"),
+        ([_CSV_HEADER, "a_01,b_01,1,0,0,1", "a_01,a_01,1,0,0,1"], 3, "self-loop on 'a_01'"),
+        ([_CSV_HEADER, "a_01,b_01,1,0,0,1", "a_01,b_01,1,0,0,1"], 3,
+         "duplicate edge a_01 -> b_01"),
+        ([_CSV_HEADER, "a_01,b_01,x,0,0,1"], 2, "weight must be a non-negative integer"),
+        ([_CSV_HEADER, "a_01,b_01,1,-1,1,1"], 2, "retweets must be a non-negative integer"),
+        ([_CSV_HEADER, "a_01,b_01,1,0,1.0,0"], 2, "quotes must be a non-negative integer"),
+        ([_CSV_HEADER, "a_01,b_01,1,0,0, 1"], 2, "replies must be a non-negative integer"),
+        ([_CSV_HEADER, "a_01,b_01,2,0,0,1"], 2, r"weight 2 is not retweets \+ quotes \+ replies"),
+        ([_CSV_HEADER, "a_01,b_01,1,0,0,1", "b_01,a_01,0,0,0,0"], 3, "weight must be 1 or more"),
+    ])
+    def test_bad_rows_name_their_line(self, micro_pop, tmp_path, lines, line, message):
+        path = tmp_path / "graph.csv"
+        path.write_text("".join(f"{text}\r\n" for text in lines), encoding="utf-8")
+        with pytest.raises(SchemaError, match=f"graph.csv:{line}: {message}"):
+            read_edges_csv(path, micro_pop)
 
 
 class TestExports:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import shutil
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -14,17 +15,20 @@ from hypothesis import strategies as st
 from conftest import make_persona
 from test_netgraph import tiny_population
 
-from botforge.content import TemplateBackend
+from botforge.content import TemplateBackend, default_pools_path
+import botforge.corpus
 from botforge.corpus import (
+    CorpusView,
     Tweet,
     _TWEET_KEYS,
+    read_corpus_tail,
     read_tweets_jsonl,
     tweet_from_dict,
     write_tweets_jsonl,
 )
 from botforge.errors import BackendError, ManifestError, SchemaError, ValidationError
 from botforge.netgraph import POLICY_PRESETS, MixingPolicy
-from botforge.persona import Population, load_seed_personas
+from botforge.persona import Population, default_population_path, load_seed_personas
 from botforge.simcore import (
     MANIFEST_FORMAT,
     ScenarioConfig,
@@ -766,15 +770,15 @@ class TestExtendAppends:
     def test_prior_changed_after_check_is_refused(self, run_dir, monkeypatch, in_place):
         out, cfg, _ = run_dir
         dest = out if in_place else out.parent / "ext"
-        read = read_tweets_jsonl
+        read = read_corpus_tail
 
-        def read_then_change(path):
-            tweets = read(path)
+        def read_then_change(path, *args):
+            tail = read(path, *args)
             with open(path, "a", encoding="utf-8") as fh:
                 fh.write("\n")
-            return tweets
+            return tail
 
-        monkeypatch.setattr("botforge.simcore.read_tweets_jsonl", read_then_change)
+        monkeypatch.setattr("botforge.simcore.read_corpus_tail", read_then_change)
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         with pytest.raises(ManifestError, match="changed after its hash was verified"):
             resume_or_extend(out, replace(cfg, out_dir=None if in_place else str(dest)))
@@ -783,6 +787,106 @@ class TestExtendAppends:
         assert after == dict(before, **{"tweets.jsonl": before["tweets.jsonl"] + b"\n"})
         if not in_place:
             assert list(dest.iterdir()) == []
+
+
+def _count_parses(monkeypatch) -> list:
+    """A list that grows by one per tweet_from_dict call from now on."""
+    calls = []
+    parse = botforge.corpus.tweet_from_dict
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(botforge.corpus, "tweet_from_dict", counting)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def paper_run(tmp_path_factory):
+    """The 169 shipped personas after 5 runs of the paper's config (never extended in place)."""
+    out = tmp_path_factory.mktemp("paper") / "base"
+    cfg = config_from_dict({
+        "seed": 1, "runs": 5, "mixing": "pa+leader+random", "scheme": "targets:all",
+        "population_path": str(default_population_path()),
+        "pools_path": str(default_pools_path()), "out_dir": str(out),
+    })
+    simulate_to_dir(cfg)
+    return out, cfg
+
+
+class TestExtendReadsTail:
+    """Extending reads the end of the prior corpus and graph.csv, never the whole corpus."""
+
+    def test_parses_about_the_last_run(self, paper_run, monkeypatch, tmp_path):
+        base, cfg = paper_run
+        prior = read_manifest(base)["tweet_count"]
+        calls = _count_parses(monkeypatch)
+        ext = resume_or_extend(base, replace(cfg, runs=1, out_dir=str(tmp_path / "ext")))
+        parsed = len(calls)
+        assert 0 < parsed < prior
+        assert parsed < 2 * (len(ext.tweets) - prior)  # about one run of tweets
+        assert ext.tweets == read_tweets_jsonl(tmp_path / "ext" / "tweets.jsonl")
+
+    @pytest.mark.parametrize("in_place", [True, False])
+    def test_tweets_are_the_written_corpus(self, run_dir, in_place):
+        out, cfg, first = run_dir
+        dest = out if in_place else out.parent / "ext"
+        ext = resume_or_extend(out, replace(cfg, out_dir=None if in_place else str(dest)))
+        written = read_tweets_jsonl(dest / "tweets.jsonl")
+        assert isinstance(ext.tweets, CorpusView)
+        assert ext.tweets == written and written == ext.tweets
+        assert list(ext.tweets) == written
+        assert ext.tweets[len(first.tweets)] == written[len(first.tweets)]
+        assert ext.tweets[-3:] == written[-3:]
+        assert ext.tweets != written[:-1]
+
+    def test_len_reads_nothing(self, run_dir, monkeypatch):
+        out, cfg, _ = run_dir
+        ext = resume_or_extend(out, replace(cfg, out_dir=str(out.parent / "ext")))
+        (out / "tweets.jsonl").unlink()
+        calls = _count_parses(monkeypatch)
+        assert len(ext.tweets) == read_manifest(out.parent / "ext")["tweet_count"]
+        assert calls == []
+
+    @pytest.mark.parametrize("in_place", [True, False])
+    def test_first_access_after_prior_change_is_refused(self, run_dir, in_place):
+        out, cfg, _ = run_dir
+        ext = resume_or_extend(out, replace(cfg, out_dir=None if in_place else
+                                            str(out.parent / "ext")))
+        data = (out / "tweets.jsonl").read_bytes()
+        (out / "tweets.jsonl").write_bytes(data.replace(b'"id": 1,', b'"id": 7,', 1))
+        with pytest.raises(ManifestError, match="changed after its hash was verified"):
+            ext.tweets[0]
+
+    @pytest.mark.parametrize("drop_last", [True, False])
+    def test_last_id_must_be_the_tweet_count(self, run_dir, drop_last):
+        out, cfg, first = run_dir
+        n = len(first.tweets)
+        tweets = first.tweets[:-1] if drop_last else first.tweets
+        _rewrite_corpus(out, _new_lines(tweets), n if drop_last else n + 1)
+        last, count = (n - 1, n) if drop_last else (n, n + 1)
+        with pytest.raises(ManifestError,
+                           match=f"last tweet id is {last} but the manifest records {count}"):
+            resume_or_extend(out, replace(cfg, out_dir=str(out.parent / "ext")))
+
+    @pytest.mark.parametrize("key", ["author_id", "target_agent_id"])
+    def test_tail_agent_outside_population_refused(self, run_dir, key):
+        out, cfg, first = run_dir
+        tweets = list(first.tweets)
+        assert tweets[-1].kind != "original"
+        tweets[-1] = replace(tweets[-1], **{key: "ghost_agent"})
+        _rewrite_corpus(out, _new_lines(tweets), len(tweets))
+        with pytest.raises(ManifestError, match="'ghost_agent', who is not in population.json"):
+            resume_or_extend(out, replace(cfg, out_dir=str(out.parent / "ext")))
+
+    def test_bad_tail_line_names_its_position(self, run_dir):
+        out, cfg, first = run_dir
+        lines = (out / "tweets.jsonl").read_bytes().splitlines(keepends=True)
+        lines[-2] = b'{"id": oops}\n'
+        _rewrite_corpus(out, b"".join(lines), len(first.tweets))
+        with pytest.raises(SchemaError, match=rf"tweets\.jsonl:{len(lines) - 1}: not valid JSON"):
+            resume_or_extend(out, replace(cfg, out_dir=str(out.parent / "ext")))
 
 
 class TestLoadCorpus:
@@ -817,11 +921,16 @@ class TestInvariantProperties:
             tmp = Path(tmp)
             cfg = micro_cfg(seed=seed, mixing=mixing, runs=m, out_dir=str(tmp / "base"))
             simulate_to_dir(cfg, pop=pop, pools=pools)
+            shutil.copytree(tmp / "base", tmp / "in_place")
             resume_or_extend(tmp / "base", replace(cfg, runs=n, out_dir=str(tmp / "ext")))
+            resume_or_extend(tmp / "in_place", replace(cfg, runs=n, out_dir=None))
             simulate_to_dir(replace(cfg, runs=m + n, out_dir=str(tmp / "fresh")),
                             pop=pop, pools=pools)
-            for name in ("tweets.jsonl", "graph.csv"):
-                assert (tmp / "ext" / name).read_bytes() == (tmp / "fresh" / name).read_bytes()
+            # graph.graphml and metrics.json come from graph.csv plus the new tweets.
+            for name in ("tweets.jsonl", "graph.csv", "graph.graphml", "metrics.json"):
+                fresh = (tmp / "fresh" / name).read_bytes()
+                assert (tmp / "ext" / name).read_bytes() == fresh, name
+                assert (tmp / "in_place" / name).read_bytes() == fresh, name
 
     @given(pop=tiny_population(), seed=_SEEDS, mixing=_MIXING, runs=st.integers(1, 3))
     @settings(max_examples=25, deadline=None)
