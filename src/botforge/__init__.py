@@ -31,7 +31,6 @@ from .netgraph import (
     GraphMetrics,
     MixingPolicy,
     build_comm_graph,
-    eligible_candidates,
     graph_metrics,
     pa_select,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "build_comm_graph",
     "build_system_prompt",
     "compare",
-    "eligible_candidates",
     "expand_personas",
     "generate_post",
     "graph_metrics",

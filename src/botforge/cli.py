@@ -7,7 +7,6 @@ files. Exit codes: 0 success, 1 validation, 2 I/O, 3 backend.
 """
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
@@ -16,7 +15,7 @@ import click
 from .benchmark import compare_from_report, render_report
 from .content import DEFAULT_MODEL_NAME, make_backend
 from .cues import aggregate_cues, load_lexicons, read_cue_report, write_cue_report
-from .errors import BackendError, BotforgeError, ManifestError, SchemaError, ValidationError
+from .errors import BackendError, BotforgeError, SchemaError, ValidationError, read_json
 from .netgraph import build_comm_graph, export_edges_csv, export_graphml, graph_metrics
 from .persona import expand_personas, load_seed_personas, save_personas
 from .simcore import (
@@ -79,10 +78,7 @@ def personas_expand(seed_file, target, backend_name, out, seed, base_url, model_
 
 
 def _load_config_file(path: str) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(path, f"not valid JSON: {exc}") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise SchemaError(path, "config file must be a JSON object")
     return doc
@@ -234,10 +230,7 @@ def main(argv=None) -> int:
     except BackendError as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_BACKEND
-    except (ValidationError, SchemaError, ManifestError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_VALIDATION
-    except BotforgeError as exc:
+    except BotforgeError as exc:  # ValidationError, SchemaError, ManifestError and the rest
         click.echo(f"error: {exc}", err=True)
         return EXIT_VALIDATION
     except OSError as exc:

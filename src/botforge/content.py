@@ -23,7 +23,7 @@ from urllib.parse import urlsplit
 
 from .corpus import TWEET_KINDS, Tweet
 from .cues import classify_tokens
-from .errors import BackendError, SchemaError, ValidationError
+from .errors import BackendError, SchemaError, ValidationError, read_json
 from .persona import STANCES, Persona
 
 API_KEY_ENV = "BOTFORGE_API_KEY"
@@ -170,11 +170,7 @@ def augment_prompt(base: str, scheme: PromptScheme) -> str:
 
 def load_pools(path: str | Path) -> dict[str, list[str]]:
     """Common hashtag/URL pools: JSON {"hashtags": [...], "urls": [...]}."""
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(str(path), f"not valid JSON: {exc}") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict) or set(doc) != {"hashtags", "urls"}:
         raise SchemaError(str(path), 'pools file must be {"hashtags": [...], "urls": [...]}')
     for key in ("hashtags", "urls"):

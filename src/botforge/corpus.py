@@ -11,38 +11,33 @@ so extending a run never parses or re-serializes what it already holds.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass, fields
 from operator import itemgetter
 from pathlib import Path
-from types import UnionType
+from types import NoneType
 
 from .errors import ManifestError, SchemaError
 
 TWEET_KINDS = ("original", "retweet", "quote", "reply")
 
+# Each key's exact value types: no bool passes for an int, as bool is its own type.
 _TWEET_TYPES = {
-    "id": int,
-    "author_id": str,
-    "kind": str,
-    "slot_kind": str,
-    "text": str,
-    "target_tweet_id": int | None,
-    "target_agent_id": str | None,
-    "run_index": int,
-    "slot_index": int,
-    "mentions": list,
-    "hashtags": list,
-    "urls": list,
+    "id": (int,),
+    "author_id": (str,),
+    "kind": (str,),
+    "slot_kind": (str,),
+    "text": (str,),
+    "target_tweet_id": (int, NoneType),
+    "target_agent_id": (str, NoneType),
+    "run_index": (int,),
+    "slot_index": (int,),
+    "mentions": (list,),
+    "hashtags": (list,),
+    "urls": (list,),
 }
-_TWEET_KEYS = tuple(_TWEET_TYPES)
-# Each key's exact value types, for the check most documents pass: no bool
-# passes for an int.
-_EXACT_TYPES = {key: expected.__args__ if isinstance(expected, UnionType) else (expected,)
-                for key, expected in _TWEET_TYPES.items()}
-_ARTIFACT_KEYS = tuple(key for key, expected in _TWEET_TYPES.items() if expected is list)
+_ARTIFACT_KEYS = ("mentions", "hashtags", "urls")
 
 
 @dataclass(slots=True)
@@ -109,15 +104,14 @@ class Tweet:
 
 
 def _check_types(doc: dict, types: dict, path: str) -> None:
-    """SchemaError for a value of doc that is not of its type (a bool is not an int)."""
-    for key, expected in types.items():
-        if key not in doc:
+    """SchemaError for the first value of doc whose type is not one of its exact types."""
+    for key, allowed in types.items():
+        try:
+            value = doc[key]
+        except KeyError:  # not a membership test first: this runs for every key of every tweet
             continue
-        value = doc[key]
-        # Identity tests, not isinstance(value, bool), as this runs on every tweet read.
-        if not isinstance(value, expected) or (
-                (value is True or value is False) and expected is not bool):
-            name = getattr(expected, "__name__", str(expected))
+        if type(value) not in allowed:
+            name = " | ".join("None" if t is NoneType else t.__name__ for t in allowed)
             raise SchemaError(f"{path}.{key}", f"must be {name}", value)
 
 
@@ -125,59 +119,43 @@ def _check_types(doc: dict, types: dict, path: str) -> None:
 _tweet_args = itemgetter(*(f.name for f in fields(Tweet)))
 
 
-def _well_typed(obj: dict) -> bool:
-    """Whether obj holds exactly the tweet keys, each value of its exact type."""
-    if obj.keys() != _EXACT_TYPES.keys():
-        return False
-    for key, allowed in _EXACT_TYPES.items():
-        if type(obj[key]) not in allowed:
-            return False
-    for key in _ARTIFACT_KEYS:
-        for value in obj[key]:
-            if type(value) is not str:
-                return False
-    return True
-
-
 def tweet_from_dict(obj, path: str = "tweet") -> Tweet:
-    # Most documents pass _well_typed; the checks after it name the first
-    # problem of one that does not.
-    if type(obj) is not dict or not _well_typed(obj):
-        if not isinstance(obj, dict):
-            raise SchemaError(path, "must be an object", obj)
+    if not isinstance(obj, dict):
+        raise SchemaError(path, "must be an object", obj)
+    if obj.keys() != _TWEET_TYPES.keys():
         unknown = obj.keys() - _TWEET_TYPES.keys()
         if unknown:
             raise SchemaError(path, f"unknown keys {sorted(unknown)}")
-        if len(obj) < len(_TWEET_KEYS):
-            raise SchemaError(path, f"missing keys {[k for k in _TWEET_KEYS if k not in obj]}")
-        _check_types(obj, _TWEET_TYPES, path)
-        for key in _ARTIFACT_KEYS:
-            for value in obj[key]:
-                if not isinstance(value, str):
-                    raise SchemaError(f"{path}.{key}", "must be a list of str", obj[key])
-    return _checked(Tweet(*_tweet_args(obj)), path)
-
-
-def _checked(t: Tweet, path: str) -> Tweet:
+        raise SchemaError(path, f"missing keys {[k for k in _TWEET_TYPES if k not in obj]}")
+    _check_types(obj, _TWEET_TYPES, path)
+    for key in _ARTIFACT_KEYS:
+        for value in obj[key]:
+            if type(value) is not str:
+                raise SchemaError(f"{path}.{key}", "must be a list of str", obj[key])
+    t = Tweet(*_tweet_args(obj))
     problems = t.violations()
     if problems:
         raise SchemaError(path, "; ".join(problems))
     return t
 
 
-def _parse_line(line: str, where: str) -> Tweet | None:
+def _parse_line(line: bytes, where: str) -> Tweet | None:
     """The tweet on one corpus line, or None for a blank line."""
-    line = line.strip()
-    if not line:
+    try:
+        text = line.decode("utf-8").strip()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(where, f"not valid UTF-8: {exc}") from exc
+    if not text:
         return None
     try:
-        obj = json.loads(line)
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(where, f"not valid JSON: {exc}") from exc
     return tweet_from_dict(obj, path=where)
 
 
 def _read_lines(lines, path) -> list[Tweet]:
+    """The tweets of a corpus's lines, as bytes split at b"\\n"; blank lines are skipped."""
     tweets = []
     for lineno, line in enumerate(lines, start=1):
         t = _parse_line(line, f"{path}:{lineno}")
@@ -188,20 +166,12 @@ def _read_lines(lines, path) -> list[Tweet]:
 
 def read_tweets_jsonl(path: str | Path) -> list[Tweet]:
     """Every tweet of a corpus file, read one line at a time; blank lines are skipped."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return _read_lines(fh, path)
 
 
 # Bytes read per step of the backward scan.
 _TAIL_BLOCK = 1 << 16
-
-
-def _parse_raw(raw: bytes, where: str) -> Tweet | None:
-    try:
-        line = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise SchemaError(where, f"not valid UTF-8: {exc}") from exc
-    return _parse_line(line, where)
 
 
 def read_corpus_tail(path: str | Path, authors: Collection[str], size: int) -> list[Tweet]:
@@ -228,12 +198,12 @@ def read_corpus_tail(path: str | Path, authors: Collection[str], size: int) -> l
             for line in reversed(lines):
                 end -= len(line) + 1
                 try:
-                    t = _parse_raw(line, str(path))
+                    t = _parse_line(line, str(path))
                 except SchemaError:
                     # Only an error needs the line's number: count, then fail again with it.
                     fh.seek(0)
                     lineno = 1 + fh.read(end).count(b"\n")
-                    _parse_raw(line, f"{path}:{lineno}")
+                    _parse_line(line, f"{path}:{lineno}")
                     raise
                 if t is None:
                     continue
@@ -285,7 +255,7 @@ class CorpusView(Sequence):
             if digest != p.sha256:
                 raise ManifestError(f"{p.path} changed after its hash was verified: "
                                     f"recorded {p.sha256}, now {digest}")
-            tweets = _read_lines(io.StringIO(data.decode("utf-8"), newline=None), p.path)
+            tweets = _read_lines(data.split(b"\n"), p.path)
             if len(tweets) != p.tweet_count:
                 raise ManifestError(f"{p.path} holds {len(tweets)} tweets, not the "
                                     f"{p.tweet_count} recorded")

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SchemaError, ValidationError
+from .errors import SchemaError, ValidationError, read_text
 from .netgraph import GraphMetrics
 from .persona import Population
 
@@ -158,7 +158,7 @@ def load_lexicon(path: str | Path, category: str) -> Lexicon:
     if not path.is_file():
         raise FileNotFoundError(f"missing lexicon file for category {category!r}: {path}")
     terms = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in read_text(path).splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -443,20 +443,19 @@ def write_cue_report(agg: CueAggregate, path: str | Path) -> None:
 def read_cue_report(path: str | Path) -> dict[str, dict[str, float]]:
     """Parse a cue report CSV back into {cue: {mean, std, n}}."""
     out: dict[str, dict[str, float]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        expected = {"cue", "per_agent_mean", "per_agent_std", "n_agents"}
-        if reader.fieldnames is None or set(reader.fieldnames) != expected:
-            raise SchemaError(str(path), f"cue report header must be {sorted(expected)}")
-        for row in reader:
-            cue = row["cue"]
-            if cue not in CUE_NAMES:
-                raise SchemaError(str(path), f"unknown cue name {cue!r}")
-            out[cue] = {
-                "mean": float(row["per_agent_mean"]),
-                "std": float(row["per_agent_std"]),
-                "n": int(row["n_agents"]),
-            }
+    reader = csv.DictReader(read_text(path).splitlines())
+    expected = {"cue", "per_agent_mean", "per_agent_std", "n_agents"}
+    if reader.fieldnames is None or set(reader.fieldnames) != expected:
+        raise SchemaError(str(path), f"cue report header must be {sorted(expected)}")
+    for row in reader:
+        cue = row["cue"]
+        if cue not in CUE_NAMES:
+            raise SchemaError(str(path), f"unknown cue name {cue!r}")
+        out[cue] = {
+            "mean": float(row["per_agent_mean"]),
+            "std": float(row["per_agent_std"]),
+            "n": int(row["n_agents"]),
+        }
     missing = [c for c in CUE_NAMES if c not in out]
     if missing:
         raise SchemaError(str(path), f"cue report missing cues {missing}")

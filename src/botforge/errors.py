@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the input-file readers that raise it."""
+import json
+from pathlib import Path
 
 
 class BotforgeError(Exception):
@@ -32,3 +34,20 @@ class BackendError(BotforgeError):
 
 class ManifestError(BotforgeError):
     """An output directory's manifest is missing, corrupt, or inconsistent."""
+
+
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file; SchemaError naming the file when it is not UTF-8."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(str(path), f"not valid UTF-8: {exc}") from exc
+
+
+def read_json(path: str | Path):
+    """The JSON document of a UTF-8 file; SchemaError naming the file when it is not one."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(str(path), f"not valid JSON: {exc}") from exc

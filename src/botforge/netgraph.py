@@ -103,66 +103,34 @@ class DegreeState:
         return out
 
 
-def eligible_candidates(
-    agent: Persona, pop: Population, *, require_both: bool = False
-) -> set[str]:
-    """Agent ids sharing the agent's community or a narrative string (never self).
-
-    require_both=True switches the clause join from OR to AND.
-    """
-    if agent.id not in pop:
-        raise ValidationError(f"agent {agent.id!r} not in population")
-    own_narratives = set(agent.narratives)
-    out = set()
-    for p in pop.personas:
-        if p.id == agent.id:
-            continue
-        same_comm = p.community == agent.community
-        shared_narr = bool(own_narratives.intersection(p.narratives))
-        ok = (same_comm and shared_narr) if require_both else (same_comm or shared_narr)
-        if ok:
-            out.add(p.id)
-    return out
+def _eligible(agent: Persona, other: Persona, require_both: bool) -> bool:
+    """Whether other shares agent's community or one of its narratives (both with require_both)."""
+    same_comm = other.community == agent.community
+    shared_narr = not set(agent.narratives).isdisjoint(other.narratives)
+    return (same_comm and shared_narr) if require_both else (same_comm or shared_narr)
 
 
 class CandidateCache:
-    """Per-population candidate index arrays, computed lazily per agent.
+    """Each agent's candidate index array: the agents _eligible for it, never itself.
 
-    Eligibility depends only on the (immutable) population, so the arrays are
-    reusable across runs and selections. Arrays are sorted by population index,
-    which fixes the sampling order independent of set iteration order.
+    Eligibility depends only on an agent's (community, narrative set) class,
+    so each class's array is computed once and each agent's is that array
+    without the agent. Arrays are int64 and sorted by population index, which
+    fixes the sampling order; they are reusable across runs and selections.
     """
 
     def __init__(self, pop: Population, *, require_both: bool = False):
-        self._pop = pop
-        self._require_both = require_both
-        self._cache: dict[str, np.ndarray] = {}
-        # narrative string -> population indexes of agents carrying it
-        self._by_narrative: dict[str, list[int]] = {}
-        self._by_community: dict[str, list[int]] = {}
-        for i, p in enumerate(pop.personas):
-            self._by_community.setdefault(p.community, []).append(i)
-            for n in p.narratives:
-                self._by_narrative.setdefault(n, []).append(i)
+        by_class: dict[tuple[str, frozenset[str]], np.ndarray] = {}
+        self._by_agent: dict[str, np.ndarray] = {}
+        for i, agent in enumerate(pop.personas):
+            key = (agent.community, frozenset(agent.narratives))
+            if key not in by_class:
+                by_class[key] = np.array([j for j, p in enumerate(pop.personas)
+                                          if _eligible(agent, p, require_both)], dtype=np.int64)
+            self._by_agent[agent.id] = by_class[key][by_class[key] != i]
 
     def indexes(self, agent_id: str) -> np.ndarray:
-        got = self._cache.get(agent_id)
-        if got is None:
-            agent = self._pop.get(agent_id)
-            comm = np.asarray(self._by_community[agent.community], dtype=np.int64)
-            narr_lists = [self._by_narrative[n] for n in agent.narratives]
-            narr = (
-                np.unique(np.concatenate([np.asarray(ix, dtype=np.int64) for ix in narr_lists]))
-                if narr_lists
-                else np.empty(0, dtype=np.int64)
-            )
-            if self._require_both:
-                got = np.intersect1d(comm, narr)
-            else:
-                got = np.union1d(comm, narr)
-            got = got[got != self._pop.index_of(agent_id)]
-            self._cache[agent_id] = got
-        return got
+        return self._by_agent[agent_id]
 
 
 def _pa_select_idx(cand_idx: np.ndarray, degrees: DegreeState, rng: np.random.Generator) -> int:

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .errors import BackendError, SchemaError, ValidationError
+from .errors import BackendError, SchemaError, ValidationError, read_json
 from .rng import stream
 
 STANCES = ("support", "oppose", "neutral")
@@ -261,15 +261,10 @@ def default_population_path() -> Path:
 
 def load_seed_personas(path: str | Path) -> Population:
     """Load and validate a persona document; all personas get origin=manual."""
-    path = Path(path)
     try:
-        raw = path.read_text(encoding="utf-8")
+        doc = read_json(path)
     except OSError as exc:
         raise OSError(f"cannot read persona file {path}: {exc}") from exc
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(str(path), f"not valid JSON: {exc}") from exc
     if not isinstance(doc, list):
         raise SchemaError(str(path), "top level must be an array of persona objects")
     personas = [

@@ -21,6 +21,7 @@ from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import NoneType
 
 from .content import (
     DEFAULT_MODEL_NAME,
@@ -43,7 +44,7 @@ from .corpus import (
     read_tweets_jsonl,
     write_tweets_jsonl,
 )
-from .errors import BackendError, BotforgeError, ManifestError, SchemaError, ValidationError
+from .errors import BackendError, BotforgeError, ManifestError, SchemaError, ValidationError, read_json
 from .netgraph import (
     CandidateCache,
     CommGraph,
@@ -139,27 +140,28 @@ class ScenarioConfig:
 
 _CONFIG_KEYS = set(ScenarioConfig().to_manifest_dict())
 
-# The types config values may have in JSON (mixing and scheme are parsed on
-# their own). bool is a subclass of int, so it is refused wherever int is asked.
+# The exact types config values may have in JSON (mixing and scheme are
+# parsed on their own). A bool is refused wherever an int is asked.
 _CONFIG_TYPES = {
-    "seed": int,
-    "runs": int,
-    "max_in_flight": int,
-    "max_retries": int,
-    "max_tokens": int | None,
-    "temperature": int | float,
-    "backoff_s": int | float,
-    "backend": str,
-    "model_name": str,
-    "base_url": str | None,
-    "population_path": str | None,
-    "pools_path": str | None,
-    "out_dir": str | None,
-    "require_both_eligibility": bool,
+    "seed": (int,),
+    "runs": (int,),
+    "max_in_flight": (int,),
+    "max_retries": (int,),
+    "max_tokens": (int, NoneType),
+    "temperature": (int, float),
+    "backoff_s": (int, float),
+    "backend": (str,),
+    "model_name": (str,),
+    "base_url": (str, NoneType),
+    "population_path": (str, NoneType),
+    "pools_path": (str, NoneType),
+    "out_dir": (str, NoneType),
+    "require_both_eligibility": (bool,),
 }
+_SCHEME_TYPES = {"level": (str,), "targeted_cues": (list,)}
 
 
-def _parse_mixing(value) -> MixingPolicy:
+def _parse_mixing(value, path: str = "mixing") -> MixingPolicy:
     if isinstance(value, MixingPolicy):
         return value
     if isinstance(value, str):
@@ -175,17 +177,26 @@ def _parse_mixing(value) -> MixingPolicy:
         except ValueError:
             raise ValidationError(f"mixing {value!r} has non-numeric components") from None
         return MixingPolicy(*nums)
-    if isinstance(value, (list, tuple)) and len(value) == 3:
+    if isinstance(value, (list, tuple)):
+        if len(value) != 3 or any(type(v) not in (int, float) for v in value):
+            raise SchemaError(path, "must be 3 numbers, each an int or a float", value)
         return MixingPolicy(*(float(v) for v in value))
     raise ValidationError(f"cannot interpret mixing policy {value!r}")
 
 
-def _parse_scheme_value(value) -> PromptScheme:
+def _parse_scheme_value(value, path: str) -> PromptScheme:
     if isinstance(value, PromptScheme):
         return value
     if isinstance(value, str):
         return parse_scheme(value)
     if isinstance(value, dict):
+        unknown = value.keys() - _SCHEME_TYPES.keys()
+        if unknown:
+            raise SchemaError(path, f"unknown scheme keys {sorted(unknown)}")
+        _check_types(value, _SCHEME_TYPES, path)
+        if any(type(cue) is not str for cue in value.get("targeted_cues", ())):
+            raise SchemaError(f"{path}.targeted_cues", "must be a list of str",
+                              value["targeted_cues"])
         return PromptScheme(
             level=value.get("level", "naive"),
             targeted_cues=tuple(value.get("targeted_cues", ())),
@@ -203,9 +214,9 @@ def config_from_dict(doc: dict, path: str = "config") -> ScenarioConfig:
     _check_types(doc, _CONFIG_TYPES, path)
     kwargs = dict(doc)
     if "mixing" in kwargs:
-        kwargs["mixing"] = _parse_mixing(kwargs["mixing"])
+        kwargs["mixing"] = _parse_mixing(kwargs["mixing"], f"{path}.mixing")
     if "scheme" in kwargs:
-        kwargs["scheme"] = _parse_scheme_value(kwargs["scheme"])
+        kwargs["scheme"] = _parse_scheme_value(kwargs["scheme"], f"{path}.scheme")
     cfg = ScenarioConfig(**kwargs)
     cfg.validate()
     return cfg
@@ -588,6 +599,16 @@ def simulate_to_dir(
         pop = load_seed_personas(cfg.population_path)
     if pools is None:
         pools = load_pools(cfg.pools_path) if cfg.pools_path else EMPTY_POOLS
+    return _run_and_write(cfg, pop, pools, backend)
+
+
+def _run_and_write(cfg: ScenarioConfig, pop: Population, pools: dict[str, list[str]], backend,
+                   start_run_index: int = 0, prior: PriorRun | None = None) -> SimResult:
+    """run_simulation, then write_outputs to cfg.out_dir, also for an aborted run.
+
+    backend None means cfg's backend. Both functions are looked up in this
+    module's namespace at call time, so wrappers set there see every call.
+    """
     if backend is None:
         backend = make_backend(
             cfg.backend,
@@ -597,7 +618,8 @@ def simulate_to_dir(
             backoff_s=cfg.backoff_s,
         )
     try:
-        result = run_simulation(cfg, pop, backend, pools=pools)
+        result = run_simulation(cfg, pop, backend, pools=pools, start_run_index=start_run_index,
+                                prior=prior)
     except SimulationAborted as exc:
         write_outputs(exc.result, cfg, pop, pools, cfg.out_dir)
         raise
@@ -610,9 +632,9 @@ def read_manifest(run_dir: str | Path) -> dict:
     if not path.is_file():
         raise ManifestError(f"no manifest.json in {run_dir}")
     try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"manifest.json in {run_dir} is not valid JSON: {exc}") from exc
+        manifest = read_json(path)
+    except SchemaError as exc:
+        raise ManifestError(str(exc)) from exc
     if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
         raise ManifestError(f"manifest.json in {run_dir} is not a {MANIFEST_FORMAT} manifest")
     for key in ("runs_completed", "tweet_count"):
@@ -691,24 +713,10 @@ def resume_or_extend(prev_dir: str | Path, cfg: ScenarioConfig) -> SimResult:
     prior = _read_prior(prev_dir, manifest, pop)
     start = manifest["runs_completed"]
 
-    out_dir = cfg.out_dir or str(prev_dir)
-    cfg = replace(cfg, out_dir=out_dir, population_path=str(prev_dir / "population.json"),
+    cfg = replace(cfg, out_dir=cfg.out_dir or str(prev_dir),
+                  population_path=str(prev_dir / "population.json"),
                   pools_path=str(prev_dir / "pools.json"))
-    backend = make_backend(
-        cfg.backend,
-        seed=cfg.seed,
-        base_url=cfg.base_url,
-        max_retries=cfg.max_retries,
-        backoff_s=cfg.backoff_s,
-    )
-    try:
-        result = run_simulation(cfg, pop, backend, pools=pools, start_run_index=start,
-                                prior=prior)
-    except SimulationAborted as exc:
-        write_outputs(exc.result, cfg, pop, pools, out_dir)
-        raise
-    write_outputs(result, cfg, pop, pools, out_dir)
-    return result
+    return _run_and_write(cfg, pop, pools, None, start, prior)
 
 
 def load_corpus(run_dir: str | Path) -> tuple[Population, list[Tweet]]:

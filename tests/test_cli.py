@@ -3,13 +3,16 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
 from botforge.cli import main
+from botforge.cues import default_lexicon_dir
 from botforge.errors import BackendError
 from botforge.persona import load_seed_personas, save_personas
 from botforge.simcore import SimulationAborted, config_from_dict, read_manifest, simulate_to_dir
@@ -131,6 +134,28 @@ class TestSimulate:
         assert "config.runs: must be int" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("doc,message", [
+        ({"mixing": [0.5, 0.5, "x"]}, "config.mixing: must be 3 numbers"),
+        ({"mixing": [True, False, False]}, "config.mixing: must be 3 numbers"),
+        ({"mixing": ["1", "0", "0"]}, "config.mixing: must be 3 numbers"),
+        ({"mixing": [0.5, 0.5]}, "config.mixing: must be 3 numbers"),
+        ({"scheme": {"level": "targets", "targeted_cues": 5}},
+         "config.scheme.targeted_cues: must be list"),
+        ({"scheme": {"level": "targets", "targeted_cues": ["expletive", 5]}},
+         "config.scheme.targeted_cues: must be a list of str"),
+        ({"scheme": {"level": 2}}, "config.scheme.level: must be str"),
+        ({"scheme": {"levels": "targets"}}, "config.scheme: unknown scheme keys ['levels']"),
+    ], ids=["mixing str", "mixing bools", "mixing numeric strs", "mixing of 2", "cues int",
+            "cues of int", "level int", "unknown scheme key"])
+    def test_wrong_typed_mixing_or_scheme_is_schema_error(self, pop_file, tmp_path, capsys,
+                                                          doc, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(cfg_path), "--population", pop_file,
+                     "--out-dir", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "run").exists()
+
     def test_config_file_must_be_json(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{nope")
@@ -193,6 +218,45 @@ def test_extend_refuses_bad_graph_csv(cli_run_dir, capsys, case):
     assert main(["simulate", "--extend-from", str(cli_run_dir), "--runs", "1"]) == 1
     assert f"graph.csv:{line}: " in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in cli_run_dir.iterdir()} == before
+
+
+def _put_byte_ff(path, at=10) -> None:
+    data = path.read_bytes()
+    path.write_bytes(data[:at] + b"\xff" + data[at:])
+
+
+def _non_utf8_input(kind, run_dir, pop_file, tmp_path):
+    """(argv, the input file of that kind, holding one byte that is not UTF-8)."""
+    run = ["simulate", "--population", pop_file, "--out-dir", str(tmp_path / "new")]
+    if kind == "population":
+        return run, Path(pop_file)
+    if kind == "pools":
+        path = tmp_path / "pools.json"
+        path.write_text('{"hashtags": ["#x"], "urls": []}')
+        return [*run, "--pools", str(path)], path
+    if kind == "config":
+        path = tmp_path / "cfg.json"
+        path.write_text('{"seed": 1}')
+        return [*run, "--config", str(path)], path
+    analyze = ["analyze", "--corpus-dir", str(run_dir), "--out", str(tmp_path / "cues.csv")]
+    if kind == "manifest":
+        return analyze, run_dir / "manifest.json"
+    if kind == "lexicon":
+        lexicons = tmp_path / "lexicons"
+        shutil.copytree(default_lexicon_dir(), lexicons)
+        return [*analyze, "--lexicon-dir", str(lexicons)], lexicons / "abusive.txt"
+    assert main(analyze) == 0
+    return ["compare", "--cues", str(tmp_path / "cues.csv")], tmp_path / "cues.csv"
+
+
+@pytest.mark.parametrize("kind", ["population", "pools", "config", "manifest", "lexicon",
+                                  "cue report"])
+def test_non_utf8_input_file_is_refused(cli_run_dir, pop_file, tmp_path, capsys, kind):
+    argv, path = _non_utf8_input(kind, cli_run_dir, pop_file, tmp_path)
+    _put_byte_ff(path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: not valid UTF-8")
 
 
 class TestAnalyzeCompareExport:
@@ -269,6 +333,21 @@ class TestAnalyzeCompareExport:
             fh.write("\n")
         assert main(["export", "--run-dir", str(cli_run_dir)]) == 1
         assert "hash mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["analyze", "--corpus-dir", "{run}", "--out", "{out}"],
+                                         ["export", "--run-dir", "{run}", "--out-dir", "{out}"]])
+    def test_non_utf8_corpus_line_is_refused(self, cli_run_dir, tmp_path, capsys, command):
+        # The manifest records the damaged file's hash, so only the reader can refuse it.
+        path = cli_run_dir / "tweets.jsonl"
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b'"text": "', b'"text": "\xff', 1)
+        path.write_bytes(b"\n".join(lines))
+        manifest = read_manifest(cli_run_dir)
+        manifest["files"]["tweets.jsonl"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        (cli_run_dir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        argv = [arg.format(run=cli_run_dir, out=tmp_path / "out") for arg in command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:3: not valid UTF-8")
 
 
 class TestPersonasExpand:

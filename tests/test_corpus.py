@@ -2,9 +2,9 @@
 
 _OracleTweet, _oracle_tweet_from_dict and _oracle_read are the reader as it
 was before it built slots records through one exact-type check: every value
-type-checked, then a frozen dataclass, then its violations. The new reader
-must return the same tweets for every file and raise the same SchemaError
-text for every file it refuses.
+type-checked with isinstance (_oracle_check_types), then a frozen dataclass,
+then its violations. The new reader must return the same tweets for every
+file and raise the same SchemaError text for every file it refuses.
 """
 from __future__ import annotations
 
@@ -22,9 +22,6 @@ from botforge.corpus import (
     CorpusPrefix,
     CorpusView,
     Tweet,
-    _check_types,
-    _TWEET_KEYS,
-    _TWEET_TYPES,
     read_corpus_tail,
     read_tweets_jsonl,
     tweet_from_dict,
@@ -75,15 +72,42 @@ class _OracleTweet:
         return out
 
 
+_ORACLE_TYPES = {
+    "id": int,
+    "author_id": str,
+    "kind": str,
+    "slot_kind": str,
+    "text": str,
+    "target_tweet_id": int | None,
+    "target_agent_id": str | None,
+    "run_index": int,
+    "slot_index": int,
+    "mentions": list,
+    "hashtags": list,
+    "urls": list,
+}
+
+
+def _oracle_check_types(doc, types, path):
+    for key, expected in types.items():
+        if key not in doc:
+            continue
+        value = doc[key]
+        if not isinstance(value, expected) or (
+                (value is True or value is False) and expected is not bool):
+            name = getattr(expected, "__name__", str(expected))
+            raise SchemaError(f"{path}.{key}", f"must be {name}", value)
+
+
 def _oracle_tweet_from_dict(obj, path="tweet"):
     if not isinstance(obj, dict):
         raise SchemaError(path, "must be an object", obj)
-    unknown = obj.keys() - _TWEET_TYPES.keys()
+    unknown = obj.keys() - _ORACLE_TYPES.keys()
     if unknown:
         raise SchemaError(path, f"unknown keys {sorted(unknown)}")
-    if len(obj) < len(_TWEET_KEYS):
-        raise SchemaError(path, f"missing keys {[k for k in _TWEET_KEYS if k not in obj]}")
-    _check_types(obj, _TWEET_TYPES, path)
+    if len(obj) < len(_ORACLE_TYPES):
+        raise SchemaError(path, f"missing keys {[k for k in _ORACLE_TYPES if k not in obj]}")
+    _oracle_check_types(obj, _ORACLE_TYPES, path)
     for key in ("mentions", "hashtags", "urls"):
         for value in obj[key]:
             if not isinstance(value, str):
@@ -373,6 +397,26 @@ class TestCorpusView:
         prior.write_bytes(_lines(_tweets(3)))
         with pytest.raises(ManifestError, match="holds 3 tweets, not the 2 recorded"):
             list(CorpusView(_prefix(prior, 2), _tweets(4)[3:]))
+
+
+class TestLineEnds:
+    def test_lone_carriage_return_ends_no_line(self, tmp_path):
+        # Lines end at b"\n" only, as the writer writes them, so a lone \r
+        # leaves two documents on one line: every reader refuses line 2 alike.
+        t = _lines(_tweets(3))
+        first_end = t.index(b"\n") + 1
+        second_end = t.index(b"\n", first_end)
+        path = tmp_path / "tweets.jsonl"
+        path.write_bytes(t[:second_end] + b"\r" + t[second_end + 1:])
+        errors = []
+        for read in (read_tweets_jsonl,
+                     lambda p: list(CorpusView(_prefix(p, 3), [])),
+                     lambda p: read_corpus_tail(p, {"ghost"}, p.stat().st_size)):
+            with pytest.raises(SchemaError) as exc:
+                read(path)
+            errors.append(str(exc.value))
+        assert errors[0].startswith(f"{path}:2: not valid JSON: Extra data")
+        assert errors == [errors[0]] * 3
 
 
 def _oracle_tail(path, authors):

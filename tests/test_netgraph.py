@@ -19,7 +19,6 @@ from botforge.netgraph import (
     MixingPolicy,
     build_comm_graph,
     draw_interaction_counts,
-    eligible_candidates,
     export_edges_csv,
     export_graphml,
     graph_metrics,
@@ -86,10 +85,51 @@ class TestDegreeState:
             d.commit("ghost", "a_01")
 
 
+def eligible_candidates(agent, pop, *, require_both=False) -> set[str]:
+    """Agent ids sharing the agent's community or a narrative string (never self).
+
+    require_both=True switches the clause join from OR to AND. The set-based
+    reference that CandidateCache's class-keyed index arrays must equal.
+    """
+    if agent.id not in pop:
+        raise ValidationError(f"agent {agent.id!r} not in population")
+    own_narratives = set(agent.narratives)
+    out = set()
+    for p in pop.personas:
+        if p.id == agent.id:
+            continue
+        same_comm = p.community == agent.community
+        shared_narr = bool(own_narratives.intersection(p.narratives))
+        ok = (same_comm and shared_narr) if require_both else (same_comm or shared_narr)
+        if ok:
+            out.add(p.id)
+    return out
+
+
+def eligible(agent, pop, *, require_both=False) -> set[str]:
+    """The oracle's set, after checking that CandidateCache gives the same one."""
+    expected = eligible_candidates(agent, pop, require_both=require_both)
+    got = CandidateCache(pop, require_both=require_both).indexes(agent.id)
+    assert got.dtype == np.int64 and list(got) == sorted(got)
+    assert {pop.personas[i].id for i in got} == expected
+    return expected
+
+
+@st.composite
+def eligibility_population(draw):
+    """Up to 12 agents over a few communities; narratives shared, repeated or absent."""
+    narrative = st.sampled_from(["Line A", "Line B", "Line C", "Line D"])
+    return Population(personas=[
+        make_persona(f"p_{i:02d}", draw(st.sampled_from(["alpha", "beta", "gamma"])),
+                     narratives=draw(st.lists(narrative, max_size=3)))
+        for i in range(draw(st.integers(1, 12)))
+    ])
+
+
 class TestEligibility:
     def test_or_join(self, micro_pop):
         # a_01 shares a community with a_02 only; narratives differ per community
-        assert eligible_candidates(micro_pop.get("a_01"), micro_pop) == {"a_02"}
+        assert eligible(micro_pop.get("a_01"), micro_pop) == {"a_02"}
 
     def test_shared_narrative_counts(self):
         pop = Population(
@@ -99,7 +139,7 @@ class TestEligibility:
                 make_persona("z_01", "gamma", narratives=("Line C",)),
             ]
         )
-        assert eligible_candidates(pop.get("x_01"), pop) == {"y_01"}
+        assert eligible(pop.get("x_01"), pop) == {"y_01"}
 
     def test_require_both(self):
         pop = Population(
@@ -110,16 +150,18 @@ class TestEligibility:
             ]
         )
         agent = pop.get("x_01")
-        assert eligible_candidates(agent, pop) == {"x_02", "x_03"}
-        assert eligible_candidates(agent, pop, require_both=True) == {"x_02"}
+        assert eligible(agent, pop) == {"x_02", "x_03"}
+        assert eligible(agent, pop, require_both=True) == {"x_02"}
 
     def test_never_self(self, seed_pop):
         agent = seed_pop.personas[0]
-        assert agent.id not in eligible_candidates(agent, seed_pop)
+        assert agent.id not in eligible(agent, seed_pop)
 
     def test_unknown_agent_rejected(self, micro_pop):
         with pytest.raises(ValidationError):
             eligible_candidates(make_persona("ghost"), micro_pop)
+        with pytest.raises(KeyError):
+            CandidateCache(micro_pop).indexes("ghost")
 
     def test_cache_matches_direct_computation(self, seed_pop):
         cache = CandidateCache(seed_pop)
@@ -127,6 +169,18 @@ class TestEligibility:
             direct = eligible_candidates(agent, seed_pop)
             via_cache = {seed_pop.personas[i].id for i in cache.indexes(agent.id)}
             assert via_cache == direct
+
+    @given(pop=eligibility_population(), require_both=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_cache_matches_oracle_for_every_agent(self, pop, require_both):
+        # One cache serves every agent, so a class array computed for one
+        # member is reused for the others.
+        cache = CandidateCache(pop, require_both=require_both)
+        for agent in pop.personas:
+            got = cache.indexes(agent.id)
+            assert got.dtype == np.int64 and list(got) == sorted(got)
+            assert ({pop.personas[i].id for i in got}
+                    == eligible_candidates(agent, pop, require_both=require_both))
 
 
 class TestPaSelect:

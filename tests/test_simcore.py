@@ -20,7 +20,7 @@ import botforge.corpus
 from botforge.corpus import (
     CorpusView,
     Tweet,
-    _TWEET_KEYS,
+    _TWEET_TYPES,
     read_corpus_tail,
     read_tweets_jsonl,
     tweet_from_dict,
@@ -144,7 +144,7 @@ class TestTweetSerde:
         assert tweet_from_dict(t.to_dict()) == t
 
     def test_dict_key_order_is_fixed(self):
-        assert tuple(original(1).to_dict()) == _TWEET_KEYS
+        assert tuple(original(1).to_dict()) == tuple(_TWEET_TYPES)
 
     def test_not_an_object(self):
         with pytest.raises(SchemaError, match="must be an object"):
