@@ -139,6 +139,10 @@ def tweet_from_dict(obj, path: str = "tweet") -> Tweet:
     return t
 
 
+# The C scanner json.loads runs, called without its Python wrappers.
+_scan_once = json.JSONDecoder().scan_once
+
+
 def _parse_line(line: bytes, where: str) -> Tweet | None:
     """The tweet on one corpus line, or None for a blank line."""
     try:
@@ -147,10 +151,17 @@ def _parse_line(line: bytes, where: str) -> Tweet | None:
         raise SchemaError(where, f"not valid UTF-8: {exc}") from exc
     if not text:
         return None
+    # The stripped line starts and ends with no JSON whitespace, so json.loads
+    # would scan it from 0 and require the scan to end at its end.
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(where, f"not valid JSON: {exc}") from exc
+        obj, end = _scan_once(text, 0)
+    except (StopIteration, json.JSONDecodeError):
+        end = -1
+    if end != len(text):  # json.loads words the error
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(where, f"not valid JSON: {exc}") from exc
     return tweet_from_dict(obj, path=where)
 
 

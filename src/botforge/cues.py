@@ -6,7 +6,9 @@ score, and three artifact counts (mentions, URLs, hashtags). Three network
 cues (degree centralities) join from graph metrics at aggregation time.
 Aggregation is two-level: per post, then per agent, then a corpus mean over
 agents, matching a per-post-per-agent sampling unit; a flag switches the
-corpus stage to pooled per-post averaging.
+corpus stage to pooled per-post averaging. Each distinct post text is scored
+once into one row of a text x cue matrix, and each agent's means are one
+reduction over that agent's posts, taken contiguously in corpus order.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import csv
 import re
 import string
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -40,6 +43,14 @@ CUE_NAMES = (
     "in_degree",
     "out_degree",
 )
+
+# Cues computed from text alone, in CUE_NAMES order. The network cues come
+# last, so a row of text cue values fills CueVector's leading fields.
+NETWORK_CUES = ("total_degree", "in_degree", "out_degree")
+TEXT_CUES = tuple(c for c in CUE_NAMES if c not in NETWORK_CUES)
+# Each text cue's position in a row of cue values.
+_CUE_POS = {cue: i for i, cue in enumerate(TEXT_CUES)}
+_READING_POS = _CUE_POS["reading_difficulty"]
 
 LEXICON_CATEGORIES = (
     "first_person",
@@ -187,25 +198,25 @@ class LexiconTable:
     the lexicons, so the cache lives and dies with the table.
     """
 
-    unigrams: dict[str, tuple[str, ...]]  # word -> cues whose lexicon holds it
-    multi: tuple[tuple[str, Lexicon, frozenset[str]], ...]  # (cue, lexicon, first words)
+    unigrams: dict[str, tuple[int, ...]]  # word -> positions of the cues whose lexicon holds it
+    multi: tuple[tuple[int, Lexicon, frozenset[str]], ...]  # (cue position, lexicon, first words)
     tokens: dict[str, tuple] = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def from_lexicons(cls, lexicons: dict[str, Lexicon]) -> LexiconTable:
-        unigrams: dict[str, tuple[str, ...]] = {}
+        unigrams: dict[str, tuple[int, ...]] = {}
         multi = []
         for cat in LEXICON_CATEGORIES:
-            lex, cue = lexicons[cat], LEXICON_CUE[cat]
+            lex, pos = lexicons[cat], _CUE_POS[LEXICON_CUE[cat]]
             for term in lex.terms:
                 if len(term) == 1:
-                    unigrams[term[0]] = unigrams.get(term[0], ()) + (cue,)
+                    unigrams[term[0]] = unigrams.get(term[0], ()) + (pos,)
             if lex.max_n > 1:
-                multi.append((cue, lex, frozenset(term[0] for term in lex.terms if len(term) > 1)))
+                multi.append((pos, lex, frozenset(term[0] for term in lex.terms if len(term) > 1)))
         return cls(unigrams, tuple(multi))
 
-    def token(self, raw: str) -> tuple[tuple[str, ...], str | None, int, bool]:
-        """(cues it counts toward, lowercase word, syllables, in prose) of one whitespace token.
+    def token(self, raw: str) -> tuple[tuple[int, ...], str | None, int, bool]:
+        """(positions of the cues it counts toward, lowercase word, syllables, in prose).
 
         A word counts toward the cues whose lexicons hold it as a one-word
         term, an artifact toward its own count cue.
@@ -213,7 +224,7 @@ class LexiconTable:
         cls, tok = _classify_raw(raw)
         in_prose = not raw.startswith(_URL_PREFIXES)
         if cls != "words":
-            return ((cls,) if cls else ()), None, 0, in_prose
+            return ((_CUE_POS[cls],) if cls else ()), None, 0, in_prose
         low = tok.lower()
         return self.unigrams.get(low, ()), low, _syllables(low), in_prose
 
@@ -278,43 +289,41 @@ def metadata_cues(tweet_or_text) -> dict[str, int]:
     return {"mentions": len(toks.mentions), "urls": len(toks.urls), "hashtags": len(toks.hashtags)}
 
 
-# Cues computed from text alone, in CUE_NAMES order.
-TEXT_CUES = tuple(c for c in CUE_NAMES if c not in ("total_degree", "in_degree", "out_degree"))
-NETWORK_CUES = ("total_degree", "in_degree", "out_degree")
-# The text cues that count tokens: the lexicon cues, then the artifact classes.
-_COUNT_CUES = (*LEXICON_CUE.values(), "mentions", "urls", "hashtags")
-
-
-def text_cues(text: str, lexicons: dict[str, Lexicon] | LexiconTable) -> dict[str, float]:
-    """All eleven text-derived cue values for one post, from one tokenizer pass.
-
-    lexicons is the category -> Lexicon dict or its LexiconTable;
-    aggregate_cues builds the table once and passes it for every post, so
-    each distinct token is classified once per call.
-    """
-    table = lexicons if isinstance(lexicons, LexiconTable) else LexiconTable.from_lexicons(lexicons)
+def _cue_row(text: str, table: LexiconTable) -> list[float]:
+    """The eleven text cue values of one post in TEXT_CUES order, from one tokenizer pass."""
     cache = table.tokens
-    counts = dict.fromkeys(_COUNT_CUES, 0)
+    counts = [0] * len(TEXT_CUES)
     lowered, prose = [], []
     syllables = 0
     for raw in text.split():
         record = cache.get(raw)
         if record is None:
             record = cache[raw] = table.token(raw)
-        cues, low, syl, in_prose = record
-        for cue in cues:
-            counts[cue] += 1
+        positions, low, syl, in_prose = record
+        for pos in positions:
+            counts[pos] += 1
         if low is not None:
             lowered.append(low)
             syllables += syl
         if in_prose:
             prose.append(raw)
-    for cue, lex, starts in table.multi:
+    for pos, lex, starts in table.multi:
         if not starts.isdisjoint(lowered):
-            counts[cue] = _count_tokens(lowered, lex)
-    out = {cue: float(n) for cue, n in counts.items()}
-    out["reading_difficulty"] = _reading_score(len(lowered), syllables, prose)
-    return out
+            counts[pos] = _count_tokens(lowered, lex)
+    row = [float(n) for n in counts]
+    row[_READING_POS] = _reading_score(len(lowered), syllables, prose)
+    return row
+
+
+def text_cues(text: str, lexicons: dict[str, Lexicon] | LexiconTable) -> dict[str, float]:
+    """All eleven text-derived cue values for one post, in TEXT_CUES order.
+
+    lexicons is the category -> Lexicon dict or its LexiconTable;
+    aggregate_cues builds the table once and passes it for every post, so
+    each distinct token is classified once per call.
+    """
+    table = lexicons if isinstance(lexicons, LexiconTable) else LexiconTable.from_lexicons(lexicons)
+    return dict(zip(TEXT_CUES, _cue_row(text, table)))
 
 
 @dataclass(frozen=True)
@@ -373,55 +382,54 @@ def aggregate_cues(
     """Post → agent → corpus cue aggregation.
 
     Agents with zero posts are excluded entirely. Network cue values are the
-    corpus-level metrics, copied into every vector.
+    corpus-level metrics, copied into every vector. Every mean is taken as
+    np.mean takes it over the values listed in corpus order (one pairwise
+    sum over contiguous values), so it is bit for bit that mean.
     """
     if not tweets:
         raise ValidationError("empty corpus: cue aggregation requires at least one tweet")
     table = LexiconTable.from_lexicons(lexicons if lexicons is not None else load_lexicons())
 
-    by_agent: dict[str, list[dict[str, float]]] = {}
-    pooled: list[dict[str, float]] = []
-    by_text: dict[str, dict[str, float]] = {}  # posts with one text share one cue dict
+    ids = pop.ids()
+    agent_index = {pid: i for i, pid in enumerate(ids)}
+    text_index: dict[str, int] = {}  # distinct text -> its row of the cue matrix
+    agent_of, row_of = [], []  # per post, in corpus order
     for t in tweets:
-        if t.author_id not in pop:
+        a = agent_index.get(t.author_id)
+        if a is None:
             raise ValidationError(f"tweet {t.id}: unknown author {t.author_id!r}")
-        tv = by_text.get(t.text)
-        if tv is None:
-            tv = by_text[t.text] = text_cues(t.text, table)
-        by_agent.setdefault(t.author_id, []).append(tv)
-        pooled.append(tv)
+        agent_of.append(a)
+        row_of.append(text_index.setdefault(t.text, len(text_index)))
+    n_cues = len(TEXT_CUES)
+    matrix = np.fromiter(chain.from_iterable(text_cues(text, table).values() for text in text_index),
+                         dtype=np.float64, count=len(text_index) * n_cues).reshape(-1, n_cues)
+    rows = np.array(row_of, dtype=np.intp)
+    agents = np.array(agent_of, dtype=np.intp)
+
+    # A cue x post array with each cue's values contiguous, in which every
+    # agent's posts are one run of columns in corpus order.
+    columns = np.ascontiguousarray(np.take(matrix.T, rows[np.argsort(agents, kind="stable")], axis=1))
+    n_posts = np.bincount(agents, minlength=len(ids))
+    posted = np.flatnonzero(n_posts)
+    ends = np.cumsum(n_posts)[posted]
+    means = np.array([columns[:, start:end].mean(axis=1)
+                      for start, end in zip((ends - n_posts[posted]).tolist(), ends.tolist())])
 
     network_values = {
         "total_degree": metrics.avg_total_degree_centrality,
         "in_degree": metrics.avg_in_degree_centrality,
         "out_degree": metrics.avg_out_degree_centrality,
     }
+    per_agent = {ids[a]: CueVector(*row, **network_values)
+                 for a, row in zip(posted.tolist(), means.tolist())}
 
-    per_agent: dict[str, CueVector] = {}
-    agent_means: dict[str, list[float]] = {c: [] for c in TEXT_CUES}
-    for pid in pop.ids():
-        rows = by_agent.get(pid)
-        if not rows:
-            continue
-        means = {c: float(np.mean([r[c] for r in rows])) for c in TEXT_CUES}
-        for c in TEXT_CUES:
-            agent_means[c].append(means[c])
-        per_agent[pid] = CueVector(**means, **network_values)
-
-    n_agents = len(per_agent)
-    samples: dict[str, np.ndarray] = {}
-    for c in TEXT_CUES:
-        if per_post:
-            samples[c] = np.asarray([r[c] for r in pooled], dtype=np.float64)
-        else:
-            samples[c] = np.asarray(agent_means[c], dtype=np.float64)
+    # One contiguous sample row per text cue: per-post values or per-agent means.
+    text_samples = np.ascontiguousarray(np.take(matrix.T, rows, axis=1) if per_post else means.T)
+    samples = dict(zip(TEXT_CUES, text_samples))
     for c in NETWORK_CUES:
-        samples[c] = np.full(n_agents, network_values[c], dtype=np.float64)
+        samples[c] = np.full(len(posted), network_values[c], dtype=np.float64)
 
-    corpus = CueVector(
-        **{c: float(samples[c].mean()) for c in TEXT_CUES},
-        **network_values,
-    )
+    corpus = CueVector(*text_samples.mean(axis=1).tolist(), **network_values)
     return CueAggregate(per_agent=per_agent, corpus=corpus, samples=samples, per_post=per_post)
 
 

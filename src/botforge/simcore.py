@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import math
 import os
 from collections.abc import Sequence
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
@@ -99,8 +100,9 @@ class ScenarioConfig:
     def validate(self) -> None:
         if not 0 <= self.seed < 2**64:
             raise ValidationError(f"seed must be a 64-bit unsigned integer (got {self.seed})")
-        if self.temperature < 0:
-            raise ValidationError(f"temperature must be >= 0 (got {self.temperature})")
+        # NaN fails every comparison, so these also refuse it.
+        if not 0 <= self.temperature < math.inf:
+            raise ValidationError(f"temperature must be finite and >= 0 (got {self.temperature})")
         if self.runs < 1:
             raise ValidationError(f"runs must be >= 1 (got {self.runs})")
         if not 1 <= self.max_in_flight <= MAX_IN_FLIGHT_LIMIT:
@@ -108,6 +110,8 @@ class ScenarioConfig:
                                   f"(got {self.max_in_flight})")
         if self.max_retries < 0:
             raise ValidationError(f"max_retries must be >= 0 (got {self.max_retries})")
+        if not 0 <= self.backoff_s < math.inf:
+            raise ValidationError(f"backoff_s must be finite and >= 0 (got {self.backoff_s})")
 
     def backend_params(self) -> dict:
         return {

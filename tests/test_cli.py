@@ -135,6 +135,22 @@ class TestSimulate:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("doc,message", [
+        ({"backoff_s": -1}, "backoff_s must be finite and >= 0 (got -1)"),
+        ({"backoff_s": float("inf")}, "backoff_s must be finite and >= 0 (got inf)"),
+        ({"temperature": float("nan")}, "temperature must be finite and >= 0 (got nan)"),
+        ({"temperature": float("-inf")}, "temperature must be finite and >= 0 (got -inf)"),
+    ], ids=["negative backoff", "infinite backoff", "NaN temperature", "-inf temperature"])
+    def test_out_of_range_config_value_is_validation_error(self, pop_file, tmp_path, capsys,
+                                                           doc, message):
+        # Python's json reads NaN and Infinity, so a config file can hold them.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(cfg_path), "--population", pop_file,
+                     "--out-dir", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("doc,message", [
         ({"mixing": [0.5, 0.5, "x"]}, "config.mixing: must be 3 numbers"),
         ({"mixing": [True, False, False]}, "config.mixing: must be 3 numbers"),
         ({"mixing": ["1", "0", "0"]}, "config.mixing: must be 3 numbers"),

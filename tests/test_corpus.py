@@ -182,6 +182,7 @@ def _docs(draw):
 _DAMAGE = (
     "blank", "spaces", "bad json", "two objects", "split list", "indented", "array",
     "bool id", "int text", "nested mention", "extra key", "missing key", "crlf",
+    "bom", "truncated", "nbsp",
 )
 
 
@@ -212,6 +213,12 @@ def _damaged(line: str, doc: dict, how: str) -> list[str]:
         return [_line(dict(doc, likes=3))]
     if how == "missing key":
         return [_line({k: v for k, v in doc.items() if k != "slot_index"})]
+    if how == "bom":  # no JSON value starts with U+FEFF
+        return ["\ufeff" + line]
+    if how == "truncated":  # the scan fails inside the object
+        return ['{"id": 1']
+    if how == "nbsp":  # str.strip removes U+00A0; JSON whitespace does not include it
+        return ["\u00a0" + line + "\u00a0"]
     return [line + "\r"]  # crlf: the reader's newline handling turns \r\n into \n
 
 
@@ -236,7 +243,10 @@ class TestReaderMatchesOracle:
         path = tmp_path_factory.mktemp("corpus") / "tweets.jsonl"
         path.write_text("\n".join(lines) + ("\n" if final_newline and lines else ""),
                         encoding="utf-8", newline="")
-        assert _outcome(read_tweets_jsonl, path) == _outcome(_oracle_read, path)
+        expected = _outcome(_oracle_read, path)
+        assert _outcome(read_tweets_jsonl, path) == expected
+        count = len(expected[0]) if expected[0] is not None else 0
+        assert _outcome(lambda p: list(CorpusView(_prefix(p, count), [])), path) == expected
 
     @pytest.mark.parametrize("order", ["two alone", "split first", "two first"])
     def test_lines_that_do_not_hold_one_tweet_each(self, tmp_path, order):

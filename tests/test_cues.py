@@ -491,29 +491,48 @@ _LEXICON_SETS = st.fixed_dictionaries({cat: _TERMS for cat in LEXICON_CATEGORIES
     lambda d: {cat: Lexicon.from_terms(cat, terms) for cat, terms in d.items()})
 
 
-_AUTHORS = Population(personas=[make_persona(f"a_{i:02d}") for i in range(4)])
+_AUTHORS = Population(personas=[make_persona(f"a_{i:02d}") for i in range(6)])
+# The first and last agents of the population never post.
+_POSTERS = _AUTHORS.ids()[1:5]
+_NETWORK = {"total_degree": FLAT_METRICS.avg_total_degree_centrality,
+            "in_degree": FLAT_METRICS.avg_in_degree_centrality,
+            "out_degree": FLAT_METRICS.avg_out_degree_centrality}
 
 
 def _assert_aggregate_matches_oracle(tweets, lexicons, per_post):
-    """aggregate_cues' text-cue samples equal those from the oracle's cues of every post."""
+    """aggregate_cues equals np.mean over the oracle's cues of every post, in corpus order."""
     rows = [(t.author_id, _oracle_text_cues(t.text, lexicons)) for t in tweets]
+    by_agent = {pid: [cv for author, cv in rows if author == pid] for pid in _AUTHORS.ids()}
+    means = {pid: {c: float(np.mean([cv[c] for cv in agent_rows])) for c in TEXT_CUES}
+             for pid, agent_rows in by_agent.items() if agent_rows}
     if per_post:
         expected = {c: [cv[c] for _, cv in rows] for c in TEXT_CUES}
     else:
-        by_agent = {pid: [cv for author, cv in rows if author == pid] for pid in _AUTHORS.ids()}
-        expected = {c: [float(np.mean([cv[c] for cv in agent_rows]))
-                        for agent_rows in by_agent.values() if agent_rows] for c in TEXT_CUES}
+        expected = {c: [m[c] for m in means.values()] for c in TEXT_CUES}
     agg = aggregate_cues(tweets, FLAT_METRICS, _AUTHORS, lexicons, per_post=per_post)
     assert {c: agg.samples[c].tolist() for c in TEXT_CUES} == expected
+    assert list(agg.per_agent.items()) == [(pid, CueVector(**m, **_NETWORK))
+                                           for pid, m in means.items()]
+    assert agg.corpus == CueVector(**{c: float(np.mean(expected[c])) for c in TEXT_CUES},
+                                   **_NETWORK)
 
 
 @st.composite
 def _corpora(draw, texts, lexicons=None):
-    """(lexicons, tweets): a few texts, each posted any number of times by any author."""
+    """(lexicons, tweets): a few texts, each posted any number of times by any poster.
+
+    One poster may also hold a run of posts around the sizes at which numpy's
+    pairwise sum changes shape (8 and 128 values), interleaved with the rest.
+    """
     lexicons = draw(_LEXICON_SETS) if lexicons is None else lexicons
     pool = draw(st.lists(texts, min_size=1, max_size=5))
-    picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(_AUTHORS.ids())),
+    picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(_POSTERS)),
                           min_size=1, max_size=25))
+    n_heavy = draw(st.sampled_from([0, 0, 7, 8, 9, 127, 128, 129, 200]))
+    heavy = draw(st.sampled_from(_POSTERS))
+    picks += [(text, heavy) for text in draw(st.lists(st.sampled_from(pool), min_size=n_heavy,
+                                                      max_size=n_heavy))]
+    picks = draw(st.permutations(picks))
     return lexicons, [post(i, author, text) for i, (text, author) in enumerate(picks, start=1)]
 
 
