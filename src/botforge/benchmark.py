@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cues import CUE_NAMES, CueVector
+from .cues import CUE_NAMES, CueVector, summarize
 from .errors import ValidationError
 
 SIGNIFICANCE_LEVEL = 0.05
@@ -184,14 +184,9 @@ def one_sample_t_from_stats(mean: float, std: float, n: int, mu: float) -> TTest
 
 
 def one_sample_t(sample, mu: float) -> TTestResult:
-    """One-sample two-sided t-test of a raw sample against a reference mean."""
-    values = [float(v) for v in sample]
-    n = len(values)
-    if n < 2:
-        raise ValidationError(f"need >= 2 observations for a t-test (got {n})")
-    mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    return one_sample_t_from_stats(mean, math.sqrt(var), n, mu)
+    """One-sample two-sided t-test of a raw sample (any iterable) against a reference mean."""
+    s = summarize(list(sample))
+    return one_sample_t_from_stats(s["mean"], s["std"], s["n"], mu)
 
 
 @dataclass(frozen=True)
@@ -227,19 +222,11 @@ def _compare_one(cue: str, mean: float, std: float, n: int, baselines: BaselineS
 
 
 def compare(per_agent: dict[str, CueVector], baselines: BaselineStats | None = None) -> list[ComparisonRow]:
-    """One comparison row per cue over per-agent cue values, canonical order."""
-    if baselines is None:
-        baselines = baseline_table()
-    n = len(per_agent)
-    if n < 2:
-        raise ValidationError(f"need >= 2 agents to compare (got {n})")
-    rows = []
-    for cue in CUE_NAMES:
-        values = [getattr(v, cue) for v in per_agent.values()]
-        mean = sum(values) / n
-        std = math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))
-        rows.append(_compare_one(cue, mean, std, n, baselines))
-    return rows
+    """One row per cue, canonical order: compare_from_report over summarize() of each cue."""
+    if len(per_agent) < 2:
+        raise ValidationError(f"need >= 2 agents to compare (got {len(per_agent)})")
+    return compare_from_report({cue: summarize([getattr(v, cue) for v in per_agent.values()])
+                                for cue in CUE_NAMES}, baselines)
 
 
 def compare_from_report(

@@ -27,6 +27,8 @@ from .errors import BackendError, SchemaError, ValidationError, read_json
 from .persona import STANCES, Persona
 
 API_KEY_ENV = "BOTFORGE_API_KEY"
+# Seconds an llm-http request may wait on the connection or on a read.
+HTTP_TIMEOUT_S = 30.0
 DEFAULT_MODEL_NAME = "gpt-4.1-mini"
 TWEET_MAX_CHARS = 280
 
@@ -527,7 +529,6 @@ class LlmHttpBackend(ContentBackend):
         api_key: str | None = None,
         max_retries: int = 3,
         backoff_s: float = 0.5,
-        timeout_s: float = 30.0,
     ):
         if not base_url:
             raise ValidationError("llm-http backend requires a base_url")
@@ -543,7 +544,6 @@ class LlmHttpBackend(ContentBackend):
             raise BackendError(
                 f"no API key: set the {API_KEY_ENV} environment variable"
             )
-        self.base_url = base_url
         self._connection_class = (
             http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
         )
@@ -553,11 +553,10 @@ class LlmHttpBackend(ContentBackend):
         self._api_key = key
         self.max_retries = int(max_retries)
         self.backoff_s = float(backoff_s)
-        self.timeout_s = float(timeout_s)
 
     def _post(self, body: bytes) -> tuple[int, str | None, bytes]:
         """One request on a connection of its own: (status, Retry-After, body)."""
-        conn = self._connection_class(self._host, self._port, timeout=self.timeout_s)
+        conn = self._connection_class(self._host, self._port, timeout=HTTP_TIMEOUT_S)
         try:
             conn.request("POST", self._path, body=body, headers={
                 "Authorization": f"Bearer {self._api_key}",
@@ -635,17 +634,12 @@ def make_backend(
     base_url: str | None = None,
     max_retries: int = 3,
     backoff_s: float = 0.5,
-    timeout_s: float = 30.0,
 ) -> ContentBackend:
     """Construct a backend from its config selector: `template` or `llm-http`."""
     if selector == "template":
         return TemplateBackend(seed=seed)
     if selector == "llm-http":
-        if not base_url:
-            raise ValidationError("llm-http backend requires base_url in the config")
-        return LlmHttpBackend(
-            base_url, max_retries=max_retries, backoff_s=backoff_s, timeout_s=timeout_s
-        )
+        return LlmHttpBackend(base_url, max_retries=max_retries, backoff_s=backoff_s)
     raise ValidationError(f"unknown backend selector {selector!r}")
 
 

@@ -239,17 +239,31 @@ class CorpusPrefix:
     tweet_count: int
     size: int
 
+    def chunks(self):
+        """The file's first size bytes in pieces, then ManifestError if their
+        SHA-256 is not sha256 (the file changed after it was verified). The
+        file may have grown since: an in-place extend appends to it.
+        """
+        digest = hashlib.sha256()
+        left = self.size
+        with open(self.path, "rb") as fh:
+            while chunk := fh.read(min(left, 1 << 20)):
+                digest.update(chunk)
+                left -= len(chunk)
+                yield chunk
+        if digest.hexdigest() != self.sha256:
+            raise ManifestError(f"{self.path} changed after its hash was verified: "
+                                f"recorded {self.sha256}, now {digest.hexdigest()}")
+
 
 class CorpusView(Sequence):
     """A whole corpus: a finished corpus file's tweets, then new tweets.
 
-    len() needs no read. Any other access reads the prefix file's first
-    prefix.size bytes once, checks their SHA-256 against prefix.sha256
-    and parses them; ManifestError if they changed or do not hold
+    len() needs no read. Any other access reads prefix.chunks() once and
+    parses them; ManifestError if they changed or do not hold
     prefix.tweet_count tweets, so no other corpus is ever returned.
     Indexing, slicing, iteration and == against a list or another view
-    then behave as on the list of every tweet. The prefix file may have
-    grown since (an in-place extend appends to it).
+    then behave as on the list of every tweet.
     """
 
     def __init__(self, prefix: CorpusPrefix, new: list[Tweet]):
@@ -260,13 +274,7 @@ class CorpusView(Sequence):
     def _all(self) -> list[Tweet]:
         if self._tweets is None:
             p = self.prefix
-            with open(p.path, "rb") as fh:
-                data = fh.read(p.size)
-            digest = hashlib.sha256(data).hexdigest()
-            if digest != p.sha256:
-                raise ManifestError(f"{p.path} changed after its hash was verified: "
-                                    f"recorded {p.sha256}, now {digest}")
-            tweets = _read_lines(data.split(b"\n"), p.path)
+            tweets = _read_lines(b"".join(p.chunks()).split(b"\n"), p.path)
             if len(tweets) != p.tweet_count:
                 raise ManifestError(f"{p.path} holds {len(tweets)} tweets, not the "
                                     f"{p.tweet_count} recorded")
@@ -294,27 +302,18 @@ _encode = json.JSONEncoder(ensure_ascii=False).encode
 def write_tweets_jsonl(tweets: Sequence[Tweet], path: str | Path) -> None:
     """Write the corpus tweets to path, one JSON object per line.
 
-    A CorpusView is written as its prefix file's bytes, copied unchanged,
-    and then its new tweets; its finished part is never parsed or
-    serialized. The copy is hashed as it goes, and a digest other than the
-    recorded one raises ManifestError (the file changed after it was
-    verified). A newline is added before the first appended line when the
-    copied bytes do not end with one.
+    A CorpusView is written as its prefix.chunks(), copied unchanged (and
+    so hash-checked), and then its new tweets; its finished part is never
+    parsed or serialized. A newline is added before the first appended line
+    when the copied bytes do not end with one.
     """
     new = tweets
     with open(path, "wb") as fh:
         if isinstance(tweets, CorpusView):
-            prefix, new = tweets.prefix, tweets.new
-            digest = hashlib.sha256()
-            last = b"\n"
-            with open(prefix.path, "rb") as src:
-                for chunk in iter(lambda: src.read(1 << 20), b""):
-                    digest.update(chunk)
-                    fh.write(chunk)
-                    last = chunk[-1:]
-            if digest.hexdigest() != prefix.sha256:
-                raise ManifestError(f"{prefix.path} changed after its hash was verified: "
-                                    f"recorded {prefix.sha256}, now {digest.hexdigest()}")
+            new, last = tweets.new, b"\n"
+            for chunk in tweets.prefix.chunks():
+                fh.write(chunk)
+                last = chunk[-1:]
             if new and last != b"\n":
                 fh.write(b"\n")
         for t in new:

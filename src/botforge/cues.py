@@ -4,15 +4,16 @@ Eleven cues come from the text itself: seven lexicon-count cues (pronoun
 classes, abusive, expletive, positive/negative sentiment), a readability
 score, and three artifact counts (mentions, URLs, hashtags). Three network
 cues (degree centralities) join from graph metrics at aggregation time.
-Aggregation is two-level: per post, then per agent, then a corpus mean over
-agents, matching a per-post-per-agent sampling unit; a flag switches the
-corpus stage to pooled per-post averaging. Each distinct post text is scored
-once into one row of a text x cue matrix, and each agent's means are one
-reduction over that agent's posts, taken contiguously in corpus order.
+Aggregation is two-level: per post, then per agent; summarize gives a cue's
+corpus statistics over the per-agent means (a flag pools per-post values for
+the text cues instead). Each distinct post text is scored once into one row
+of a text x cue matrix, and each agent's means are one reduction over that
+agent's posts, taken contiguously in corpus order.
 """
 from __future__ import annotations
 
 import csv
+import math
 import re
 import string
 from dataclasses import dataclass, field
@@ -358,17 +359,14 @@ class CueVector:
 
 @dataclass
 class CueAggregate:
-    """Cue vectors per agent and for the corpus, plus the raw sample vectors.
+    """Cue vectors per agent, plus the sample each cue's statistics come from.
 
-    samples[cue] holds the values the corpus statistics are computed from:
-    per-agent means by default, pooled per-post values under per_post
-    (network cues always sample per agent).
+    samples[cue] holds per-agent means by default and pooled per-post values
+    under per_post (network cues always sample per agent).
     """
 
     per_agent: dict[str, CueVector]
-    corpus: CueVector
     samples: dict[str, np.ndarray]
-    per_post: bool
 
 
 def aggregate_cues(
@@ -379,7 +377,7 @@ def aggregate_cues(
     *,
     per_post: bool = False,
 ) -> CueAggregate:
-    """Post → agent → corpus cue aggregation.
+    """Post → agent cue aggregation, and the sample of each cue.
 
     Agents with zero posts are excluded entirely. Network cue values are the
     corpus-level metrics, copied into every vector. Every mean is taken as
@@ -428,42 +426,66 @@ def aggregate_cues(
     samples = dict(zip(TEXT_CUES, text_samples))
     for c in NETWORK_CUES:
         samples[c] = np.full(len(posted), network_values[c], dtype=np.float64)
+    return CueAggregate(per_agent=per_agent, samples=samples)
 
-    corpus = CueVector(*text_samples.mean(axis=1).tolist(), **network_values)
-    return CueAggregate(per_agent=per_agent, corpus=corpus, samples=samples, per_post=per_post)
+
+def summarize(values) -> dict[str, float]:
+    """{mean, std, n} of one cue sample: numpy's mean and std(ddof=1), std 0.0 for one value.
+
+    Every t-test route summarizes its sample here, so all see the same bits.
+    """
+    vals = np.asarray(values, dtype=np.float64)
+    n = len(vals)
+    if not n:
+        raise ValidationError("cannot summarize an empty sample")
+    return {"mean": float(vals.mean()), "std": float(vals.std(ddof=1)) if n > 1 else 0.0, "n": n}
+
+
+_REPORT_FIELDS = ("cue", "per_agent_mean", "per_agent_std", "n_agents")
 
 
 def write_cue_report(agg: CueAggregate, path: str | Path) -> None:
-    """Cue report CSV `cue,per_agent_mean,per_agent_std,n_agents` in canonical order.
+    """Cue report CSV with _REPORT_FIELDS, one summarize(agg.samples[cue]) row per cue.
 
-    Std is the sample standard deviation (n-1 denominator); under per_post the
-    sample unit for text cues is the post, column names notwithstanding.
+    Under per_post the sample unit for text cues is the post, column names
+    notwithstanding.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["cue", "per_agent_mean", "per_agent_std", "n_agents"])
+        writer.writerow(_REPORT_FIELDS)
         for cue in CUE_NAMES:
-            vals = agg.samples[cue]
-            std = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
-            writer.writerow([cue, repr(float(vals.mean())), repr(std), len(vals)])
+            s = summarize(agg.samples[cue])
+            writer.writerow([cue, repr(s["mean"]), repr(s["std"]), s["n"]])
 
 
 def read_cue_report(path: str | Path) -> dict[str, dict[str, float]]:
-    """Parse a cue report CSV back into {cue: {mean, std, n}}."""
+    """Parse a cue report CSV back into {cue: {mean, std, n}}.
+
+    SchemaError naming path:line for a row without exactly the four fields,
+    an unknown or repeated cue, a mean or std that is not a finite number, a
+    negative std, or an n_agents that is not a whole number.
+    """
     out: dict[str, dict[str, float]] = {}
     reader = csv.DictReader(read_text(path).splitlines())
-    expected = {"cue", "per_agent_mean", "per_agent_std", "n_agents"}
-    if reader.fieldnames is None or set(reader.fieldnames) != expected:
-        raise SchemaError(str(path), f"cue report header must be {sorted(expected)}")
+    if reader.fieldnames is None or set(reader.fieldnames) != set(_REPORT_FIELDS):
+        raise SchemaError(str(path), f"cue report header must be {sorted(_REPORT_FIELDS)}")
     for row in reader:
+        where = f"{path}:{reader.line_num}"
+        if len(row) != len(_REPORT_FIELDS) or None in row.values():
+            raise SchemaError(where, f"cue report row must have the fields {list(_REPORT_FIELDS)}")
         cue = row["cue"]
         if cue not in CUE_NAMES:
-            raise SchemaError(str(path), f"unknown cue name {cue!r}")
-        out[cue] = {
-            "mean": float(row["per_agent_mean"]),
-            "std": float(row["per_agent_std"]),
-            "n": int(row["n_agents"]),
-        }
+            raise SchemaError(where, f"unknown cue name {cue!r}")
+        if cue in out:
+            raise SchemaError(where, f"cue {cue!r} is reported twice")
+        try:
+            mean, std = float(row["per_agent_mean"]), float(row["per_agent_std"])
+            n = int(row["n_agents"])
+        except ValueError as exc:  # a mean or std that is no number, an n_agents no integer
+            raise SchemaError(where, str(exc)) from None
+        if not (math.isfinite(mean) and 0.0 <= std < math.inf):
+            raise SchemaError(where, "mean must be finite, std finite and >= 0", (mean, std))
+        out[cue] = {"mean": mean, "std": std, "n": n}
     missing = [c for c in CUE_NAMES if c not in out]
     if missing:
         raise SchemaError(str(path), f"cue report missing cues {missing}")

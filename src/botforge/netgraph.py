@@ -19,9 +19,6 @@ import numpy as np
 from .errors import SchemaError, ValidationError
 from .persona import Persona, Population
 
-PARTNER_MODES = ("pa", "leader", "random")
-EDGE_KINDS = ("retweet", "quote", "reply")
-
 
 @dataclass(frozen=True)
 class MixingPolicy:

@@ -115,18 +115,16 @@ class Population:
     """
 
     personas: list[Persona]
-    communities: dict[str, list[str]] = field(default_factory=dict)
-    leaders: dict[str, str] = field(default_factory=dict)
+    communities: dict[str, list[str]] = field(init=False, default_factory=dict)
+    leaders: dict[str, str] = field(init=False, default_factory=dict)
 
     def __post_init__(self):
         self._by_id = {p.id: p for p in self.personas}
         self._index = {p.id: i for i, p in enumerate(self.personas)}
-        if not self.communities:
-            for p in self.personas:
-                self.communities.setdefault(p.community, []).append(p.id)
-            for p in self.personas:
-                if p.is_leader:
-                    self.leaders[p.community] = p.id
+        for p in self.personas:
+            self.communities.setdefault(p.community, []).append(p.id)
+            if p.is_leader:
+                self.leaders[p.community] = p.id
 
     def __len__(self) -> int:
         return len(self.personas)

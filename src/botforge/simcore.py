@@ -105,6 +105,8 @@ class ScenarioConfig:
             raise ValidationError(f"temperature must be finite and >= 0 (got {self.temperature})")
         if self.runs < 1:
             raise ValidationError(f"runs must be >= 1 (got {self.runs})")
+        if self.max_tokens is not None and self.max_tokens < 1:
+            raise ValidationError(f"max_tokens must be >= 1 (got {self.max_tokens})")
         if not 1 <= self.max_in_flight <= MAX_IN_FLIGHT_LIMIT:
             raise ValidationError(f"max_in_flight must be between 1 and {MAX_IN_FLIGHT_LIMIT} "
                                   f"(got {self.max_in_flight})")

@@ -2,12 +2,13 @@
 
 The frozen constants below were computed once with scipy (ttest_1samp,
 stats.t.sf, special.betainc) and pinned; the property tests additionally
-compare the pure-Python route against live scipy as an independent oracle.
+compare the package's route against live scipy as an independent oracle.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import pytest
 from hypothesis import assume, given, settings
@@ -28,8 +29,17 @@ from botforge.benchmark import (
     render_report,
     student_t_two_sided_p,
 )
-from botforge.cues import CUE_NAMES, CueVector
+from botforge.cues import (
+    CUE_NAMES,
+    CueVector,
+    aggregate_cues,
+    read_cue_report,
+    write_cue_report,
+)
 from botforge.errors import ValidationError
+from botforge.netgraph import build_comm_graph, graph_metrics
+from botforge.persona import Population
+from botforge.simcore import config_from_dict, load_corpus, simulate_to_dir
 
 # scipy.stats.ttest_1samp([0.9, 1.0, 1.1, 1.0], 0.5)
 ORACLE_SAMPLE = [0.9, 1.0, 1.1, 1.0]
@@ -145,14 +155,14 @@ class TestOneSampleT:
         assert res.t == pytest.approx(ORACLE_T, abs=1e-9)
         assert res.p == pytest.approx(ORACLE_P, abs=1e-12)
 
-    def test_stats_route_matches_sample_route(self):
-        sample = [2.0, 2.5, 3.5, 4.0, 5.0]
-        n = len(sample)
-        mean = sum(sample) / n
-        std = math.sqrt(sum((v - mean) ** 2 for v in sample) / (n - 1))
-        a = one_sample_t(sample, 2.2)
-        b = one_sample_t_from_stats(mean, std, n, 2.2)
-        assert a == b
+    def test_stats_route_matches_sample_route(self, simulated_report):
+        # Each cue's raw sample against the row the cue report keeps of it.
+        agg, report = simulated_report
+        for cue in CUE_NAMES:
+            r = report[cue]
+            for mu in (0.0, 0.2, 2.2):
+                assert one_sample_t(agg.samples[cue], mu) == one_sample_t_from_stats(
+                    r["mean"], r["std"], r["n"], mu), (cue, mu)
 
     def test_zero_variance_at_mu(self):
         res = one_sample_t([1.0, 1.0, 1.0], 1.0)
@@ -246,6 +256,24 @@ class TestOneSampleT:
         assert student_t_two_sided_p(hi, df) <= student_t_two_sided_p(lo, df) + 1e-12
 
 
+def _simulated_report(pop, pools, lexicons, tmp_path, **config):
+    """(aggregate, cue report read back) of a template simulation, 1 run unless config says."""
+    out = tmp_path / "run"
+    simulate_to_dir(config_from_dict({"runs": 1, "out_dir": str(out), **config}),
+                    pop=pop, pools=pools)
+    pop, tweets = load_corpus(out)
+    agg = aggregate_cues(tweets, graph_metrics(build_comm_graph(tweets, pop), pop), pop, lexicons)
+    write_cue_report(agg, out / "cues.csv")
+    return agg, read_cue_report(out / "cues.csv")
+
+
+@pytest.fixture()
+def simulated_report(seed_pop, pools, lexicons, tmp_path):
+    """A 2-run simulation of every fourth shipped persona, mixed partner modes."""
+    return _simulated_report(Population(personas=seed_pop.personas[::4]), pools, lexicons,
+                             tmp_path, seed=7, runs=2, mixing="pa+leader+random")
+
+
 def _vector(**overrides) -> CueVector:
     values = {name: 0.0 for name in CUE_NAMES}
     values.update(overrides)
@@ -280,42 +308,31 @@ class TestCompare:
         assert [r.cue for r in rows] == list(CUE_NAMES)
 
     def test_needs_two_agents(self):
-        with pytest.raises(ValidationError, match=">= 2 agents"):
-            compare({"a_01": _vector()})
+        for per_agent in ({}, {"a_01": _vector()}):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # and no numpy warning on the way
+                with pytest.raises(ValidationError, match=">= 2 agents"):
+                    compare(per_agent)
 
-    def test_from_report_matches_direct(self):
-        per_agent = {
-            f"a_{i:02d}": _vector(mentions=v) for i, v in enumerate([0.5, 1.0, 1.5, 2.0])
-        }
-        direct = compare(per_agent)
-        report = {}
-        for cue in CUE_NAMES:
-            vals = [getattr(v, cue) for v in per_agent.values()]
-            mean = sum(vals) / len(vals)
-            std = math.sqrt(sum((v - mean) ** 2 for v in vals) / (len(vals) - 1))
-            report[cue] = {"mean": mean, "std": std, "n": len(vals)}
-        assert compare_from_report(report) == direct
+    def test_from_report_matches_direct(self, simulated_report):
+        agg, report = simulated_report
+        assert compare(agg.per_agent) == compare_from_report(report)
 
-    @pytest.mark.parametrize("mixing", ["pa", "pa+leader+random"])
-    def test_constant_degree_rows_from_a_cue_report(self, seed_pop, pools, lexicons, tmp_path,
-                                                    mixing):
-        # Each agent's degree rows hold the corpus-level centrality, so the
-        # sample is constant; cues.csv keeps the std that rounding leaves.
-        from botforge.cues import aggregate_cues, read_cue_report, write_cue_report
-        from botforge.netgraph import build_comm_graph, graph_metrics
-        from botforge.simcore import config_from_dict, load_corpus, simulate_to_dir
-
-        out = tmp_path / "run"
-        simulate_to_dir(config_from_dict({"seed": 1, "runs": 1, "mixing": mixing,
-                                          "scheme": "naive", "out_dir": str(out)}),
-                        pop=seed_pop, pools=pools)
-        pop, tweets = load_corpus(out)
-        metrics = graph_metrics(build_comm_graph(tweets, pop), pop)
-        write_cue_report(aggregate_cues(tweets, metrics, pop, lexicons), out / "cues.csv")
-        rows = {r.cue: r for r in compare_from_report(read_cue_report(out / "cues.csv"))}
-        for cue in ("total_degree", "in_degree", "out_degree"):
-            assert math.isinf(rows[cue].t_bot) and math.isinf(rows[cue].t_human), rows[cue]
-            assert rows[cue].p_bot == rows[cue].p_human == 0.0
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("mixing", ["pa", "pa+leader", "pa+leader+random"])
+    def test_library_and_cli_routes_agree_on_shipped_personas(self, seed_pop, pools, lexicons,
+                                                              tmp_path, mixing, seed):
+        # Each agent's degree rows hold the corpus-level centrality, so that
+        # sample is constant: both routes must see the std rounding leaves of
+        # it as zero variance, and agree on every other row to the bit.
+        agg, report = _simulated_report(seed_pop, pools, lexicons, tmp_path, seed=seed,
+                                        mixing=mixing, scheme="targets:all")
+        library, cli = compare(agg.per_agent), compare_from_report(report)
+        assert library == cli
+        for row in (*library[-3:], *cli[-3:]):
+            assert row.cue in ("total_degree", "in_degree", "out_degree")
+            assert math.isinf(row.t_bot) and math.isinf(row.t_human), row
+            assert row.p_bot == row.p_human == 0.0
 
     def test_from_report_missing_cue(self):
         with pytest.raises(ValidationError, match="missing"):

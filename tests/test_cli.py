@@ -139,7 +139,10 @@ class TestSimulate:
         ({"backoff_s": float("inf")}, "backoff_s must be finite and >= 0 (got inf)"),
         ({"temperature": float("nan")}, "temperature must be finite and >= 0 (got nan)"),
         ({"temperature": float("-inf")}, "temperature must be finite and >= 0 (got -inf)"),
-    ], ids=["negative backoff", "infinite backoff", "NaN temperature", "-inf temperature"])
+        ({"max_tokens": 0}, "max_tokens must be >= 1 (got 0)"),
+        ({"max_tokens": -5}, "max_tokens must be >= 1 (got -5)"),
+    ], ids=["negative backoff", "infinite backoff", "NaN temperature", "-inf temperature",
+            "zero max_tokens", "negative max_tokens"])
     def test_out_of_range_config_value_is_validation_error(self, pop_file, tmp_path, capsys,
                                                            doc, message):
         # Python's json reads NaN and Infinity, so a config file can hold them.
@@ -148,6 +151,12 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg_path), "--population", pop_file,
                      "--out-dir", str(tmp_path / "run")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "run").exists()
+
+    def test_zero_max_tokens_flag_is_validation_error(self, pop_file, tmp_path, capsys):
+        assert main(["simulate", "--population", pop_file, "--out-dir", str(tmp_path / "run"),
+                     "--max-tokens", "0"]) == 1
+        assert capsys.readouterr().err.startswith("error: max_tokens must be >= 1 (got 0)")
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("doc,message", [
@@ -223,6 +232,27 @@ _BAD_GRAPHS = {
     "non-integer weight": (lambda rows: _set_field(rows, 2, lambda _: "x"), 2),
     "negative count": (lambda rows: _set_field(rows, 3, lambda _: "-1"), 2),
     "weight not the sum": (lambda rows: _set_field(rows, 2, lambda row: str(int(row[2]) + 1)), 2),
+}
+
+
+# A 14-cue report with one row altered, the line its refusal names, and a
+# piece of the message. The first cue is on line 2, the last on line 15.
+_BAD_CUE_REPORTS = {
+    "mean not a number": (lambda rows: _set_field(rows, 1, lambda _: "abc"), 2,
+                          "could not convert string to float: 'abc'"),
+    "no n_agents field": (lambda rows: [rows[0], rows[1].rsplit(",", 1)[0], *rows[2:]], 2,
+                          "row must have the fields"),
+    "extra field": (lambda rows: [rows[0], rows[1] + ",7", *rows[2:]], 2,
+                    "row must have the fields"),
+    "fractional n": (lambda rows: _set_field(rows, 3, lambda _: "1.5"), 2,
+                     "invalid literal for int()"),
+    "NaN mean": (lambda rows: _set_field(rows, 1, lambda _: "nan"), 2,
+                 "mean must be finite, std finite and >= 0 (got (nan, "),
+    "infinite mean": (lambda rows: _set_field(rows, 1, lambda _: "-inf"), 2, "(got (-inf, "),
+    "negative std": (lambda rows: _set_field(rows, 2, lambda _: "-1"), 2, ", -1.0))"),
+    "infinite std": (lambda rows: _set_field(rows, 2, lambda _: "inf"), 2, ", inf))"),
+    "repeated cue": (lambda rows: [*rows, rows[1]], 16,
+                     "cue 'first_person_pronouns' is reported twice"),
 }
 
 
@@ -333,6 +363,17 @@ class TestAnalyzeCompareExport:
         assert main(["compare", "--cues", str(cues),
                      "--out", str(report), "--format", "csv"]) == 0
         assert report.read_text().splitlines()[0].startswith("cue,mean,std,n,")
+
+    @pytest.mark.parametrize("case", sorted(_BAD_CUE_REPORTS))
+    def test_compare_refuses_malformed_cue_report(self, cli_run_dir, tmp_path, capsys, case):
+        edit, line, message = _BAD_CUE_REPORTS[case]
+        cues = tmp_path / "cues.csv"
+        assert main(["analyze", "--corpus-dir", str(cli_run_dir), "--out", str(cues)]) == 0
+        capsys.readouterr()
+        cues.write_text("".join(f"{row}\n" for row in edit(cues.read_text().splitlines())))
+        assert main(["compare", "--cues", str(cues)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cues}:{line}: ") and message in err, err
 
     def test_compare_rejects_unknown_format(self, tmp_path, capsys):
         assert main(["compare", "--cues", "x.csv", "--format", "pdf"]) == 1

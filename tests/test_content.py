@@ -537,8 +537,10 @@ class TestMakeBackend:
         assert backend.seed == 9
 
     def test_llm_http_requires_base_url(self):
-        with pytest.raises(ValidationError, match="base_url"):
-            make_backend("llm-http")
+        # LlmHttpBackend's own check, before any API key is looked up.
+        for base_url in (None, ""):
+            with pytest.raises(ValidationError, match="requires a base_url"):
+                make_backend("llm-http", base_url=base_url)
 
     def test_unknown_selector(self):
         with pytest.raises(ValidationError, match="unknown backend"):

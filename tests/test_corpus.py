@@ -361,11 +361,32 @@ class TestWriterPrefix:
 
     def test_prior_changed_since_verified_is_refused(self, tmp_path):
         prior = tmp_path / "prior.jsonl"
-        prior.write_bytes(_lines(_tweets(2)))
-        view = CorpusView(_prefix(prior, 2), _tweets(3)[2:])
-        prior.write_bytes(_lines(_tweets(2)) + b"\n")
-        with pytest.raises(ManifestError, match="changed after its hash was verified"):
-            write_tweets_jsonl(view, tmp_path / "t.jsonl")
+        for changed in (_lines(_tweets(2)).replace(b"Note 1", b"Note 9"), _lines(_tweets(2))[:-1]):
+            prior.write_bytes(_lines(_tweets(2)))
+            view = CorpusView(_prefix(prior, 2), _tweets(3)[2:])
+            prior.write_bytes(changed)
+            with pytest.raises(ManifestError, match="changed after its hash was verified"):
+                write_tweets_jsonl(view, tmp_path / "t.jsonl")
+
+    def test_only_the_recorded_bytes_are_copied(self, tmp_path):
+        # An in-place extend appends to the prefix file after it was verified.
+        prior = tmp_path / "prior.jsonl"
+        prior.write_bytes(_lines(_tweets(2)).rstrip(b"\n"))
+        view = CorpusView(_prefix(prior, 2), _tweets(4)[2:])
+        prior.write_bytes(_lines(_tweets(4)))
+        write_tweets_jsonl(view, tmp_path / "t.jsonl")
+        assert (tmp_path / "t.jsonl").read_bytes() == _lines(_tweets(4))
+
+    def test_in_place_extend_result_can_be_written_again(self, tmp_path, micro_pop, pools):
+        from botforge.simcore import ScenarioConfig, resume_or_extend, simulate_to_dir
+
+        out = tmp_path / "run"
+        cfg = ScenarioConfig(seed=3, runs=1, out_dir=str(out))
+        simulate_to_dir(cfg, pop=micro_pop, pools=pools)
+        result = resume_or_extend(out, ScenarioConfig(seed=3, runs=1))
+        write_tweets_jsonl(result.tweets, tmp_path / "copy.jsonl")
+        assert (tmp_path / "copy.jsonl").read_bytes() == (out / "tweets.jsonl").read_bytes()
+        assert list(result.tweets) == read_tweets_jsonl(out / "tweets.jsonl")
 
 
 class TestCorpusView:

@@ -26,6 +26,7 @@ from botforge.cues import (
     metadata_cues,
     read_cue_report,
     reading_difficulty,
+    summarize,
     text_cues,
     tokenize,
     write_cue_report,
@@ -38,6 +39,13 @@ from botforge.corpus import Tweet
 from conftest import make_persona
 
 FLAT_METRICS = GraphMetrics(0.0, 0.0, 0.0, 0.0)
+
+
+def _report(agg, tmp_path) -> dict[str, dict[str, float]]:
+    """The cue report of agg, written to a file and read back."""
+    path = tmp_path / "cues.csv"
+    write_cue_report(agg, path)
+    return read_cue_report(path)
 
 
 def post(tid, author, text, run=0, slot=0):
@@ -219,15 +227,16 @@ class TestAggregate:
         ]
         return pop, tweets
 
-    def test_two_level_mean(self, tiny, lexicons):
+    def test_two_level_mean(self, tiny, lexicons, tmp_path):
         pop, tweets = tiny
         agg = aggregate_cues(tweets, FLAT_METRICS, pop, lexicons)
         # a_01 first person: (1 + 2) / 2 = 1.5 ; a_02: 0.0 ; corpus mean 0.75
         assert agg.per_agent["a_01"].first_person_pronouns == pytest.approx(1.5)
         assert agg.per_agent["a_02"].first_person_pronouns == 0.0
-        assert agg.corpus.first_person_pronouns == pytest.approx(0.75)
+        report = _report(agg, tmp_path)
+        assert report["first_person_pronouns"]["mean"] == pytest.approx(0.75)
         # hashtags: a_01 mean 0.5, a_02 mean 0 -> corpus 0.25
-        assert agg.corpus.hashtags == pytest.approx(0.25)
+        assert report["hashtags"]["mean"] == pytest.approx(0.25)
 
     def test_zero_post_agents_excluded(self, tiny, lexicons):
         pop, tweets = tiny
@@ -235,21 +244,24 @@ class TestAggregate:
         assert set(agg.per_agent) == {"a_01", "a_02"}
         assert len(agg.samples["first_person_pronouns"]) == 2
 
-    def test_per_post_pools_posts(self, tiny, lexicons):
+    def test_per_post_pools_posts(self, tiny, lexicons, tmp_path):
         pop, tweets = tiny
         agg = aggregate_cues(tweets, FLAT_METRICS, pop, lexicons, per_post=True)
-        assert agg.per_post
         np.testing.assert_allclose(
             sorted(agg.samples["first_person_pronouns"]), [0.0, 1.0, 2.0]
         )
-        # corpus statistics follow the pooled sample unit
-        assert agg.corpus.first_person_pronouns == pytest.approx(1.0)
+        # corpus statistics follow the pooled sample unit; network cues stay per agent
+        report = _report(agg, tmp_path)
+        assert report["first_person_pronouns"]["mean"] == pytest.approx(1.0)
+        assert report["first_person_pronouns"]["n"] == 3
+        assert report["total_degree"]["n"] == 2
 
-    def test_network_cues_copied_from_metrics(self, tiny, lexicons):
+    def test_network_cues_copied_from_metrics(self, tiny, lexicons, tmp_path):
         pop, tweets = tiny
         metrics = GraphMetrics(0.125, 0.25, 0.5, 0.75)
         agg = aggregate_cues(tweets, metrics, pop, lexicons)
-        for vec in [*agg.per_agent.values(), agg.corpus]:
+        means = {cue: r["mean"] for cue, r in _report(agg, tmp_path).items()}
+        for vec in [*agg.per_agent.values(), CueVector(**means)]:
             assert vec.total_degree == 0.25
             assert vec.in_degree == 0.5
             assert vec.out_degree == 0.75
@@ -264,12 +276,13 @@ class TestAggregate:
         with pytest.raises(ValidationError):
             aggregate_cues([post(1, "ghost", "hi")], FLAT_METRICS, pop, lexicons)
 
-    def test_corpus_mean_within_agent_range(self, tiny, lexicons):
+    def test_corpus_mean_within_agent_range(self, tiny, lexicons, tmp_path):
         pop, tweets = tiny
         agg = aggregate_cues(tweets, FLAT_METRICS, pop, lexicons)
+        report = _report(agg, tmp_path)
         for cue in CUE_NAMES:
             vals = [v.as_dict()[cue] for v in agg.per_agent.values()]
-            assert min(vals) - 1e-12 <= agg.corpus.as_dict()[cue] <= max(vals) + 1e-12
+            assert min(vals) - 1e-12 <= report[cue]["mean"] <= max(vals) + 1e-12
 
 
 class TestReportIO:
@@ -289,6 +302,11 @@ class TestReportIO:
         path = tmp_path / "cues.csv"
         write_cue_report(agg, path)
         return path, agg
+
+    def test_summarize_one_value_and_empty(self):
+        assert summarize([2.5]) == {"mean": 2.5, "std": 0.0, "n": 1}
+        with pytest.raises(ValidationError, match="empty sample"):
+            summarize([])
 
     def test_header_order_canonical(self, tiny_report):
         path, _ = tiny_report
@@ -513,8 +531,10 @@ def _assert_aggregate_matches_oracle(tweets, lexicons, per_post):
     assert {c: agg.samples[c].tolist() for c in TEXT_CUES} == expected
     assert list(agg.per_agent.items()) == [(pid, CueVector(**m, **_NETWORK))
                                            for pid, m in means.items()]
-    assert agg.corpus == CueVector(**{c: float(np.mean(expected[c])) for c in TEXT_CUES},
-                                   **_NETWORK)
+    # The report's means: np.mean over each cue's sample, network cues per agent.
+    assert {c: summarize(agg.samples[c])["mean"] for c in CUE_NAMES} == {
+        **{c: float(np.mean(expected[c])) for c in TEXT_CUES},
+        **{c: float(np.mean([v] * len(means))) for c, v in _NETWORK.items()}}
 
 
 @st.composite

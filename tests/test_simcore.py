@@ -774,8 +774,8 @@ class TestExtendAppends:
 
         def read_then_change(path, *args):
             tail = read(path, *args)
-            with open(path, "a", encoding="utf-8") as fh:
-                fh.write("\n")
+            with open(path, "r+b") as fh:
+                fh.write(b" ")  # over the first verified byte; growth alone is allowed
             return tail
 
         monkeypatch.setattr("botforge.simcore.read_corpus_tail", read_then_change)
@@ -784,7 +784,7 @@ class TestExtendAppends:
             resume_or_extend(out, replace(cfg, out_dir=None if in_place else str(dest)))
         assert not [p.name for p in dest.iterdir() if p.name.endswith(".staged")]
         after = {p.name: p.read_bytes() for p in out.iterdir()}
-        assert after == dict(before, **{"tweets.jsonl": before["tweets.jsonl"] + b"\n"})
+        assert after == dict(before, **{"tweets.jsonl": b" " + before["tweets.jsonl"][1:]})
         if not in_place:
             assert list(dest.iterdir()) == []
 
