@@ -614,7 +614,7 @@ class LlmHttpBackend(ContentBackend):
         raw_text = payload.decode("utf-8", "replace")
         try:
             doc = json.loads(payload)
-        except ValueError:
+        except (ValueError, RecursionError):  # RecursionError: nested too deeply
             raise BackendError("backend response was not JSON", raw_text=raw_text) from None
         try:
             content = doc["choices"][0]["message"]["content"]

@@ -1,12 +1,15 @@
 """The tweet record and the tweets.jsonl corpus file.
 
-A corpus is one JSON object per line, in commit order. The reader streams
-it one line at a time and type-checks every value. Extending a run needs
-only the end of a finished corpus, which read_corpus_tail scans backwards;
-the whole extended corpus is a CorpusView, whose finished part is read only
-when something asks for it, and the writer copies that part's bytes
-(verified against their recorded digest) and appends only the new tweets,
-so extending a run never parses or re-serializes what it already holds.
+A corpus is one JSON object per line, in commit order. One line reader
+parses and fully checks every line; read_corpus_columns streams a file
+through it and keeps only what analysis reads (id, author, kind, target
+and text), while read_tweets_jsonl, read_corpus_tail and CorpusView build
+Tweet records from the same reader. Extending a run needs only the end of
+a finished corpus, which read_corpus_tail scans backwards; the whole
+extended corpus is a CorpusView, whose finished part is read only when
+something asks for it, and the writer copies that part's bytes (verified
+against their recorded digest) and appends only the new tweets, so
+extending a run never parses or re-serializes what it already holds.
 """
 from __future__ import annotations
 
@@ -14,7 +17,8 @@ import hashlib
 import json
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass, fields
-from operator import itemgetter
+from itertools import product
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from types import NoneType
 
@@ -139,39 +143,88 @@ def tweet_from_dict(obj, path: str = "tweet") -> Tweet:
     return t
 
 
+def _signature(obj: dict) -> tuple:
+    """A document's keys in order, its value types in order, its kind and its slot_kind."""
+    return (*obj, *map(type, obj.values()), obj.get("kind"), obj.get("slot_kind"))
+
+
+def _accepted_signatures() -> frozenset:
+    """The signature of every document tweet_from_dict accepts, its text and artifacts apart.
+
+    Built by running the full check on one document per combination of
+    value types, kind and slot_kind, each with the keys in the writer's
+    order, a short text and empty artifact lists.
+    """
+    sample = {int: 1, str: "a", NoneType: None, list: []}
+    accepted = set()
+    for types in product(*_TWEET_TYPES.values()):
+        for kind, slot_kind in product(TWEET_KINDS, repeat=2):
+            doc = {key: sample[t] for key, t in zip(_TWEET_TYPES, types)}
+            doc.update(kind=kind, slot_kind=slot_kind)
+            try:
+                tweet_from_dict(doc)
+            except SchemaError:
+                continue
+            accepted.add(_signature(doc))
+    return frozenset(accepted)
+
+
+_ACCEPTED = _accepted_signatures()
+_STR = frozenset((str,))
+
 # The C scanner json.loads runs, called without its Python wrappers.
 _scan_once = json.JSONDecoder().scan_once
 
 
-def _parse_line(line: bytes, where: str) -> Tweet | None:
-    """The tweet on one corpus line, or None for a blank line."""
+def _where(path, lineno: int | None) -> str:
+    """path:lineno, or the path alone when the line's number is not known."""
+    return str(path) if lineno is None else f"{path}:{lineno}"
+
+
+def _read_line(line: bytes, path, lineno: int | None = None) -> dict | None:
+    """The checked tweet document on one corpus line, or None for a blank line.
+
+    A SchemaError names _where(path, lineno). A document whose signature is
+    in _ACCEPTED, whose text fits and whose artifacts are all str is
+    accepted as it is; any other goes through tweet_from_dict, which
+    accepts it (say, with its keys in another order) or words the error.
+    """
     try:
         text = line.decode("utf-8").strip()
     except UnicodeDecodeError as exc:
-        raise SchemaError(where, f"not valid UTF-8: {exc}") from exc
+        raise SchemaError(_where(path, lineno), f"not valid UTF-8: {exc}") from exc
     if not text:
         return None
     # The stripped line starts and ends with no JSON whitespace, so json.loads
     # would scan it from 0 and require the scan to end at its end.
     try:
-        obj, end = _scan_once(text, 0)
-    except (StopIteration, json.JSONDecodeError):
-        end = -1
-    if end != len(text):  # json.loads words the error
         try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(where, f"not valid JSON: {exc}") from exc
-    return tweet_from_dict(obj, path=where)
+            obj, end = _scan_once(text, 0)
+        except (StopIteration, json.JSONDecodeError):
+            end = -1
+        if end != len(text):
+            obj = json.loads(text)  # json.loads words the error
+    except json.JSONDecodeError as exc:
+        raise SchemaError(_where(path, lineno), f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaError(_where(path, lineno), "not valid JSON: nested too deeply") from None
+    try:
+        if (type(obj) is dict and _signature(obj) in _ACCEPTED and len(obj["text"]) <= 280
+                and _STR.issuperset(map(type, obj["mentions"] + obj["hashtags"] + obj["urls"]))):
+            return obj
+    except TypeError:  # an unhashable kind or slot_kind
+        pass
+    tweet_from_dict(obj, path=_where(path, lineno))
+    return obj
 
 
 def _read_lines(lines, path) -> list[Tweet]:
     """The tweets of a corpus's lines, as bytes split at b"\\n"; blank lines are skipped."""
     tweets = []
     for lineno, line in enumerate(lines, start=1):
-        t = _parse_line(line, f"{path}:{lineno}")
-        if t is not None:
-            tweets.append(t)
+        doc = _read_line(line, path, lineno)
+        if doc is not None:
+            tweets.append(Tweet(*_tweet_args(doc)))
     return tweets
 
 
@@ -179,6 +232,55 @@ def read_tweets_jsonl(path: str | Path) -> list[Tweet]:
     """Every tweet of a corpus file, read one line at a time; blank lines are skipped."""
     with open(path, "rb") as fh:
         return _read_lines(fh, path)
+
+
+@dataclass(slots=True)
+class CorpusColumns:
+    """A corpus as five parallel lists, one entry per tweet in corpus order.
+
+    targets holds each tweet's target_agent_id. Analysis reads nothing else
+    of a tweet, so this is all it holds of a corpus.
+    """
+
+    ids: list[int]
+    authors: list[str]
+    kinds: list[str]
+    targets: list[str | None]
+    texts: list[str]
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+_COLUMN_FIELDS = ("id", "author_id", "kind", "target_agent_id", "text")
+
+
+def as_columns(tweets) -> CorpusColumns:
+    """The columns of a corpus: CorpusColumns as they are, any iterable of Tweets by field."""
+    if isinstance(tweets, CorpusColumns):
+        return tweets
+    tweets = list(tweets)
+    return CorpusColumns(*(list(map(attrgetter(name), tweets)) for name in _COLUMN_FIELDS))
+
+
+def read_corpus_columns(path: str | Path) -> CorpusColumns:
+    """The columns of every tweet of a corpus file; blank lines are skipped.
+
+    The file is read one line at a time, and each line is checked as
+    read_tweets_jsonl checks it; of its document only the five column
+    values are kept.
+    """
+    ids, authors, kinds, targets, texts = [], [], [], [], []
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            doc = _read_line(line, path, lineno)
+            if doc is not None:
+                ids.append(doc["id"])
+                authors.append(doc["author_id"])
+                kinds.append(doc["kind"])
+                targets.append(doc["target_agent_id"])
+                texts.append(doc["text"])
+    return CorpusColumns(ids, authors, kinds, targets, texts)
 
 
 # Bytes read per step of the backward scan.
@@ -209,15 +311,16 @@ def read_corpus_tail(path: str | Path, authors: Collection[str], size: int) -> l
             for line in reversed(lines):
                 end -= len(line) + 1
                 try:
-                    t = _parse_line(line, str(path))
+                    doc = _read_line(line, path)
                 except SchemaError:
                     # Only an error needs the line's number: count, then fail again with it.
                     fh.seek(0)
                     lineno = 1 + fh.read(end).count(b"\n")
-                    _parse_line(line, f"{path}:{lineno}")
+                    _read_line(line, path, lineno)
                     raise
-                if t is None:
+                if doc is None:
                     continue
+                t = Tweet(*_tweet_args(doc))
                 tail.append(t)
                 wanted.discard(t.author_id)
                 if not wanted:

@@ -17,12 +17,13 @@ import math
 import re
 import string
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
+from .corpus import as_columns
 from .errors import SchemaError, ValidationError, read_text
 from .netgraph import GraphMetrics
 from .persona import Population
@@ -379,30 +380,31 @@ def aggregate_cues(
 ) -> CueAggregate:
     """Post → agent cue aggregation, and the sample of each cue.
 
+    tweets is a CorpusColumns or a list of Tweets (see corpus.as_columns).
     Agents with zero posts are excluded entirely. Network cue values are the
     corpus-level metrics, copied into every vector. Every mean is taken as
     np.mean takes it over the values listed in corpus order (one pairwise
     sum over contiguous values), so it is bit for bit that mean.
     """
-    if not tweets:
+    cols = as_columns(tweets)
+    n = len(cols)
+    if not n:
         raise ValidationError("empty corpus: cue aggregation requires at least one tweet")
     table = LexiconTable.from_lexicons(lexicons if lexicons is not None else load_lexicons())
 
     ids = pop.ids()
     agent_index = {pid: i for i, pid in enumerate(ids)}
-    text_index: dict[str, int] = {}  # distinct text -> its row of the cue matrix
-    agent_of, row_of = [], []  # per post, in corpus order
-    for t in tweets:
-        a = agent_index.get(t.author_id)
-        if a is None:
-            raise ValidationError(f"tweet {t.id}: unknown author {t.author_id!r}")
-        agent_of.append(a)
-        row_of.append(text_index.setdefault(t.text, len(text_index)))
+    agents = np.fromiter(map(agent_index.get, cols.authors, repeat(-1, n)), dtype=np.intp, count=n)
+    unknown = agents < 0
+    if unknown.any():
+        i = int(unknown.argmax())
+        raise ValidationError(f"tweet {cols.ids[i]}: unknown author {cols.authors[i]!r}")
+    # Each distinct text's row of the cue matrix, in order of first use.
+    text_index = {text: row for row, text in enumerate(dict.fromkeys(cols.texts))}
+    rows = np.fromiter(map(text_index.__getitem__, cols.texts), dtype=np.intp, count=n)
     n_cues = len(TEXT_CUES)
     matrix = np.fromiter(chain.from_iterable(text_cues(text, table).values() for text in text_index),
                          dtype=np.float64, count=len(text_index) * n_cues).reshape(-1, n_cues)
-    rows = np.array(row_of, dtype=np.intp)
-    agents = np.array(agent_of, dtype=np.intp)
 
     # A cue x post array with each cue's values contiguous, in which every
     # agent's posts are one run of columns in corpus order.

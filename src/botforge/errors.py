@@ -51,3 +51,5 @@ def read_json(path: str | Path):
         return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise SchemaError(str(path), f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaError(str(path), "not valid JSON: nested too deeply") from None

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
+from .corpus import as_columns
 from .errors import SchemaError, ValidationError
 from .persona import Persona, Population
 
@@ -288,37 +290,61 @@ class GraphMetrics:
         }
 
 
+# Edge kinds in EdgeStats's count order; a kind's code is its position.
+_EDGE_KINDS = ("retweet", "quote", "reply")
+_KIND_CODES = {**{kind: code for code, kind in enumerate(_EDGE_KINDS)}, "original": -1}
+_UNKNOWN_KIND = len(_EDGE_KINDS)
+
+
 def build_comm_graph(tweets, pop: Population,
                      edges: dict[tuple[str, str], EdgeStats] | None = None) -> CommGraph:
     """Collapse retweets/quotes/replies into directed author → target edges.
 
+    tweets is a CorpusColumns or a list of Tweets (see corpus.as_columns).
     Original posts contribute no edges; agents without interactions remain as
     isolate nodes. Any tweet referencing an agent outside the population, or
-    targeting its own author, is a contract violation. Given edges (say, an
-    earlier graph's, from read_edges_csv), the tweets add to a copy of them.
+    targeting its own author, is a contract violation, reported for the
+    first such tweet in corpus order. Given edges (say, an earlier graph's,
+    from read_edges_csv), the tweets add to a copy of them.
     """
+    cols = as_columns(tweets)
+    ids = pop.ids()
+    n = len(cols)
+    index = {pid: i for i, pid in enumerate(ids)}
+    src = np.fromiter(map(index.get, cols.authors, repeat(-1, n)), dtype=np.intp, count=n)
+    index[None] = -2  # no target
+    dst = np.fromiter(map(index.get, cols.targets, repeat(-1, n)), dtype=np.intp, count=n)
+    kind = np.fromiter(map(_KIND_CODES.get, cols.kinds, repeat(_UNKNOWN_KIND, n)),
+                       dtype=np.intp, count=n)
+    interacting = (kind >= 0) & (dst != -2)
+    bad = (src < 0) | interacting & ((dst == -1) | (dst == src) | (kind == _UNKNOWN_KIND))
+    if bad.any():
+        i = int(bad.argmax())
+        tid, author, target = cols.ids[i], cols.authors[i], cols.targets[i]
+        if src[i] < 0:
+            raise ValidationError(f"tweet {tid}: unknown author {author!r}")
+        if dst[i] < 0:
+            raise ValidationError(f"tweet {tid}: unknown target {target!r}")
+        if dst[i] == src[i]:
+            raise ValidationError(f"tweet {tid}: self-interaction is not representable")
+        raise ValidationError(f"tweet {tid}: unknown kind {cols.kinds[i]!r}")
+
     edges = {pair: EdgeStats(e.weight, e.retweets, e.quotes, e.replies)
              for pair, e in (edges or {}).items()}
-    for t in tweets:
-        if t.author_id not in pop:
-            raise ValidationError(f"tweet {t.id}: unknown author {t.author_id!r}")
-        if t.kind == "original" or t.target_agent_id is None:
-            continue
-        if t.target_agent_id not in pop:
-            raise ValidationError(f"tweet {t.id}: unknown target {t.target_agent_id!r}")
-        if t.target_agent_id == t.author_id:
-            raise ValidationError(f"tweet {t.id}: self-interaction is not representable")
-        stats = edges.setdefault((t.author_id, t.target_agent_id), EdgeStats())
-        stats.weight += 1
-        if t.kind == "retweet":
-            stats.retweets += 1
-        elif t.kind == "quote":
-            stats.quotes += 1
-        elif t.kind == "reply":
-            stats.replies += 1
+    codes, counts = np.unique((src[interacting] * len(ids) + dst[interacting])
+                              * len(_EDGE_KINDS) + kind[interacting], return_counts=True)
+    pairs, kinds = np.divmod(codes, len(_EDGE_KINDS))
+    sources, targets = np.divmod(pairs, len(ids))
+    for s, d, k, c in zip(sources.tolist(), targets.tolist(), kinds.tolist(), counts.tolist()):
+        stats = edges.setdefault((ids[s], ids[d]), EdgeStats())
+        stats.weight += c
+        if k == 0:
+            stats.retweets += c
+        elif k == 1:
+            stats.quotes += c
         else:
-            raise ValidationError(f"tweet {t.id}: unknown kind {t.kind!r}")
-    return CommGraph(nodes=pop.ids(), edges=edges)
+            stats.replies += c
+    return CommGraph(nodes=ids, edges=edges)
 
 
 def per_agent_centralities(g: CommGraph, pop: Population) -> dict[str, np.ndarray]:

@@ -10,7 +10,6 @@ few-shot context.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -281,13 +280,14 @@ def _extract_json_array(text: str):
     """Parse a JSON array out of backend text, tolerating code fences and prose margins."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):  # RecursionError: nested too deeply
         pass
-    match = re.search(r"\[.*\]", text, flags=re.DOTALL)
-    if match:
+    # From the first "[" to the last "]", in linear time.
+    start, end = text.find("["), text.rfind("]")
+    if -1 < start < end:
         try:
-            return json.loads(match.group(0))
-        except json.JSONDecodeError:
+            return json.loads(text[start:end + 1])
+        except (json.JSONDecodeError, RecursionError):
             pass
     raise BackendError(
         "backend did not return a parseable JSON array of personas", raw_text=text

@@ -37,12 +37,14 @@ from .content import (
     select_narrative,
 )
 from .corpus import (
+    CorpusColumns,
     CorpusPrefix,
     CorpusView,
     Tweet,
     _check_types,
+    read_corpus_columns,
     read_corpus_tail,
-    read_tweets_jsonl,
+    read_tweets_jsonl,  # noqa: F401  (perfbench/tracing.py wraps simcore's name)
     write_tweets_jsonl,
 )
 from .errors import BackendError, BotforgeError, ManifestError, SchemaError, ValidationError, read_json
@@ -725,8 +727,11 @@ def resume_or_extend(prev_dir: str | Path, cfg: ScenarioConfig) -> SimResult:
     return _run_and_write(cfg, pop, pools, None, start, prior)
 
 
-def load_corpus(run_dir: str | Path) -> tuple[Population, list[Tweet]]:
-    """The population snapshot and tweet corpus of a run directory."""
+def load_corpus(run_dir: str | Path) -> tuple[Population, CorpusColumns]:
+    """The population snapshot of a run directory, and the columns of its corpus.
+
+    Every line of tweets.jsonl is checked as read_tweets_jsonl checks it.
+    """
     run_dir = Path(run_dir)
     tweets_path = run_dir / "tweets.jsonl"
     pop_path = run_dir / "population.json"
@@ -734,4 +739,4 @@ def load_corpus(run_dir: str | Path) -> tuple[Population, list[Tweet]]:
         raise FileNotFoundError(f"no tweets.jsonl in {run_dir}")
     if not pop_path.is_file():
         raise FileNotFoundError(f"no population.json in {run_dir}")
-    return load_seed_personas(pop_path), read_tweets_jsonl(tweets_path)
+    return load_seed_personas(pop_path), read_corpus_columns(tweets_path)

@@ -305,6 +305,60 @@ def test_non_utf8_input_file_is_refused(cli_run_dir, pop_file, tmp_path, capsys,
     assert capsys.readouterr().err.startswith(f"error: {path}: not valid UTF-8")
 
 
+def _record_hash(run_dir, name) -> None:
+    """Record the current hash of run_dir/name in its manifest."""
+    manifest = read_manifest(run_dir)
+    manifest["files"][name] = hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+    (run_dir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+
+# Text that nests deeper than any JSON reader can follow.
+_TOO_DEEP = {"arrays": "[" * 100_000, "objects": '{"a":' * 100_000}
+
+
+def _nested_input(kind, run_dir, pop_file, tmp_path, deep):
+    """(argv, the named input file with deep in it, the position its refusal names)."""
+    analyze = ["analyze", "--corpus-dir", str(run_dir), "--out", str(tmp_path / "cues.csv")]
+    extend = ["simulate", "--extend-from", str(run_dir), "--runs", "1",
+              "--out-dir", str(tmp_path / "ext")]
+    if kind == "config":
+        path = tmp_path / "cfg.json"
+        path.write_text(deep)
+        return ["simulate", "--population", pop_file, "--out-dir", str(tmp_path / "new"),
+                "--config", str(path)], str(path)
+    if kind == "manifest":
+        path = run_dir / "manifest.json"
+        path.write_text(deep)
+        return analyze, str(path)
+    if kind in ("population", "pools"):
+        path = run_dir / f"{kind}.json"
+        path.write_text(deep)
+        _record_hash(run_dir, path.name)
+        return extend, str(path)
+    path = run_dir / "tweets.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    at = len(lines) if kind == "corpus tail" else 3
+    lines[at - 1] = deep
+    path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    _record_hash(run_dir, path.name)
+    if kind == "corpus tail":
+        return extend, f"{path}:{at}"
+    if kind == "corpus (export)":
+        return ["export", "--run-dir", str(run_dir), "--out-dir", str(tmp_path / "out")], \
+            f"{path}:{at}"
+    return analyze, f"{path}:{at}"
+
+
+@pytest.mark.parametrize("deep", sorted(_TOO_DEEP))
+@pytest.mark.parametrize("kind", ["corpus (analyze)", "corpus (export)", "corpus tail",
+                                  "population", "pools", "config", "manifest"])
+def test_deeply_nested_json_is_refused(cli_run_dir, pop_file, tmp_path, capsys, kind, deep):
+    argv, where = _nested_input(kind, cli_run_dir, pop_file, tmp_path, _TOO_DEEP[deep])
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {where}: not valid JSON: nested too deeply\n"
+
+
 class TestAnalyzeCompareExport:
     def test_analyze_writes_report(self, cli_run_dir, tmp_path, capsys):
         cues = tmp_path / "cues.csv"

@@ -529,6 +529,13 @@ class TestLlmHttpBackend:
             backend.complete("s", "u", {})
         assert exc.value.raw_text == "<html>"
 
+    def test_deeply_nested_payload_rejected(self, monkeypatch, chat_server):
+        monkeypatch.setenv("BOTFORGE_API_KEY", "k-test")
+        chat_server.replies.append((200, {}, b"[" * 100_000))
+        backend = LlmHttpBackend(chat_server.url)
+        with pytest.raises(BackendError, match="not JSON"):
+            backend.complete("s", "u", {})
+
 
 class TestMakeBackend:
     def test_template(self):

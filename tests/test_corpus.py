@@ -22,6 +22,7 @@ from botforge.corpus import (
     CorpusPrefix,
     CorpusView,
     Tweet,
+    read_corpus_columns,
     read_corpus_tail,
     read_tweets_jsonl,
     tweet_from_dict,
@@ -146,6 +147,29 @@ def _outcome(read, path):
         return None, str(exc)
 
 
+_COLUMNS = {"ids": "id", "authors": "author_id", "kinds": "kind", "targets": "target_agent_id",
+            "texts": "text"}
+
+
+def _column_outcome(path):
+    """(id, author, kind, target and text of every tweet read as columns, None), or
+    (None, the SchemaError text)."""
+    try:
+        cols = read_corpus_columns(path)
+    except SchemaError as exc:
+        return None, str(exc)
+    return list(zip(*(getattr(cols, name) for name in _COLUMNS))), None
+
+
+def _as_column_outcome(outcome):
+    """An _outcome with each tweet's values cut down to the five column fields."""
+    values, error = outcome
+    if values is None:
+        return outcome
+    at = [FIELDS.index(field) for field in _COLUMNS.values()]
+    return [tuple(v[i] for i in at) for v in values], error
+
+
 def _doc(tid, kind="original", **kw):
     doc = {"id": tid, "author_id": "a_01", "kind": kind, "slot_kind": kind,
            "text": f"Note {tid} before the set.", "target_tweet_id": None,
@@ -182,7 +206,8 @@ def _docs(draw):
 _DAMAGE = (
     "blank", "spaces", "bad json", "two objects", "split list", "indented", "array",
     "bool id", "int text", "nested mention", "extra key", "missing key", "crlf",
-    "bom", "truncated", "nbsp",
+    "bom", "truncated", "nbsp", "reordered keys", "float id", "long text", "number hashtag",
+    "retweet without target tweet", "original with target", "repeated key",
 )
 
 
@@ -219,6 +244,20 @@ def _damaged(line: str, doc: dict, how: str) -> list[str]:
         return ['{"id": 1']
     if how == "nbsp":  # str.strip removes U+00A0; JSON whitespace does not include it
         return ["\u00a0" + line + "\u00a0"]
+    if how == "reordered keys":  # valid, though not in the writer's order
+        return [_line(dict(reversed(doc.items())))]
+    if how == "float id":
+        return [_line(dict(doc, id=float(doc["id"])))]
+    if how == "long text":
+        return [_line(dict(doc, text="x" * 281))]
+    if how == "number hashtag":
+        return [_line(dict(doc, hashtags=["#a", 5]))]
+    if how == "retweet without target tweet":
+        return [_line(dict(doc, kind="retweet", target_tweet_id=None, target_agent_id="a_02"))]
+    if how == "original with target":
+        return [_line(dict(doc, kind="original", target_tweet_id=None, target_agent_id="a_02"))]
+    if how == "repeated key":  # JSON keeps the last value, and the key's first place
+        return [line[:-1] + ', "author_id": "b_02"}']
     return [line + "\r"]  # crlf: the reader's newline handling turns \r\n into \n
 
 
@@ -245,6 +284,7 @@ class TestReaderMatchesOracle:
                         encoding="utf-8", newline="")
         expected = _outcome(_oracle_read, path)
         assert _outcome(read_tweets_jsonl, path) == expected
+        assert _column_outcome(path) == _as_column_outcome(expected)
         count = len(expected[0]) if expected[0] is not None else 0
         assert _outcome(lambda p: list(CorpusView(_prefix(p, count), [])), path) == expected
 
@@ -261,6 +301,35 @@ class TestReaderMatchesOracle:
         new = _outcome(read_tweets_jsonl, path)
         assert new == _outcome(_oracle_read, path)
         assert "not valid JSON" in new[1]
+
+    @pytest.mark.parametrize("kind", ["original", "retweet", "reply"])
+    @pytest.mark.parametrize("how", ["reordered keys", "bool id", "float id", "long text",
+                                     "number hashtag", "retweet without target tweet",
+                                     "original with target", "repeated key"])
+    def test_line_cases(self, tmp_path, how, kind):
+        # Each line is one a signature lookup does not accept alone; every
+        # reader must give the oracle's outcome for it.
+        doc = _doc(2, kind)
+        lines = [_line(_doc(1)), *_damaged(_line(doc), doc, how), _line(_doc(3))]
+        path = tmp_path / "tweets.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        expected = _outcome(_oracle_read, path)
+        accepted = how in ("reordered keys", "repeated key")
+        assert (expected[1] is None) == accepted, expected
+        assert _outcome(read_tweets_jsonl, path) == expected
+        assert _column_outcome(path) == _as_column_outcome(expected)
+        count = len(expected[0]) if accepted else 0
+        assert _outcome(lambda p: list(CorpusView(_prefix(p, count), [])), path) == expected
+        tail = _outcome(lambda p: read_corpus_tail(p, {"ghost"}, p.stat().st_size), path)
+        assert tail == expected
+
+    def test_reordered_keys_give_the_same_tweet(self, tmp_path):
+        doc = _doc(1, "reply")
+        path = tmp_path / "tweets.jsonl"
+        path.write_text(_line(doc) + "\n" + _line(dict(reversed(doc.items()))) + "\n",
+                        encoding="utf-8")
+        first, second = read_tweets_jsonl(path)
+        assert first == second == tweet_from_dict(doc)
 
     def test_simulated_corpus(self, tmp_path, micro_pop, pools):
         from botforge.simcore import ScenarioConfig, simulate_to_dir
@@ -394,10 +463,16 @@ class TestCorpusView:
         prior = tmp_path / "prior.jsonl"
         prior.write_bytes(_lines(_tweets(3)))
         view = CorpusView(_prefix(prior, 3), _tweets(5)[3:])
-        reads = []
-        parse = botforge.corpus.tweet_from_dict
-        monkeypatch.setattr(botforge.corpus, "tweet_from_dict",
-                            lambda *a, **kw: reads.append(None) or parse(*a, **kw))
+        reads = []  # one per tweet line read
+        parse = botforge.corpus._read_line
+
+        def counting(*args):
+            doc = parse(*args)
+            if doc is not None:
+                reads.append(None)
+            return doc
+
+        monkeypatch.setattr(botforge.corpus, "_read_line", counting)
         assert len(view) == 5 and reads == []
         assert view == _tweets(5) and _tweets(5) == view
         assert view[0] == _tweets(1)[0] and view[-1].id == 5 and view[1:3] == _tweets(3)[1:]

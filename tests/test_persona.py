@@ -188,6 +188,13 @@ class TestExpansion:
         assert out.personas[-1].id == "gen_ok_001"
         assert out.personas[-1].origin == "generated"
 
+    def test_too_deeply_nested_batch_dropped(self, micro_pop):
+        ok = json.dumps([make_persona("gen_ok_001", "alpha").to_doc()])
+        backend = _ScriptedBackend(["[" * 100_000, "[" * 100_000 + "]" * 100_000, ok])
+        out = expand_personas(micro_pop, 5, backend, batch_size=1, retry_cap=3)
+        assert backend.calls == 3
+        assert out.personas[-1].id == "gen_ok_001"
+
     def test_duplicate_of_seed_id_dropped(self, micro_pop):
         dup = json.dumps([micro_pop.personas[0].to_doc()])  # collides with a_01
         fresh = json.dumps([make_persona("gen_new_001").to_doc()])

@@ -21,6 +21,7 @@ from botforge.corpus import (
     CorpusView,
     Tweet,
     _TWEET_TYPES,
+    as_columns,
     read_corpus_tail,
     read_tweets_jsonl,
     tweet_from_dict,
@@ -688,7 +689,7 @@ class TestResumeOrExtend:
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
         manifest = read_manifest(out)
         verify_manifest_files(out, manifest, manifest["files"])
-        assert load_corpus(out)[1] == first.tweets
+        assert load_corpus(out)[1] == as_columns(first.tweets)
 
     def test_tampered_corpus_refused(self, run_dir):
         out, cfg, _ = run_dir
@@ -790,15 +791,17 @@ class TestExtendAppends:
 
 
 def _count_parses(monkeypatch) -> list:
-    """A list that grows by one per tweet_from_dict call from now on."""
+    """A list that grows by one per tweet line read from now on."""
     calls = []
-    parse = botforge.corpus.tweet_from_dict
+    parse = botforge.corpus._read_line
 
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return parse(*args, **kwargs)
+    def counting(*args):
+        doc = parse(*args)
+        if doc is not None:
+            calls.append(None)
+        return doc
 
-    monkeypatch.setattr(botforge.corpus, "tweet_from_dict", counting)
+    monkeypatch.setattr(botforge.corpus, "_read_line", counting)
     return calls
 
 
@@ -894,7 +897,7 @@ class TestLoadCorpus:
         out, _, result = run_dir
         pop, tweets = load_corpus(out)
         assert pop.ids() == micro_pop.ids()
-        assert tweets == result.tweets
+        assert tweets == as_columns(result.tweets)
 
     def test_missing_tweets_file(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="tweets.jsonl"):
