@@ -288,8 +288,7 @@ def sample_pools(pools: dict[str, list[str]], rng) -> dict[str, list[str]]:
 
     A pool of more than POOL_SAMPLE_CAP items gives POOL_SAMPLE_CAP of them,
     drawn without replacement and kept in pool order. A smaller pool is
-    listed whole and draws nothing, so a sample passed back in as the pools
-    comes out unchanged, whatever the rng.
+    listed whole and draws nothing.
     """
     return {"hashtags": _sample(pools["hashtags"], rng), "urls": _sample(pools["urls"], rng)}
 
@@ -298,9 +297,8 @@ def _pool_text(items: list[str]) -> str:
     return " ".join(items) if items else _EMPTY_POOL_TEXT
 
 
-def build_user_prompt(task: GenerationTask, pools: dict[str, list[str]], rng) -> str:
-    """The task-side prompt, with an rng-sampled slice of the common pools."""
-    sample = sample_pools(pools, rng)
+def build_user_prompt(task: GenerationTask, sample: dict[str, list[str]]) -> str:
+    """The task-side prompt, listing a sample_pools slice of the common pools."""
     hashtags = _pool_text(sample["hashtags"])
     urls = _pool_text(sample["urls"])
     if task.kind == "original":
@@ -646,29 +644,27 @@ def make_backend(
 def _extract_artifacts(text: str) -> tuple[list[str], list[str], list[str]]:
     """Mentions, hashtags and URLs of a post, classified as the cue extractor does."""
     toks = classify_tokens(text)
-    return toks.mentions, toks.hashtags, toks.urls
+    return toks["mentions"], toks["hashtags"], toks["urls"]
 
 
 def generate_post(
     p: Persona,
     task: GenerationTask,
     scheme: PromptScheme,
-    pools: dict[str, list[str]],
+    sample: dict[str, list[str]] | None,
     backend: ContentBackend,
-    rng,
     *,
     params: dict | None = None,
     on_event=None,
 ) -> Tweet:
     """Produce the finished Tweet for one generation task.
 
-    Prompt pools are sampled with rng as build_user_prompt does; pools that
-    are already a sample_pools slice draw nothing, so rng may then be None.
-    Retweets are verbatim copies and never call the backend. Replies and
-    quotes are guaranteed to mention the target's display name (prepended
-    when the backend leaves it out). All texts are capped at 280 characters
-    on a word boundary. An empty backend output is regenerated once, with the
-    retry reported through on_event.
+    sample is the sample_pools slice the user prompt lists; a retweet has no
+    prompt, so it may be None there. Retweets are verbatim copies and never
+    call the backend. Replies and quotes are guaranteed to mention the
+    target's display name (prepended when the backend leaves it out). All
+    texts are capped at 280 characters on a word boundary. An empty backend
+    output is regenerated once, with the retry reported through on_event.
     """
     task.validate()
     params = dict(params or {})
@@ -677,7 +673,7 @@ def generate_post(
         text = f"RT @{task.target_display}: {task.target_text}"
     else:
         system_text = augment_prompt(build_system_prompt(p), scheme)
-        user_text = build_user_prompt(task, pools, rng)
+        user_text = build_user_prompt(task, sample)
         text = backend.complete(system_text, user_text, params).strip()
         if not text:
             if on_event is not None:

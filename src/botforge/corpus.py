@@ -22,7 +22,7 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 from types import NoneType
 
-from .errors import ManifestError, SchemaError
+from .errors import ManifestError, SchemaError, _check_types
 
 TWEET_KINDS = ("original", "retweet", "quote", "reply")
 
@@ -105,18 +105,6 @@ class Tweet:
             "hashtags": list(self.hashtags),
             "urls": list(self.urls),
         }
-
-
-def _check_types(doc: dict, types: dict, path: str) -> None:
-    """SchemaError for the first value of doc whose type is not one of its exact types."""
-    for key, allowed in types.items():
-        try:
-            value = doc[key]
-        except KeyError:  # not a membership test first: this runs for every key of every tweet
-            continue
-        if type(value) not in allowed:
-            name = " | ".join("None" if t is NoneType else t.__name__ for t in allowed)
-            raise SchemaError(f"{path}.{key}", f"must be {name}", value)
 
 
 # A tweet document's values in Tweet's field order.

@@ -19,7 +19,6 @@ import string
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -83,17 +82,6 @@ _VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
 _SENTENCE_SPLIT_RE = re.compile(r"[.!?]+")
 
 
-class Tokens(NamedTuple):
-    """The tokens of one text in order, and each in the class is_artifact_token gives it."""
-
-    tokens: list[str]
-    words: list[str]  # non-artifact tokens, case kept
-    mentions: list[str]
-    hashtags: list[str]
-    urls: list[str]
-    prose: list[str]  # raw whitespace tokens other than URLs, for sentence splitting
-
-
 def _classify_raw(raw: str) -> tuple[str | None, str]:
     """(class, token) of one whitespace token; see tokenize for the rules.
 
@@ -115,18 +103,17 @@ def _classify_raw(raw: str) -> tuple[str | None, str]:
     return ("urls" if tok.startswith(_URL_PREFIXES) else "words"), tok
 
 
-def classify_tokens(text: str) -> Tokens:
-    """Tokenize and classify in one pass over text.split(); see tokenize for the rules."""
-    tokens, prose = [], []
+def classify_tokens(text: str) -> dict[str, list[str]]:
+    """The tokens of one text in each class ("words", "mentions", "hashtags", "urls"), in order.
+
+    Words are the non-artifact tokens, case kept; see tokenize for the rules.
+    """
     by_class: dict[str, list[str]] = {"words": [], "mentions": [], "hashtags": [], "urls": []}
     for raw in text.split():
         cls, tok = _classify_raw(raw)
-        if not raw.startswith(_URL_PREFIXES):
-            prose.append(raw)
         if cls is not None:
-            tokens.append(tok)
             by_class[cls].append(tok)
-    return Tokens(tokens, prose=prose, **by_class)
+    return by_class
 
 
 def tokenize(text: str) -> list[str]:
@@ -135,13 +122,7 @@ def tokenize(text: str) -> list[str]:
     A leading `@` or `#` survives the strip (mention/hashtag markers); empty
     results are dropped.
     """
-    return classify_tokens(text).tokens
-
-
-def is_artifact_token(tok: str) -> bool:
-    """True for mention, hashtag, and URL tokens (excluded from word-level cues)."""
-    return bool(tok.startswith(_URL_PREFIXES) or _MENTION_RE.fullmatch(tok)
-                or _HASHTAG_RE.fullmatch(tok))
+    return [tok for cls, tok in map(_classify_raw, text.split()) if cls is not None]
 
 
 @dataclass(frozen=True)
@@ -249,7 +230,7 @@ def _count_tokens(word_tokens: list[str], lex: Lexicon) -> int:
 
 def count_lexicon_terms(text: str, lex: Lexicon) -> int:
     """Matching term occurrences in text; mention/hashtag/URL tokens never match."""
-    return _count_tokens([w.lower() for w in classify_tokens(text).words], lex)
+    return _count_tokens([w.lower() for w in classify_tokens(text)["words"]], lex)
 
 
 def _syllables(word: str) -> int:
@@ -279,16 +260,14 @@ def reading_difficulty(text: str) -> float:
     grade = 0.39*(words/sentences) + 11.8*(syllables/words) - 15.59, over
     non-mention/hashtag/URL tokens. Empty text scores 0.
     """
-    toks = classify_tokens(text)
-    syllables = sum(_syllables(w.lower()) for w in toks.words)
-    return _reading_score(len(toks.words), syllables, toks.prose)
+    return _cue_row(text, LexiconTable({}, ()))[_READING_POS]
 
 
 def metadata_cues(tweet_or_text) -> dict[str, int]:
     """Mention/URL/hashtag token counts for one post (accepts a Tweet or raw text)."""
     text = tweet_or_text if isinstance(tweet_or_text, str) else tweet_or_text.text
-    toks = classify_tokens(text)
-    return {"mentions": len(toks.mentions), "urls": len(toks.urls), "hashtags": len(toks.hashtags)}
+    row = _cue_row(text, LexiconTable({}, ()))
+    return {cue: int(row[_CUE_POS[cue]]) for cue in ("mentions", "urls", "hashtags")}
 
 
 def _cue_row(text: str, table: LexiconTable) -> list[float]:

@@ -1,6 +1,7 @@
-"""Exception hierarchy shared across the package, and the input-file readers that raise it."""
+"""Exception hierarchy shared across the package, and the input checks that raise it."""
 import json
 from pathlib import Path
+from types import NoneType
 
 
 class BotforgeError(Exception):
@@ -53,3 +54,15 @@ def read_json(path: str | Path):
         raise SchemaError(str(path), f"not valid JSON: {exc}") from exc
     except RecursionError:
         raise SchemaError(str(path), "not valid JSON: nested too deeply") from None
+
+
+def _check_types(doc: dict, types: dict, path: str) -> None:
+    """SchemaError for the first value of doc whose type is not one of its exact types."""
+    for key, allowed in types.items():
+        try:
+            value = doc[key]
+        except KeyError:  # not a membership test first: this runs for every key of every tweet
+            continue
+        if type(value) not in allowed:
+            name = " | ".join("None" if t is NoneType else t.__name__ for t in allowed)
+            raise SchemaError(f"{path}.{key}", f"must be {name}", value)

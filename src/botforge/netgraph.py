@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -266,12 +266,12 @@ class CommGraph:
 
     def degree_arrays(self, pop: Population) -> tuple[np.ndarray, np.ndarray]:
         """(in_degree, out_degree) over distinct collapsed edges, population order."""
-        in_deg = np.zeros(len(pop), dtype=np.int64)
-        out_deg = np.zeros(len(pop), dtype=np.int64)
-        for (src, dst) in self.edges:
-            out_deg[pop.index_of(src)] += 1
-            in_deg[pop.index_of(dst)] += 1
-        return in_deg, out_deg
+        index = {pid: i for i, pid in enumerate(pop.ids())}
+        n = len(self.edges)
+        ends = np.fromiter(map(index.__getitem__, chain.from_iterable(self.edges)),
+                           dtype=np.intp, count=2 * n).reshape(n, 2)
+        return (np.bincount(ends[:, 1], minlength=len(pop)),
+                np.bincount(ends[:, 0], minlength=len(pop)))
 
 
 @dataclass(frozen=True)

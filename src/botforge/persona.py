@@ -13,25 +13,24 @@ import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .errors import BackendError, SchemaError, ValidationError, read_json
+from .errors import BackendError, SchemaError, ValidationError, _check_types, read_json
 from .rng import stream
 
 STANCES = ("support", "oppose", "neutral")
 ORIGINS = ("manual", "generated")
 
-# Keys of the persona JSON document, in canonical write order.
-_DOC_KEYS = (
-    "id",
-    "display_name",
-    "community",
-    "narratives",
-    "stance",
-    "posts_per_run",
-    "retweets_per_run",
-    "replies_per_run",
-    "quotes_per_run",
-    "is_leader",
-)
+_RANGE_KEYS = ("posts_per_run", "retweets_per_run", "replies_per_run", "quotes_per_run")
+# Keys of the persona JSON document, in canonical write order, and each
+# one's exact value types: no bool passes for an int, as bool is its own type.
+_DOC_TYPES = {
+    "id": (str,),
+    "display_name": (str,),
+    "community": (str,),
+    "narratives": (list,),
+    "stance": (str,),
+    **dict.fromkeys(_RANGE_KEYS, (list, tuple)),
+    "is_leader": (bool,),
+}
 _OPTIONAL_KEYS = frozenset({"quotes_per_run", "is_leader"})
 
 # quotes_per_run default when the document omits it.
@@ -73,22 +72,23 @@ class Persona:
 
     def violations(self, path: str = "persona") -> list[str]:
         """Field-level invariant violations, empty when the persona is valid."""
-        out = []
-        if not self.id:
-            out.append(f"{path}.id: must be non-empty")
-        if not self.community:
-            out.append(f"{path}.community: must be non-empty")
-        if not self.narratives:
-            out.append(f"{path}.narratives: must be non-empty")
+        return [f"{path}.{name}: {message}" for name, message in self._problems()]
+
+    def _problems(self):
+        """(field, message) for each invariant the persona's values break."""
+        for name in ("id", "display_name", "community"):
+            if not getattr(self, name):
+                yield name, "must be non-empty"
+        if not self.narratives or not all(self.narratives):
+            yield "narratives", "must be a non-empty array of non-empty strings"
         if self.stance not in STANCES:
-            out.append(f"{path}.stance: must be one of {STANCES} (got {self.stance!r})")
+            yield "stance", f"must be one of {STANCES} (got {self.stance!r})"
         if self.origin not in ORIGINS:
-            out.append(f"{path}.origin: must be one of {ORIGINS} (got {self.origin!r})")
-        for name in ("posts_per_run", "retweets_per_run", "replies_per_run", "quotes_per_run"):
+            yield "origin", f"must be one of {ORIGINS} (got {self.origin!r})"
+        for name in _RANGE_KEYS:
             lo, hi = getattr(self, name)
             if not (0 <= lo <= hi):
-                out.append(f"{path}.{name}: requires 0 <= lo <= hi (got [{lo}, {hi}])")
-        return out
+                yield name, f"requires 0 <= lo <= hi (got [{lo}, {hi}])"
 
     def to_doc(self) -> dict:
         """Persona document object (the JSON wire form; origin is not part of it)."""
@@ -172,75 +172,34 @@ def validate_population(pop: Population) -> list[str]:
     return violations
 
 
-def _require(obj: dict, key: str, path: str):
-    if key not in obj:
-        raise SchemaError(f"{path}.{key}", "missing required key")
-    return obj[key]
-
-
-def _as_range(value, path: str) -> tuple[int, int]:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in value)
-    ):
-        raise SchemaError(path, "must be a [lo, hi] pair of integers", value)
-    lo, hi = int(value[0]), int(value[1])
-    if not (0 <= lo <= hi):
-        raise SchemaError(path, "requires 0 <= lo <= hi", [lo, hi])
-    return lo, hi
-
-
 def persona_from_doc(obj, path: str = "persona", origin: str = "manual") -> Persona:
-    """Build a Persona from one document object, raising SchemaError on any defect."""
+    """Build a Persona from one document object, raising SchemaError on any defect.
+
+    The document's keys, shapes and exact types are checked here, every
+    value rule by Persona.violations; the error names the first bad field.
+    """
     if not isinstance(obj, dict):
         raise SchemaError(path, "must be an object", obj)
-    unknown = set(obj) - set(_DOC_KEYS)
+    unknown = obj.keys() - _DOC_TYPES.keys()
     if unknown:
         raise SchemaError(path, f"unknown keys {sorted(unknown)}")
-    for key in _DOC_KEYS:
-        if key not in _OPTIONAL_KEYS:
-            _require(obj, key, path)
+    for key in _DOC_TYPES:
+        if key not in obj and key not in _OPTIONAL_KEYS:
+            raise SchemaError(f"{path}.{key}", "missing required key")
+    _check_types(obj, _DOC_TYPES, path)
+    if any(type(n) is not str for n in obj["narratives"]):
+        raise SchemaError(f"{path}.narratives", "must be a list of str", obj["narratives"])
+    for key in _RANGE_KEYS:
+        value = obj.get(key, DEFAULT_QUOTES_PER_RUN)
+        if len(value) != 2 or any(type(v) is not int for v in value):
+            raise SchemaError(f"{path}.{key}", "must be a [lo, hi] pair of integers", value)
 
-    pid = obj["id"]
-    if not isinstance(pid, str) or not pid:
-        raise SchemaError(f"{path}.id", "must be a non-empty string", pid)
-    display = obj["display_name"]
-    if not isinstance(display, str) or not display:
-        raise SchemaError(f"{path}.display_name", "must be a non-empty string", display)
-    community = obj["community"]
-    if not isinstance(community, str) or not community:
-        raise SchemaError(f"{path}.community", "must be a non-empty string", community)
-    narratives = obj["narratives"]
-    if (
-        not isinstance(narratives, list)
-        or not narratives
-        or not all(isinstance(n, str) and n for n in narratives)
-    ):
-        raise SchemaError(f"{path}.narratives", "must be a non-empty array of strings", narratives)
-    stance = obj["stance"]
-    if stance not in STANCES:
-        raise SchemaError(f"{path}.stance", f"must be one of {STANCES}", stance)
-    is_leader = obj.get("is_leader", False)
-    if not isinstance(is_leader, bool):
-        raise SchemaError(f"{path}.is_leader", "must be a boolean", is_leader)
-
-    quotes = obj.get("quotes_per_run")
-    return Persona(
-        id=pid,
-        display_name=display,
-        community=community,
-        narratives=tuple(narratives),
-        stance=stance,
-        posts_per_run=_as_range(obj["posts_per_run"], f"{path}.posts_per_run"),
-        retweets_per_run=_as_range(obj["retweets_per_run"], f"{path}.retweets_per_run"),
-        replies_per_run=_as_range(obj["replies_per_run"], f"{path}.replies_per_run"),
-        quotes_per_run=(
-            DEFAULT_QUOTES_PER_RUN if quotes is None else _as_range(quotes, f"{path}.quotes_per_run")
-        ),
-        is_leader=is_leader,
-        origin=origin,
-    )
+    # Arrays become tuples; an omitted optional key takes Persona's default.
+    p = Persona(**{key: tuple(value) if type(value) in (list, tuple) else value
+                   for key, value in obj.items()}, origin=origin)
+    for name, message in p._problems():
+        raise SchemaError(f"{path}.{name}", message)
+    return p
 
 
 def _build_population(personas: list[Persona]) -> Population:

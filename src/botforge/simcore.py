@@ -20,7 +20,7 @@ import os
 from collections.abc import Sequence
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from types import NoneType
 
@@ -41,13 +41,20 @@ from .corpus import (
     CorpusPrefix,
     CorpusView,
     Tweet,
-    _check_types,
     read_corpus_columns,
     read_corpus_tail,
     read_tweets_jsonl,  # noqa: F401  (perfbench/tracing.py wraps simcore's name)
     write_tweets_jsonl,
 )
-from .errors import BackendError, BotforgeError, ManifestError, SchemaError, ValidationError, read_json
+from .errors import (
+    BackendError,
+    BotforgeError,
+    ManifestError,
+    SchemaError,
+    ValidationError,
+    _check_types,
+    read_json,
+)
 from .netgraph import (
     CandidateCache,
     CommGraph,
@@ -126,24 +133,10 @@ class ScenarioConfig:
 
     def to_manifest_dict(self) -> dict:
         # Full config echo; credentials live only in the environment.
-        return {
-            "seed": self.seed,
-            "mixing": [self.mixing.p_pa, self.mixing.p_leader, self.mixing.p_random],
-            "scheme": {"level": self.scheme.level, "targeted_cues": list(self.scheme.targeted_cues)},
-            "backend": self.backend,
-            "model_name": self.model_name,
-            "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
-            "base_url": self.base_url,
-            "runs": self.runs,
-            "population_path": self.population_path,
-            "pools_path": self.pools_path,
-            "out_dir": self.out_dir,
-            "require_both_eligibility": self.require_both_eligibility,
-            "max_in_flight": self.max_in_flight,
-            "max_retries": self.max_retries,
-            "backoff_s": self.backoff_s,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["mixing"] = [self.mixing.p_pa, self.mixing.p_leader, self.mixing.p_random]
+        doc["scheme"] = {"level": self.scheme.level, "targeted_cues": list(self.scheme.targeted_cues)}
+        return doc
 
 
 _CONFIG_KEYS = set(ScenarioConfig().to_manifest_dict())
@@ -461,7 +454,7 @@ def run_simulation(
     params = cfg.backend_params()
 
     def render(post: _PlannedPost) -> Tweet:
-        return generate_post(post.persona, post.task, cfg.scheme, post.pool_sample, backend, None,
+        return generate_post(post.persona, post.task, cfg.scheme, post.pool_sample, backend,
                              params=params, on_event=post.events.append)
 
     log = [

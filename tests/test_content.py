@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from botforge.content import (
     AUGMENTATIONS,
+    POOL_SAMPLE_CAP,
     SCHEME_LEVELS,
     TARGETABLE_CUES,
     GenerationTask,
@@ -26,6 +27,7 @@ from botforge.content import (
     load_pools,
     make_backend,
     parse_scheme,
+    sample_pools,
     select_narrative,
     truncate_to_limit,
 )
@@ -234,37 +236,35 @@ class TestGenerationTask:
 
 class TestUserPrompt:
     def test_original_embeds_narrative(self):
-        rng = np.random.default_rng(0)
-        out = build_user_prompt(original_task(), NO_POOLS, rng)
+        out = build_user_prompt(original_task(), NO_POOLS)
         assert '"Stage lineup changes again #StageWatch"' in out
         assert "Hashtag pool: (none). URL pool: (none)" in out
 
     def test_reply_embeds_target_and_mention_instruction(self):
-        rng = np.random.default_rng(0)
-        out = build_user_prompt(reply_task(), NO_POOLS, rng)
+        out = build_user_prompt(reply_task(), NO_POOLS)
         assert '"earlier post text"' in out
         assert "Mention @OtherAgent." in out
 
     def test_degraded_reply_uses_mention_form(self):
-        rng = np.random.default_rng(0)
-        out = build_user_prompt(reply_task(target_text=None), NO_POOLS, rng)
+        out = build_user_prompt(reply_task(target_text=None), NO_POOLS)
         assert "addressed to @OtherAgent" in out
         assert "who posted" not in out
 
     def test_small_pools_fully_listed(self):
-        rng = np.random.default_rng(0)
         pools = {"hashtags": ["#a", "#b"], "urls": ["https://u.example/1"]}
-        out = build_user_prompt(original_task(), pools, rng)
+        out = build_user_prompt(original_task(), pools)
         assert "Hashtag pool: #a #b." in out
         assert "URL pool: https://u.example/1" in out
 
     def test_large_pools_sampled_to_cap(self):
-        rng = np.random.default_rng(0)
-        pools = {"hashtags": [f"#t{i}" for i in range(12)], "urls": []}
-        out = build_user_prompt(original_task(), pools, rng)
-        listed = [w for w in out.split() if w.startswith("#t")]
-        assert len(listed) == 5
-        assert len(set(listed)) == 5
+        pools = {"hashtags": [f"#t{i}" for i in range(12)], "urls": ["https://u.example/1"]}
+        sample = sample_pools(pools, np.random.default_rng(0))
+        hashtags = sample["hashtags"]
+        assert len(hashtags) == POOL_SAMPLE_CAP == len(set(hashtags))
+        assert hashtags == [h for h in pools["hashtags"] if h in hashtags]  # pool order kept
+        assert sample["urls"] == pools["urls"]  # a small pool is listed whole
+        out = build_user_prompt(original_task(), sample)
+        assert f"Hashtag pool: {' '.join(hashtags)}." in out
 
 
 class TestPools:
@@ -308,20 +308,17 @@ class TestTemplateBackend:
     def test_seed_changes_stream(self):
         p = make_persona("x_01")
         sys_text = build_system_prompt(p)
-        rng = np.random.default_rng(0)
-        user = build_user_prompt(original_task(), NO_POOLS, rng)
+        user = build_user_prompt(original_task(), NO_POOLS)
         outs = {TemplateBackend(seed=s).complete(sys_text, user, {}) for s in range(8)}
         assert len(outs) > 1
 
     def test_original_embeds_narrative(self, backend):
-        rng = np.random.default_rng(0)
-        user = build_user_prompt(original_task(), NO_POOLS, rng)
+        user = build_user_prompt(original_task(), NO_POOLS)
         out = backend.complete("sys", user, {})
         assert "Stage lineup changes again #StageWatch" in out
 
     def test_quote_snippet_mentions_author(self, backend):
-        rng = np.random.default_rng(0)
-        user = build_user_prompt(quote_task(target_text="x" * 200), NO_POOLS, rng)
+        user = build_user_prompt(quote_task(target_text="x" * 200), NO_POOLS)
         out = backend.complete("sys", user, {})
         assert "@OtherAgent" in out
 
@@ -330,11 +327,10 @@ class TestTemplateBackend:
         assert out.startswith("Scheduled note ")
 
     def test_pool_items_come_from_prompt(self, backend):
-        rng = np.random.default_rng(1)
         pools = {"hashtags": ["#OnlyTag"], "urls": ["https://only.example/u"]}
         for tid in range(40):
             task = original_task(tid, narrative="Stage lineup changes again")
-            user = build_user_prompt(task, pools, rng)
+            user = build_user_prompt(task, pools)
             out = backend.complete("sys", user, {})
             for tok in out.split():
                 if tok.startswith("#"):
@@ -343,11 +339,10 @@ class TestTemplateBackend:
                     assert tok == "https://only.example/u"
 
     def test_outputs_avoid_loaded_lexicons(self, backend, lexicons):
-        rng = np.random.default_rng(2)
         texts = []
         for tid in range(30):
             for task in (original_task(tid), reply_task(tid + 100), quote_task(tid + 200)):
-                user = build_user_prompt(task, NO_POOLS, rng)
+                user = build_user_prompt(task, NO_POOLS)
                 texts.append(backend.complete("sys", user, {}))
         for cat in ("abusive", "expletive", "positive", "negative"):
             assert sum(count_lexicon_terms(t, lexicons[cat]) for t in texts) == 0
@@ -369,8 +364,7 @@ class TestGeneratePost:
             def complete(self, *a):
                 raise AssertionError("backend must not be called for retweets")
 
-        t = generate_post(p, retweet_task(), PromptScheme(), NO_POOLS, _Explodes(),
-                          np.random.default_rng(0))
+        t = generate_post(p, retweet_task(), PromptScheme(), None, _Explodes())
         assert t.text == "RT @OtherAgent: post worth repeating"
         assert t.kind == "retweet"
         assert t.mentions == ("@OtherAgent",)
@@ -378,15 +372,13 @@ class TestGeneratePost:
     def test_reply_mention_prepended_when_missing(self):
         p = make_persona("x_01")
         backend = _FixedBackend(["no mention in this text"])
-        t = generate_post(p, reply_task(), PromptScheme(), NO_POOLS, backend,
-                          np.random.default_rng(0))
+        t = generate_post(p, reply_task(), PromptScheme(), NO_POOLS, backend)
         assert t.text.startswith("@OtherAgent ")
 
     def test_reply_mention_not_duplicated(self):
         p = make_persona("x_01")
         backend = _FixedBackend(["@OtherAgent already present"])
-        t = generate_post(p, reply_task(), PromptScheme(), NO_POOLS, backend,
-                          np.random.default_rng(0))
+        t = generate_post(p, reply_task(), PromptScheme(), NO_POOLS, backend)
         assert t.text == "@OtherAgent already present"
 
     def test_empty_output_retried_once(self):
@@ -394,7 +386,7 @@ class TestGeneratePost:
         backend = _FixedBackend(["", "second try text"])
         events = []
         t = generate_post(p, original_task(), PromptScheme(), NO_POOLS, backend,
-                          np.random.default_rng(0), on_event=events.append)
+                          on_event=events.append)
         assert t.text == "second try text"
         assert len(backend.calls) == 2
         assert backend.calls[1][1].endswith("Respond with the tweet text only.")
@@ -404,21 +396,18 @@ class TestGeneratePost:
         p = make_persona("x_01")
         backend = _FixedBackend(["", "   "])
         with pytest.raises(BackendError, match="empty"):
-            generate_post(p, original_task(), PromptScheme(), NO_POOLS, backend,
-                          np.random.default_rng(0))
+            generate_post(p, original_task(), PromptScheme(), NO_POOLS, backend)
 
     def test_long_output_truncated(self):
         p = make_persona("x_01")
         backend = _FixedBackend(["word " * 100])
-        t = generate_post(p, original_task(), PromptScheme(), NO_POOLS, backend,
-                          np.random.default_rng(0))
+        t = generate_post(p, original_task(), PromptScheme(), NO_POOLS, backend)
         assert len(t.text) <= 280
 
     def test_artifacts_recorded(self):
         p = make_persona("x_01")
         backend = _FixedBackend(["Take on #Tag with @Friend at https://u.example/x"])
-        t = generate_post(p, original_task(), PromptScheme(), NO_POOLS, backend,
-                          np.random.default_rng(0))
+        t = generate_post(p, original_task(), PromptScheme(), NO_POOLS, backend)
         assert t.hashtags == ("#Tag",)
         assert t.mentions == ("@Friend",)
         assert t.urls == ("https://u.example/x",)
@@ -427,8 +416,7 @@ class TestGeneratePost:
         p = make_persona("x_01")
         backend = _FixedBackend(["fine"])
         scheme = PromptScheme("guidelines", ("positive_sentiment",))
-        generate_post(p, original_task(), scheme, NO_POOLS, backend,
-                      np.random.default_rng(0))
+        generate_post(p, original_task(), scheme, NO_POOLS, backend)
         system_text = backend.calls[0][0]
         assert system_text.endswith("Use positive terms and language")
 

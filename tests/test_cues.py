@@ -19,8 +19,8 @@ from botforge.cues import (
     CueVector,
     Lexicon,
     aggregate_cues,
+    classify_tokens,
     count_lexicon_terms,
-    is_artifact_token,
     load_lexicon,
     load_lexicons,
     metadata_cues,
@@ -77,11 +77,12 @@ class TestTokenize:
         assert tokenize("@bob, #tag!") == ["@bob", "#tag"]
 
     def test_artifact_classifier(self):
-        assert is_artifact_token("@bob")
-        assert is_artifact_token("#win")
-        assert is_artifact_token("http://t.co/x")
-        assert not is_artifact_token("plain")
-        assert not is_artifact_token("@")  # needs at least one word char
+        assert classify_tokens("@bob #win http://t.co/x plain @") == {
+            "words": ["plain", "@"],  # a lone @ needs at least one word char to mention
+            "mentions": ["@bob"],
+            "hashtags": ["#win"],
+            "urls": ["http://t.co/x"],
+        }
 
 
 class TestLexicon:

@@ -444,6 +444,20 @@ class TestGraphFromEdges:
         assert degrees.out_deg.tolist() == committed.out_deg.tolist()
         assert degrees.n_interactions == split
 
+    @pytest.mark.parametrize("split", [0, 1, 3, 6])
+    def test_degree_arrays_count_each_edge_once(self, micro_pop, tmp_path, split):
+        path = tmp_path / "graph.csv"
+        export_edges_csv(build_comm_graph(self.TWEETS[:split], micro_pop), path)
+        edges, _ = read_edges_csv(path, micro_pop)
+        for g in (build_comm_graph([], micro_pop), build_comm_graph(self.TWEETS, micro_pop),
+                  build_comm_graph(self.TWEETS[split:], micro_pop, edges)):
+            expected_in, expected_out = [0] * len(micro_pop), [0] * len(micro_pop)
+            for src, dst in g.edges:
+                expected_out[micro_pop.index_of(src)] += 1
+                expected_in[micro_pop.index_of(dst)] += 1
+            in_deg, out_deg = g.degree_arrays(micro_pop)
+            assert (in_deg.tolist(), out_deg.tolist()) == (expected_in, expected_out)
+
     @pytest.mark.parametrize("lines,line,message", [
         (["source,target,weight,retweets,quotes"], 1, "header must be"),
         ([], 1, "header must be"),

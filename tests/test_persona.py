@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -43,9 +44,43 @@ class TestPersonaInvariants:
         assert any(".id" in v for v in msgs)
         assert any("narratives" in v for v in msgs)
 
+    def test_empty_display_name_and_narrative_reported(self):
+        p = replace(make_persona("x_01"), display_name="", narratives=("One", ""))
+        assert p.violations("personas[3]") == [
+            "personas[3].display_name: must be non-empty",
+            "personas[3].narratives: must be a non-empty array of non-empty strings",
+        ]
+
     def test_violation_messages_carry_path(self):
         p = make_persona("x_01", stance="angry")
         assert p.violations(path="personas[3]")[0].startswith("personas[3].")
+
+
+_MISSING = object()
+
+# One defect in an otherwise good document: (key, the value it gets or
+# _MISSING to delete it, the field the SchemaError names or None for the record).
+REFUSALS = [
+    pytest.param("community", _MISSING, "community", id="missing-key"),
+    pytest.param("bogus", 1, None, id="unknown-key"),
+    *(pytest.param(key, value, key, id=f"{key}={value!r}")
+      for key in ("id", "display_name", "community") for value in ("", 7)),
+    *(pytest.param("narratives", value, "narratives", id=f"narratives={value!r}")
+      for value in ([], [""], [1], "x")),
+    pytest.param("stance", "angry", "stance", id="stance=angry"),
+    pytest.param("is_leader", 1, "is_leader", id="is_leader=1"),
+    *(pytest.param(key, value, key, id=f"{key}={value!r}")
+      for key in ("posts_per_run", "quotes_per_run")
+      for value in ([1], [1, 2, 3], [True, 1], [2, 1], [-1, 1])),
+]
+
+
+def _with_defect(doc: dict, key: str, value) -> dict:
+    if value is _MISSING:
+        del doc[key]
+    else:
+        doc[key] = value
+    return doc
 
 
 class TestPersonaDoc:
@@ -78,6 +113,25 @@ class TestPersonaDoc:
         doc["stance"] = "angry"
         with pytest.raises(SchemaError, match="stance"):
             persona_from_doc(doc)
+
+    @pytest.mark.parametrize("key, value, field", REFUSALS)
+    def test_single_defect_refused(self, key, value, field):
+        with pytest.raises(SchemaError) as info:
+            persona_from_doc(_with_defect(make_persona("x_01").to_doc(), key, value),
+                             path="personas[3]")
+        where = "personas[3]" if field is None else f"personas[3].{field}"
+        assert info.value.path == where
+        assert str(info.value).count(where) == 1
+        assert key in str(info.value)
+
+    def test_good_documents_load(self):
+        p = make_persona("x_01", narratives=("One", "Two"), quotes=(1, 3), leader=True)
+        doc = p.to_doc()
+        assert persona_from_doc(doc) == p
+        ranges = ("posts_per_run", "retweets_per_run", "replies_per_run", "quotes_per_run")
+        assert persona_from_doc({**doc, **{k: tuple(doc[k]) for k in ranges}}) == p
+        bare = {k: v for k, v in doc.items() if k not in ("quotes_per_run", "is_leader")}
+        assert persona_from_doc(bare) == make_persona("x_01", narratives=("One", "Two"))
 
 
 class TestPopulation:
@@ -187,6 +241,14 @@ class TestExpansion:
         assert backend.calls == 2
         assert out.personas[-1].id == "gen_ok_001"
         assert out.personas[-1].origin == "generated"
+
+    @pytest.mark.parametrize("key, value, field", REFUSALS)
+    def test_each_bad_record_dropped(self, micro_pop, key, value, field):
+        bad = _with_defect(make_persona("gen_bad_001").to_doc(), key, value)
+        good = make_persona("gen_ok_001")
+        backend = _ScriptedBackend([json.dumps([bad, good.to_doc()])])
+        out = expand_personas(micro_pop, len(micro_pop) + 1, backend, batch_size=1)
+        assert out.personas[len(micro_pop):] == [replace(good, origin="generated")]
 
     def test_too_deeply_nested_batch_dropped(self, micro_pop):
         ok = json.dumps([make_persona("gen_ok_001", "alpha").to_doc()])

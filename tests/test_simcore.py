@@ -5,7 +5,7 @@ import json
 import re
 import shutil
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -34,6 +34,7 @@ from botforge.simcore import (
     MANIFEST_FORMAT,
     ScenarioConfig,
     SimulationAborted,
+    _CONFIG_TYPES,
     _parse_mixing,
     config_from_dict,
     load_corpus,
@@ -281,6 +282,11 @@ class TestScenarioConfig:
         echoed = cfg.to_manifest_dict()
         rebuilt = config_from_dict(echoed)
         assert rebuilt.to_manifest_dict() == echoed
+
+    def test_every_field_echoed_and_type_checked(self):
+        names = [f.name for f in fields(ScenarioConfig)]
+        assert set(_CONFIG_TYPES) == set(names) - {"mixing", "scheme"}
+        assert list(ScenarioConfig().to_manifest_dict()) == names
 
     def test_unknown_config_key_rejected(self):
         with pytest.raises(SchemaError, match=r"unknown config keys \['speed'\]"):
