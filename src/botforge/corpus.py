@@ -330,21 +330,27 @@ class CorpusPrefix:
     tweet_count: int
     size: int
 
-    def chunks(self):
+    def chunks(self, digest=None):
         """The file's first size bytes in pieces, then ManifestError if their
         SHA-256 is not sha256 (the file changed after it was verified). The
         file may have grown since: an in-place extend appends to it.
+
+        The pieces are fed to digest, a fresh hashlib.sha256() unless given;
+        a writer that hashes what it writes passes its own, so the copied
+        bytes are hashed once.
         """
-        digest = hashlib.sha256()
+        if digest is None:
+            digest = hashlib.sha256()
         left = self.size
         with open(self.path, "rb") as fh:
             while chunk := fh.read(min(left, 1 << 20)):
                 digest.update(chunk)
                 left -= len(chunk)
                 yield chunk
-        if digest.hexdigest() != self.sha256:
+        actual = digest.copy().hexdigest()
+        if actual != self.sha256:
             raise ManifestError(f"{self.path} changed after its hash was verified: "
-                                f"recorded {self.sha256}, now {digest.hexdigest()}")
+                                f"recorded {self.sha256}, now {actual}")
 
 
 class CorpusView(Sequence):
@@ -390,22 +396,28 @@ class CorpusView(Sequence):
 _encode = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def write_tweets_jsonl(tweets: Sequence[Tweet], path: str | Path) -> None:
-    """Write the corpus tweets to path, one JSON object per line.
+def write_tweets_jsonl(tweets: Sequence[Tweet], path: str | Path) -> str:
+    """Write the corpus tweets to path, one JSON object per line, and return
+    the SHA-256 hex digest of the bytes written.
 
     A CorpusView is written as its prefix.chunks(), copied unchanged (and
     so hash-checked), and then its new tweets; its finished part is never
     parsed or serialized. A newline is added before the first appended line
     when the copied bytes do not end with one.
     """
+    digest = hashlib.sha256()
     new = tweets
     with open(path, "wb") as fh:
         if isinstance(tweets, CorpusView):
             new, last = tweets.new, b"\n"
-            for chunk in tweets.prefix.chunks():
+            for chunk in tweets.prefix.chunks(digest):
                 fh.write(chunk)
                 last = chunk[-1:]
             if new and last != b"\n":
                 fh.write(b"\n")
+                digest.update(b"\n")
         for t in new:
-            fh.write((_encode(t.to_dict()) + "\n").encode("utf-8"))
+            line = (_encode(t.to_dict()) + "\n").encode("utf-8")
+            fh.write(line)
+            digest.update(line)
+    return digest.hexdigest()

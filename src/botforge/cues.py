@@ -17,6 +17,7 @@ import math
 import re
 import string
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -80,13 +81,18 @@ _MENTION_RE = re.compile(r"@\w+")
 _HASHTAG_RE = re.compile(r"#\w+")
 _VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
 _SENTENCE_SPLIT_RE = re.compile(r"[.!?]+")
+# Distinct whitespace tokens whose classes are kept: a generated post's
+# tokens repeat across posts, while a model's vocabulary has no bound.
+_CLASS_CACHE_SIZE = 8192
 
 
+@lru_cache(maxsize=_CLASS_CACHE_SIZE)
 def _classify_raw(raw: str) -> tuple[str | None, str]:
     """(class, token) of one whitespace token; see tokenize for the rules.
 
     The class is "words", "mentions", "hashtags" or "urls", or None for a
-    token the punctuation strip empties.
+    token the punctuation strip empties. The most recently used
+    _CLASS_CACHE_SIZE results are cached.
     """
     if raw.startswith(_URL_PREFIXES):
         return "urls", raw

@@ -398,19 +398,28 @@ def export_edges_csv(g: CommGraph, path: str | Path) -> None:
             writer.writerow([src, dst, e.weight, e.retweets, e.quotes, e.replies])
 
 
+# read_edges_csv sums degrees in float64, exact while the total weight stays below this.
+_EXACT_WEIGHT_TOTAL = 1 << 53
+
+
 def read_edges_csv(
     path: str | Path, pop: Population
 ) -> tuple[dict[tuple[str, str], EdgeStats], DegreeState]:
     """The edges of an export_edges_csv file, and the degree state they sum to.
 
     Each edge's weight counts once toward its source's out-degree and its
-    target's in-degree. A wrong header, a row naming an agent outside pop,
-    a self-loop, a repeated edge, a count that is not a non-negative
-    integer, a weight other than retweets + quotes + replies, or a weight
-    of 0 is a SchemaError naming path:line.
+    target's in-degree; the degrees are one np.bincount over the edges'
+    endpoints. A wrong header, a row naming an agent outside pop, a
+    self-loop, a repeated edge, a count that is not a non-negative integer,
+    a weight other than retweets + quotes + replies, a weight of 0, or a
+    total weight of 2**53 or more is a SchemaError naming path:line.
     """
     edges: dict[tuple[str, str], EdgeStats] = {}
-    degrees = DegreeState(pop)
+    index = {pid: i for i, pid in enumerate(pop.ids())}
+    n = len(index)
+    ends: list[int] = []  # per edge, its source's index, then n + its target's index
+    weights: list[int] = []  # per edge, its weight twice, one for each end
+    total = 0
     with open(path, newline="", encoding="utf-8") as fh:
         rows = csv.reader(fh)
         if next(rows, None) != EDGES_CSV_HEADER:
@@ -420,10 +429,10 @@ def read_edges_csv(
             if len(row) != len(EDGES_CSV_HEADER):
                 raise SchemaError(where, f"must have {len(EDGES_CSV_HEADER)} fields", row)
             src, dst, *counts = row
-            for agent in (src, dst):
-                if agent not in pop:
-                    raise SchemaError(where, f"unknown agent {agent!r}")
-            if src == dst:
+            s, d = index.get(src), index.get(dst)
+            if s is None or d is None:
+                raise SchemaError(where, f"unknown agent {(src if s is None else dst)!r}")
+            if s == d:
                 raise SchemaError(where, f"self-loop on {src!r}")
             if (src, dst) in edges:
                 raise SchemaError(where, f"duplicate edge {src} -> {dst}")
@@ -436,10 +445,16 @@ def read_edges_csv(
                                   f"replies ({e.retweets} + {e.quotes} + {e.replies})")
             if e.weight == 0:
                 raise SchemaError(where, "weight must be 1 or more")
+            total += e.weight
+            if total >= _EXACT_WEIGHT_TOTAL:
+                raise SchemaError(where, "the weights sum to 2**53 or more")
             edges[(src, dst)] = e
-            degrees.out_deg[pop.index_of(src)] += e.weight
-            degrees.in_deg[pop.index_of(dst)] += e.weight
-            degrees.n_interactions += e.weight
+            ends += (s, n + d)
+            weights += (e.weight, e.weight)
+    degrees = DegreeState(pop)
+    sums = np.bincount(ends, weights, minlength=2 * n).astype(np.int64)
+    degrees.out_deg, degrees.in_deg = sums[:n], sums[n:]
+    degrees.n_interactions = total
     return edges, degrees
 
 

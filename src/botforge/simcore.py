@@ -21,6 +21,7 @@ from collections.abc import Sequence
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
+from itertools import chain
 from pathlib import Path
 from types import NoneType
 
@@ -29,11 +30,11 @@ from .content import (
     EMPTY_POOLS,
     GenerationTask,
     PromptScheme,
+    draw_pool_samples,
     generate_post,
     load_pools,
     make_backend,
     parse_scheme,
-    sample_pools,
     select_narrative,
 )
 from .corpus import (
@@ -289,14 +290,17 @@ class _PlannedPost:
 def _plan_run(cfg, pop, pools, run_index, first_id, degrees, cache, last_by_agent):
     """Every structural decision of one run, in commit order, with no backend call.
 
-    Draws counts, narratives, partners and prompt pool samples from their
-    streams in the order the posts commit, and commits each interaction to
-    degrees as it is planned. Returns the planned posts and the run's log
-    lines; last_by_agent (tweets of earlier runs) is read, not changed.
+    Draws counts, narratives and partners from their streams in the order
+    the posts commit, and then every agent's prompt pool samples from its
+    prompt stream in one batch; commits each interaction to degrees as it
+    is planned. Returns the planned posts and the run's log lines;
+    last_by_agent (tweets of earlier runs) is read, not changed.
     """
     plan: list[_PlannedPost] = []
     log: list[str] = []
     planned_last: dict[str, int] = {}  # agent id -> plan index of its latest post
+    prompted: list[_PlannedPost] = []  # the posts that list a pool sample, in plan order
+    requests = []  # per agent, its prompt stream and how many of prompted are its posts
 
     for pid in sorted(pop.ids()):
         p = pop.get(pid)
@@ -306,11 +310,14 @@ def _plan_run(cfg, pop, pools, run_index, first_id, degrees, cache, last_by_agen
         rng_narrative = stream(cfg.seed, "narrative", str(run_index), pid)
         rng_partner = stream(cfg.seed, "partner", str(run_index), pid)
         rng_prompt = stream(cfg.seed, "prompt", str(run_index), pid)
+        first_prompted = len(prompted)
         slot = 0
 
         def add(task: GenerationTask, target: int | None = None) -> None:
-            sample = None if task.kind == "retweet" else sample_pools(pools, rng_prompt)
-            plan.append(_PlannedPost(p, task, sample, target, len(log), degrees.n_interactions))
+            post = _PlannedPost(p, task, None, target, len(log), degrees.n_interactions)
+            plan.append(post)
+            if task.kind != "retweet":
+                prompted.append(post)
             planned_last[pid] = len(plan) - 1
 
         for _ in range(counts["posts"]):
@@ -348,6 +355,13 @@ def _plan_run(cfg, pop, pools, run_index, first_id, degrees, cache, last_by_agen
                 add(task, target)
                 degrees.commit(pid, partner)
                 slot += 1
+        requests.append((rng_prompt, len(prompted) - first_prompted))
+
+    # Only an agent's own prompts draw from its prompt stream, so its samples
+    # can be drawn once its posts are planned, all agents' in one batch.
+    samples = chain.from_iterable(draw_pool_samples(pools, requests))
+    for post, sample in zip(prompted, samples):
+        post.pool_sample = sample
     return plan, log
 
 
@@ -537,7 +551,8 @@ def write_outputs(
     out.mkdir(parents=True, exist_ok=True)
     staged = {name: out / f".{name}.staged" for name in (*_DATA_FILES, "manifest.json")}
     try:
-        write_tweets_jsonl(result.tweets, staged["tweets.jsonl"])
+        # The corpus writer returns the hash of what it writes: no read back.
+        files = {"tweets.jsonl": write_tweets_jsonl(result.tweets, staged["tweets.jsonl"])}
         export_edges_csv(result.graph, staged["graph.csv"])
         export_graphml(result.graph, pop, staged["graph.graphml"])
 
@@ -560,6 +575,8 @@ def write_outputs(
             json.dumps(pools, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
 
+        files.update((name, _sha256_file(staged[name])) for name in _DATA_FILES
+                     if name not in files)
         manifest = {
             "format": MANIFEST_FORMAT,
             "status": result.status,
@@ -567,7 +584,7 @@ def write_outputs(
             "config": cfg.to_manifest_dict(),
             "runs_completed": result.runs_completed,
             "tweet_count": len(result.tweets),
-            "files": {name: _sha256_file(staged[name]) for name in _DATA_FILES},
+            "files": files,
         }
         staged["manifest.json"].write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -23,6 +23,7 @@ from botforge.content import (
     augmentation_sentence,
     build_system_prompt,
     build_user_prompt,
+    draw_pool_samples,
     generate_post,
     load_pools,
     make_backend,
@@ -31,6 +32,7 @@ from botforge.content import (
     select_narrative,
     truncate_to_limit,
 )
+import botforge.content
 from botforge.cues import count_lexicon_terms
 from botforge.errors import BackendError, SchemaError, ValidationError
 
@@ -291,6 +293,135 @@ class TestPools:
         assert all(u.startswith("https://") for u in pools["urls"])
 
 
+def _choice_samples(pools, rng, k):
+    """k slices as Generator.choice draws them: one call per pool above the cap, hashtags first."""
+
+    def one(items):
+        if len(items) <= POOL_SAMPLE_CAP:
+            return items
+        picked = rng.choice(len(items), size=POOL_SAMPLE_CAP, replace=False)
+        return [items[i] for i in sorted(picked.tolist())]
+
+    return [{"hashtags": one(pools["hashtags"]), "urls": one(pools["urls"])} for _ in range(k)]
+
+
+def _sized_pools(n_hashtags, n_urls):
+    return {"hashtags": [f"#t{i}" for i in range(n_hashtags)],
+            "urls": [f"https://u.example/{i}" for i in range(n_urls)]}
+
+
+def _pcg(seed, buffered=False):
+    rng = np.random.default_rng(seed)
+    if buffered:
+        rng.integers(0, 10, dtype=np.uint32)  # draws one 32-bit half, buffers the other
+        assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
+
+
+def _state(rng) -> dict:
+    """The bit generator's state, with MT19937's key array as a list."""
+    state = rng.bit_generator.state
+    return {**state, "state": {name: value.tolist() if isinstance(value, np.ndarray) else value
+                               for name, value in state["state"].items()}}
+
+
+def _mt(seed):
+    return np.random.Generator(np.random.MT19937(seed))
+
+
+def _assert_same_draws(pools, requests) -> list[int]:
+    """draw_pool_samples gives each of requests' generators Generator.choice's slices and end state.
+
+    requests holds (make_rng, k) pairs; returns the k of each sequential fallback call.
+    """
+    batch = [(make_rng(), k) for make_rng, k in requests]
+    reference = [(make_rng(), k) for make_rng, k in requests]
+    fallbacks = []
+    sequential = botforge.content._sample_sequential
+
+    def counted(pools, rng, k):
+        fallbacks.append(k)
+        return sequential(pools, rng, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(botforge.content, "_sample_sequential", counted)
+        drawn = draw_pool_samples(pools, batch)
+    assert drawn == [_choice_samples(pools, rng, k) for rng, k in reference]
+    assert [_state(rng) for rng, _ in batch] == [_state(rng) for rng, _ in reference]
+    return fallbacks
+
+
+_pool_size = st.integers(0, 40)
+_pcg_request = st.builds(lambda seed, buffered, k: ((lambda: _pcg(seed, buffered)), k),
+                         st.integers(0, 2**64 - 1), st.booleans(), st.integers(0, 30))
+_mt_request = st.builds(lambda seed, k: ((lambda: _mt(seed)), k),
+                        st.integers(0, 2**32 - 1), st.integers(0, 30))
+
+
+class TestPoolSampleDraws:
+    @settings(max_examples=200, deadline=None)
+    @given(n_hashtags=_pool_size, n_urls=_pool_size,
+           requests=st.lists(_pcg_request, max_size=4))
+    def test_block_equals_sequential_choice(self, n_hashtags, n_urls, requests):
+        _assert_same_draws(_sized_pools(n_hashtags, n_urls), requests)
+
+    @settings(max_examples=50, deadline=None)
+    @given(n_hashtags=_pool_size, n_urls=_pool_size, seed=st.integers(0, 2**64 - 1),
+           buffered=st.booleans())
+    def test_sample_pools_is_one_block_draw(self, n_hashtags, n_urls, seed, buffered):
+        pools = _sized_pools(n_hashtags, n_urls)
+        rng, reference = _pcg(seed, buffered), _pcg(seed, buffered)
+        assert sample_pools(pools, rng) == _choice_samples(pools, reference, 1)[0]
+        assert _state(rng) == _state(reference)
+
+    @settings(max_examples=50, deadline=None)
+    @given(n_hashtags=_pool_size, n_urls=_pool_size,
+           requests=st.lists(st.one_of(_pcg_request, _mt_request), max_size=4))
+    def test_other_bit_generators_fall_back(self, n_hashtags, n_urls, requests):
+        fallbacks = _assert_same_draws(_sized_pools(n_hashtags, n_urls), requests)
+        assert fallbacks == [k for make_rng, k in requests
+                             if isinstance(make_rng().bit_generator, np.random.MT19937)]
+
+    @settings(max_examples=50, deadline=None)
+    @given(n_hashtags=st.integers(6, 40), n_urls=_pool_size,
+           requests=st.lists(_pcg_request, max_size=4))
+    def test_forced_rejection_falls_back(self, n_hashtags, n_urls, requests):
+        # Every row rejected: every generator that draws falls back.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(botforge.content, "_rejected", lambda low, bounds: np.ones(len(low), bool))
+            fallbacks = _assert_same_draws(_sized_pools(n_hashtags, n_urls), requests)
+        assert fallbacks == [k for _, k in requests if k]
+
+    @settings(max_examples=50, deadline=None)
+    @given(n_hashtags=st.integers(6, 40), n_urls=_pool_size,
+           requests=st.lists(_pcg_request, min_size=1, max_size=4))
+    def test_one_rejected_row_falls_back_its_generator_alone(self, n_hashtags, n_urls,
+                                                              requests):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(botforge.content, "_rejected", lambda low, bounds: np.arange(len(low)) == 0)
+            fallbacks = _assert_same_draws(_sized_pools(n_hashtags, n_urls), requests)
+        first = [k for _, k in requests if k][:1]
+        assert fallbacks == first
+
+    def test_real_rejection_falls_back(self):
+        # A buffered half of 0 is the first draw; on 7 items Floyd's first bound is 3, and
+        # Lemire's method redraws 0 * 3, whose low 32 bits are below 2**32 % 3 = 1.
+        def rigged():
+            rng = np.random.default_rng(5)
+            rng.bit_generator.state = dict(rng.bit_generator.state, has_uint32=1, uinteger=0)
+            return rng
+
+        plain = (lambda: _pcg(9), 3)
+        for k in (1, 4):
+            assert _assert_same_draws(_sized_pools(7, 9), [plain, (rigged, k), plain]) == [k]
+        assert _assert_same_draws(_sized_pools(8, 9), [(rigged, 4)]) == []  # bound 4: no redraw
+
+    def test_pools_past_the_block_limit_fall_back(self):
+        requests = [(lambda: _pcg(3), 2), (lambda: _pcg(4), 1)]
+        assert _assert_same_draws(_sized_pools(10_001, 8), requests) == [2, 1]
+        assert _assert_same_draws(_sized_pools(10_000, 8), requests) == []
+
+
 class TestSelectNarrative:
     def test_draws_from_persona(self):
         p = make_persona("x_01", narratives=("One", "Two", "Three"))
@@ -380,6 +511,32 @@ class TestGeneratePost:
         backend = _FixedBackend(["@OtherAgent already present"])
         t = generate_post(p, reply_task(), PromptScheme(), NO_POOLS, backend)
         assert t.text == "@OtherAgent already present"
+
+    def test_long_reply_keeps_its_mention_after_truncation(self):
+        # The target is named only past the 280-character cut.
+        text = "word " * 58 + "@EthalFan02"
+        assert len(text) == 301 and "@EthalFan02" not in truncate_to_limit(text)
+        backend = _FixedBackend([text])
+        t = generate_post(make_persona("x_01"), reply_task(display="EthalFan02"), PromptScheme(),
+                          NO_POOLS, backend)
+        assert t.text.startswith("@EthalFan02 word ") and len(t.text) <= 280
+        assert t.mentions == ("@EthalFan02",)
+
+    def test_longer_handle_is_not_the_mention(self):
+        backend = _FixedBackend(["@EthalFan029 hello"])
+        t = generate_post(make_persona("x_01"), reply_task(display="EthalFan02"), PromptScheme(),
+                          NO_POOLS, backend)
+        assert t.text == "@EthalFan02 @EthalFan029 hello"
+        assert t.mentions == ("@EthalFan02", "@EthalFan029")
+
+    @pytest.mark.parametrize("text", ["@OtherAgent, fair point.", "@OtherAgent: noted!",
+                                      "Thanks @OtherAgent."])
+    def test_mention_followed_by_punctuation_counts(self, text):
+        for task in (reply_task(), quote_task()):
+            t = generate_post(make_persona("x_01"), task, PromptScheme(), NO_POOLS,
+                              _FixedBackend([text]))
+            assert t.text == text
+            assert t.mentions == ("@OtherAgent",)
 
     def test_empty_output_retried_once(self):
         p = make_persona("x_01")

@@ -458,6 +458,45 @@ class TestWriterPrefix:
         assert list(result.tweets) == read_tweets_jsonl(out / "tweets.jsonl")
 
 
+class TestWriterDigest:
+    """write_tweets_jsonl returns the SHA-256 of the bytes it writes."""
+
+    @staticmethod
+    def _written(tmp_path, tweets):
+        path = tmp_path / "t.jsonl"
+        digest = write_tweets_jsonl(tweets, path)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        return path.read_bytes()
+
+    def test_list(self, tmp_path):
+        assert self._written(tmp_path, _tweets(3)) == _lines(_tweets(3))
+        assert self._written(tmp_path, []) == b""
+
+    def test_view_whose_prefix_lacks_a_final_newline(self, tmp_path):
+        prior = tmp_path / "prior.jsonl"
+        prior.write_bytes(_lines(_tweets(2)).rstrip(b"\n"))
+        view = CorpusView(_prefix(prior, 2), _tweets(4)[2:])
+        assert self._written(tmp_path, view) == _lines(_tweets(4))
+
+    @pytest.mark.parametrize("final_newline", [True, False])
+    def test_view_with_no_new_tweets(self, tmp_path, final_newline):
+        prior = tmp_path / "prior.jsonl"
+        prior.write_bytes(_lines(_tweets(2)) if final_newline else _lines(_tweets(2))[:-1])
+        assert self._written(tmp_path, CorpusView(_prefix(prior, 2), [])) == prior.read_bytes()
+
+    def test_prefix_digest_is_checked_on_the_shared_hasher(self, tmp_path):
+        prior = tmp_path / "prior.jsonl"
+        prior.write_bytes(_lines(_tweets(2)))
+        prefix = _prefix(prior, 2)
+        digest = hashlib.sha256()
+        assert b"".join(prefix.chunks(digest)) == prior.read_bytes()
+        digest.update(b"more")  # the caller's hasher goes on past the prefix
+        assert digest.hexdigest() == hashlib.sha256(prior.read_bytes() + b"more").hexdigest()
+        prior.write_bytes(_lines(_tweets(2)).replace(b"Note 1", b"Note 9"))
+        with pytest.raises(ManifestError, match="changed after its hash was verified"):
+            b"".join(prefix.chunks(hashlib.sha256()))
+
+
 class TestCorpusView:
     def test_reads_the_prefix_once_on_first_access(self, tmp_path, monkeypatch):
         prior = tmp_path / "prior.jsonl"

@@ -479,6 +479,52 @@ class TestGraphFromEdges:
         with pytest.raises(SchemaError, match=f"graph.csv:{line}: {message}"):
             read_edges_csv(path, micro_pop)
 
+    # Good rows, then a bad row of each kind; the first bad row is named, not a later one.
+    GOOD_ROWS = ["a_01,a_02,3,1,1,1", "a_01,b_01,1,0,0,1", "b_01,a_01,2,2,0,0",
+                 "b_02,a_02,1,0,1,0"]
+
+    @pytest.mark.parametrize("bad,message", [
+        ("ghost_agent,a_01,1,0,0,1", "unknown agent 'ghost_agent'"),
+        ("a_02,ghost_agent,1,0,0,1", "unknown agent 'ghost_agent'"),
+        ("b_02,b_02,1,0,0,1", "self-loop on 'b_02'"),
+        ("a_01,b_01,1,0,0,1", "duplicate edge a_01 -> b_01"),
+        ("a_02,b_01,1,0,0,one", "replies must be a non-negative integer"),
+        ("a_02,b_01,3,1,1,0", r"weight 3 is not retweets \+ quotes \+ replies"),
+        ("a_02,b_01,0,0,0,0", "weight must be 1 or more"),
+        (f"a_02,b_01,{2**53 - 7},{2**53 - 7},0,0", r"the weights sum to 2\*\*53 or more"),
+    ])
+    def test_first_bad_row_after_good_ones_is_named(self, micro_pop, tmp_path, bad, message):
+        later_bad = "a_02,a_02,1,0,0,1"  # a self-loop
+        lines = [_CSV_HEADER, *self.GOOD_ROWS, bad, "b_02,a_01,1,1,0,0", later_bad]
+        path = tmp_path / "graph.csv"
+        path.write_text("".join(f"{text}\r\n" for text in lines), encoding="utf-8")
+        with pytest.raises(SchemaError, match=f"graph.csv:{len(self.GOOD_ROWS) + 2}: {message}"):
+            read_edges_csv(path, micro_pop)
+
+    def test_degrees_are_the_per_edge_sums(self, micro_pop, tmp_path):
+        path = tmp_path / "graph.csv"
+        path.write_text("".join(f"{text}\n" for text in [_CSV_HEADER, *self.GOOD_ROWS]),
+                        encoding="utf-8")
+        edges, degrees = read_edges_csv(path, micro_pop)
+        assert list(edges) == [tuple(row.split(",")[:2]) for row in self.GOOD_ROWS]
+        # a_01, a_02, b_01, b_02 in population order
+        assert degrees.out_deg.tolist() == [4, 0, 2, 1]
+        assert degrees.in_deg.tolist() == [2, 4, 1, 0]
+        assert degrees.n_interactions == 7
+        assert degrees.out_deg.dtype == degrees.in_deg.dtype == np.int64
+        assert degrees.violations() == []
+
+    def test_degrees_stay_exact_up_to_the_weight_limit(self, micro_pop, tmp_path):
+        big = 2**53 - 8  # the good rows add 7, so the total is 2**53 - 1
+        path = tmp_path / "graph.csv"
+        path.write_text("".join(f"{text}\n" for text in [_CSV_HEADER, *self.GOOD_ROWS,
+                                                         f"a_02,b_01,{big},{big},0,0"]),
+                        encoding="utf-8")
+        _, degrees = read_edges_csv(path, micro_pop)
+        assert degrees.out_deg.tolist() == [4, big, 2, 1]
+        assert degrees.in_deg.tolist() == [2, 4, 1 + big, 0]
+        assert degrees.n_interactions == 2**53 - 1
+
 
 class TestExports:
     def test_csv_sorted_with_header(self, micro_pop, tmp_path):

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from conftest import make_persona
 from test_netgraph import tiny_population
 
+import botforge.content
+import botforge.simcore
 from botforge.content import TemplateBackend, default_pools_path
 import botforge.corpus
 from botforge.corpus import (
@@ -28,7 +30,7 @@ from botforge.corpus import (
     write_tweets_jsonl,
 )
 from botforge.errors import BackendError, ManifestError, SchemaError, ValidationError
-from botforge.netgraph import POLICY_PRESETS, MixingPolicy
+from botforge.netgraph import POLICY_PRESETS, DegreeState, MixingPolicy, read_edges_csv
 from botforge.persona import Population, default_population_path, load_seed_personas
 from botforge.simcore import (
     MANIFEST_FORMAT,
@@ -414,6 +416,29 @@ class TestRunSimulation:
             assert lo <= counts["reply"] <= hi
             lo, hi = p.quotes_per_run
             assert lo <= counts["quote"] <= hi
+
+    def test_prompt_samples_take_the_block_route(self, seed_pop, pools, monkeypatch):
+        # Every agent's pool samples come from one block of its prompt stream, drawn in
+        # one batch per run; none falls back to one Generator.choice call per pool and post.
+        batches, fallbacks = [], []
+        batch, sequential = botforge.simcore.draw_pool_samples, botforge.content._sample_sequential
+
+        def counted_batch(pools, requests):
+            batches.append([k for _, k in requests])
+            return batch(pools, requests)
+
+        def counted_fallback(pools, rng, k):
+            fallbacks.append(k)
+            return sequential(pools, rng, k)
+
+        monkeypatch.setattr(botforge.simcore, "draw_pool_samples", counted_batch)
+        monkeypatch.setattr(botforge.content, "_sample_sequential", counted_fallback)
+        cfg = config_from_dict({"seed": 1, "runs": 1, "mixing": "pa+leader+random",
+                                "scheme": "targets:all"})
+        result = run_simulation(cfg, seed_pop, TemplateBackend(seed=1), pools=pools)
+        assert len(batches) == 1 and len(batches[0]) == len(seed_pop) == 169
+        assert sum(batches[0]) == sum(t.kind != "retweet" for t in result.tweets) > 0
+        assert fallbacks == []
 
     def test_no_contract_violations(self, micro_pop, backend):
         result = run_simulation(micro_cfg(runs=1), micro_pop, backend)
@@ -826,6 +851,25 @@ def paper_run(tmp_path_factory):
 
 class TestExtendReadsTail:
     """Extending reads the end of the prior corpus and graph.csv, never the whole corpus."""
+
+    def test_prior_degrees_are_the_per_edge_sums(self, paper_run):
+        out, _ = paper_run
+        pop = load_seed_personas(out / "population.json")
+        edges, degrees = read_edges_csv(out / "graph.csv", pop)
+        by_edge = DegreeState(pop)
+        for (src, dst), e in edges.items():
+            by_edge.out_deg[pop.index_of(src)] += e.weight
+            by_edge.in_deg[pop.index_of(dst)] += e.weight
+            by_edge.n_interactions += e.weight
+        by_tweet = DegreeState(pop)
+        for t in read_tweets_jsonl(out / "tweets.jsonl"):
+            if t.kind != "original":
+                by_tweet.commit(t.author_id, t.target_agent_id)
+        for expected in (by_edge, by_tweet):
+            assert degrees.out_deg.tolist() == expected.out_deg.tolist()
+            assert degrees.in_deg.tolist() == expected.in_deg.tolist()
+            assert degrees.n_interactions == expected.n_interactions
+        assert degrees.violations() == [] and len(edges) > 1000
 
     def test_parses_about_the_last_run(self, paper_run, monkeypatch, tmp_path):
         base, cfg = paper_run
