@@ -277,25 +277,10 @@ RETRY_SUFFIX = " Respond with the tweet text only."
 POOL_SAMPLE_CAP = 5
 _EMPTY_POOL_TEXT = "(none)"
 _POOL_KEYS = ("hashtags", "urls")
-# Generator.choice samples a pool of more than this many items by shuffling
-# a tail of an arange, which draw_pool_samples does not reproduce.
-_BLOCK_POOL_LIMIT = 10_000
-
-
-def _sample_sequential(pools: dict[str, list[str]], rng, k: int) -> list[dict[str, list[str]]]:
-    """k slices drawn one Generator.choice call per large pool, hashtags first."""
-
-    def one(items: list[str]) -> list[str]:
-        if len(items) <= POOL_SAMPLE_CAP:
-            return items
-        idx = sorted(rng.choice(len(items), size=POOL_SAMPLE_CAP, replace=False).tolist())
-        return [items[i] for i in idx]
-
-    return [{key: one(pools[key]) for key in _POOL_KEYS} for _ in range(k)]
 
 
 def _draw_bounds(n: int) -> list[int]:
-    """The exclusive bound of each 32-bit draw of Generator.choice(n, POOL_SAMPLE_CAP,
+    """The exclusive bound of each draw of Generator.choice(n, POOL_SAMPLE_CAP,
     replace=False), in draw order; none for a pool that is listed whole.
 
     Floyd's algorithm draws from [0, j] for j = n-cap .. n-1, then the
@@ -304,12 +289,6 @@ def _draw_bounds(n: int) -> list[int]:
     if n <= POOL_SAMPLE_CAP:
         return []
     return [*range(n - POOL_SAMPLE_CAP + 1, n + 1), *range(POOL_SAMPLE_CAP, 1, -1)]
-
-
-def _rejected(low: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Per row, whether Lemire's method would redraw any of its draws: a draw
-    whose low 32 bits are below 2**32 % bound."""
-    return (low < (1 << 32) % bounds).any(axis=1)
 
 
 def _floyd_rows(draws: np.ndarray, n: int) -> np.ndarray:
@@ -329,67 +308,32 @@ def draw_pool_samples(pools: dict[str, list[str]], requests) -> list[list[dict[s
     """For each (rng, k) of requests, the k slices that k sample_pools calls on
     rng give, leaving rng in the state those calls leave.
 
-    Each PCG64 Generator gives its draws in one random_raw block: a 32-bit
-    half it holds buffered first, then each output's low and high halves.
-    The blocks of all requests pass together through Lemire's bounded draw,
-    Floyd's algorithm and a row sort, exactly as Generator.choice takes
-    them (its shuffle's draws are taken and then sorted away). Any other
-    rng, every rng when a pool has more than _BLOCK_POOL_LIMIT items, and
-    an rng one of whose draws Lemire's method would reject (about 8 in
-    2**32 per draw) is sampled from its start state with one
-    Generator.choice call per large pool and slice instead.
+    Each rng makes all its draws in one rng.integers call over an array of
+    exclusive bounds, k rows of _draw_bounds. Given an array, integers draws
+    each value with the bounded routine Generator.choice uses for its Floyd
+    steps and its shuffle, so the values and the end state are choice's for
+    every bit generator. The rows of all requests then pass together
+    through Floyd's algorithm and a row sort (the shuffle's draws are taken
+    and then sorted away).
     """
     sizes = [len(pools[key]) for key in _POOL_KEYS]
     bounds = [_draw_bounds(n) for n in sizes]
-    flat = np.array([b for pool_bounds in bounds for b in pool_bounds], dtype=np.uint64)
-    blocks = {}  # request index -> (start state, raw outputs)
-    halves = [np.empty(0, np.uint32)]  # every block's 32-bit draws, in request order
-    if max(sizes) <= _BLOCK_POOL_LIMIT:
-        for r, (rng, k) in enumerate(requests):
-            bitgen = getattr(rng, "bit_generator", None)
-            if type(bitgen) is not np.random.PCG64:
-                continue
-            start = bitgen.state
-            buffered, need = start["has_uint32"], k * len(flat)
-            raw = bitgen.random_raw((need - buffered + 1) // 2)
-            halves.append(np.array([start["uinteger"]] * buffered, np.uint32)[:need])
-            halves.append(raw.astype("<u8", copy=False).view("<u4")[:max(need - buffered, 0)])
-            blocks[r] = start, raw
-    n_rows = sum(requests[r][1] for r in blocks)
-    scaled = np.concatenate(halves).astype(np.uint64).reshape(n_rows, len(flat)) * flat
-    # rejections[i] is the number of rejected rows among the first i.
-    rejections = np.concatenate(([0], np.cumsum(_rejected(scaled & 0xFFFFFFFF, flat)))).tolist()
-    draws = (scaled >> 32).astype(np.intp)
-    picked = []  # per pool, its slice for each block row
+    highs = np.array([b for pool_bounds in bounds for b in pool_bounds], dtype=np.int64)
+    draws = np.concatenate([np.empty((0, len(highs)), np.int64)] + [
+        rng.integers(0, np.broadcast_to(highs, (k, len(highs)))) for rng, k in requests
+    ])
+    picked = []  # per pool, its slice for each row
     offset = 0
     for key, n, pool_bounds in zip(_POOL_KEYS, sizes, bounds):
         if pool_bounds:
             rows = _floyd_rows(draws[:, offset:offset + POOL_SAMPLE_CAP], n)
             picked.append(np.array(pools[key], dtype=object)[rows].tolist())
         else:
-            picked.append([pools[key]] * n_rows)
+            picked.append([pools[key]] * len(draws))
         offset += len(pool_bounds)
     slices = [{"hashtags": h, "urls": u} for h, u in zip(*picked)]
-
-    out = []
-    row = 0
-    for r, (rng, k) in enumerate(requests):
-        if r not in blocks:
-            out.append(_sample_sequential(pools, rng, k))
-            continue
-        start, raw = blocks[r]
-        if rejections[row + k] > rejections[row]:
-            rng.bit_generator.state = start
-            out.append(_sample_sequential(pools, rng, k))
-        else:
-            end = rng.bit_generator.state
-            end["has_uint32"] = (k * len(flat) - start["has_uint32"]) % 2
-            if len(raw):
-                end["uinteger"] = int(raw[-1] >> 32)
-            rng.bit_generator.state = end
-            out.append(slices[row:row + k])
-        row += k
-    return out
+    ends = np.cumsum([0] + [k for _, k in requests]).tolist()
+    return [slices[a:b] for a, b in zip(ends, ends[1:])]
 
 
 def sample_pools(pools: dict[str, list[str]], rng) -> dict[str, list[str]]:
@@ -401,10 +345,7 @@ def sample_pools(pools: dict[str, list[str]], rng) -> dict[str, list[str]]:
 
     The draws are Generator.choice's: rng.choice(len(pool), POOL_SAMPLE_CAP,
     replace=False), sorted, for each large pool in turn. This is
-    draw_pool_samples for one slice, which reproduces them from one block
-    of PCG64 output and falls back to calling Generator.choice for any
-    other bit generator, a pool of more than 10,000 items, or a draw that
-    Lemire's method would reject.
+    draw_pool_samples for one slice.
     """
     return draw_pool_samples(pools, [(rng, 1)])[0][0]
 

@@ -1,4 +1,4 @@
-"""The tweet record and the tweets.jsonl corpus file.
+"""The tweet record, the rule that classifies a post's tokens, and the tweets.jsonl corpus file.
 
 A corpus is one JSON object per line, in commit order. One line reader
 parses and fully checks every line; read_corpus_columns streams a file
@@ -15,8 +15,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
+import string
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from itertools import product
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -42,6 +45,36 @@ _TWEET_TYPES = {
     "urls": (list,),
 }
 _ARTIFACT_KEYS = ("mentions", "hashtags", "urls")
+_PUNCT = string.punctuation
+_URL_PREFIXES = ("http://", "https://")
+_MENTION_RE = re.compile(r"@\w+")
+_HASHTAG_RE = re.compile(r"#\w+")
+# Distinct whitespace tokens whose classes are kept: a generated post's
+# tokens repeat across posts, while a model's vocabulary has no bound.
+_CLASS_CACHE_SIZE = 8192
+
+
+@lru_cache(maxsize=_CLASS_CACHE_SIZE)
+def _classify_raw(raw: str) -> tuple[str | None, str]:
+    """(class, token) of one whitespace token; see cues.tokenize for the rules.
+
+    The class is "words", "mentions", "hashtags" or "urls", or None for a
+    token the punctuation strip empties. The most recently used
+    _CLASS_CACHE_SIZE results are cached.
+    """
+    if raw.startswith(_URL_PREFIXES):
+        return "urls", raw
+    if raw[0] == "@":
+        tok = "@" + raw[1:].strip(_PUNCT)
+        return ("mentions" if _MENTION_RE.fullmatch(tok) else "words"), tok
+    if raw[0] == "#":
+        tok = "#" + raw[1:].strip(_PUNCT)
+        return ("hashtags" if _HASHTAG_RE.fullmatch(tok) else "words"), tok
+    # The strip removes every leading @ and #; what remains may be a URL.
+    tok = raw.strip(_PUNCT)
+    if not tok:
+        return None, tok
+    return ("urls" if tok.startswith(_URL_PREFIXES) else "words"), tok
 
 
 @dataclass(slots=True)

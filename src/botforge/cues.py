@@ -15,15 +15,13 @@ from __future__ import annotations
 import csv
 import math
 import re
-import string
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import as_columns
+from .corpus import _URL_PREFIXES, _classify_raw, as_columns
 from .errors import SchemaError, ValidationError, read_text
 from .netgraph import GraphMetrics
 from .persona import Population
@@ -75,38 +73,8 @@ LEXICON_CUE = {
     "negative": "negative_sentiment",
 }
 
-_PUNCT = string.punctuation
-_URL_PREFIXES = ("http://", "https://")
-_MENTION_RE = re.compile(r"@\w+")
-_HASHTAG_RE = re.compile(r"#\w+")
 _VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
 _SENTENCE_SPLIT_RE = re.compile(r"[.!?]+")
-# Distinct whitespace tokens whose classes are kept: a generated post's
-# tokens repeat across posts, while a model's vocabulary has no bound.
-_CLASS_CACHE_SIZE = 8192
-
-
-@lru_cache(maxsize=_CLASS_CACHE_SIZE)
-def _classify_raw(raw: str) -> tuple[str | None, str]:
-    """(class, token) of one whitespace token; see tokenize for the rules.
-
-    The class is "words", "mentions", "hashtags" or "urls", or None for a
-    token the punctuation strip empties. The most recently used
-    _CLASS_CACHE_SIZE results are cached.
-    """
-    if raw.startswith(_URL_PREFIXES):
-        return "urls", raw
-    if raw[0] == "@":
-        tok = "@" + raw[1:].strip(_PUNCT)
-        return ("mentions" if _MENTION_RE.fullmatch(tok) else "words"), tok
-    if raw[0] == "#":
-        tok = "#" + raw[1:].strip(_PUNCT)
-        return ("hashtags" if _HASHTAG_RE.fullmatch(tok) else "words"), tok
-    # The strip removes every leading @ and #; what remains may be a URL.
-    tok = raw.strip(_PUNCT)
-    if not tok:
-        return None, tok
-    return ("urls" if tok.startswith(_URL_PREFIXES) else "words"), tok
 
 
 def classify_tokens(text: str) -> dict[str, list[str]]:

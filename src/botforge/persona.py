@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from .corpus import _classify_raw
 from .errors import BackendError, SchemaError, ValidationError, _check_types, read_json
 from .rng import stream
 
@@ -79,6 +80,9 @@ class Persona:
         for name in ("id", "display_name", "community"):
             if not getattr(self, name):
                 yield name, "must be non-empty"
+        handle = "@" + self.display_name
+        if self.display_name and _classify_raw(handle) != ("mentions", handle):
+            yield "display_name", f"must be a handle ({handle!r} must read as one mention)"
         if not self.narratives or not all(self.narratives):
             yield "narratives", "must be a non-empty array of non-empty strings"
         if self.stance not in STANCES:
@@ -271,6 +275,11 @@ def expand_personas(
     validation are dropped and regenerated; after retry_cap fruitless batches the
     expansion fails with a summary of what was dropped.
     """
+    if batch_size < 1 or retry_cap < 0:
+        raise ValidationError(
+            f"batch_size must be at least 1 and retry_cap at least 0 "
+            f"(got {batch_size} and {retry_cap})"
+        )
     if target_count < len(seed):
         raise ValidationError(
             f"target below seed size: target_count={target_count} < {len(seed)} seeds"

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from botforge.cli import main
+from botforge.content import TemplateBackend
 from botforge.cues import default_lexicon_dir
 from botforge.errors import BackendError
 from botforge.persona import load_seed_personas, save_personas
@@ -475,6 +476,24 @@ class TestPersonasExpand:
         expanded = load_seed_personas(out)
         assert len(expanded) == 6
         assert {"a_01", "a_02", "b_01", "b_02"} <= set(expanded.ids())
+
+    @pytest.mark.parametrize("flag, value", [("--batch-size", "0"), ("--batch-size", "-2"),
+                                             ("--retry-cap", "-3")])
+    def test_bad_batch_flags_refused_before_any_backend_call(self, pop_file, tmp_path, capsys,
+                                                              monkeypatch, flag, value):
+        calls = []
+
+        class Counting(TemplateBackend):
+            def complete(self, system_text, user_text, params):
+                calls.append(user_text)
+                return super().complete(system_text, user_text, params)
+
+        monkeypatch.setattr("botforge.cli.make_backend", lambda *a, **kw: Counting())
+        code = main(["personas", "expand", "--seed-file", pop_file, "--target", "6",
+                     "--out", str(tmp_path / "x.json"), flag, value])
+        assert code == 1 and calls == []
+        assert "batch_size must be at least 1 and retry_cap at least 0" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
     def test_expand_target_below_seed(self, pop_file, tmp_path, capsys):
         code = main([

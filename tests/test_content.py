@@ -32,7 +32,6 @@ from botforge.content import (
     select_narrative,
     truncate_to_limit,
 )
-import botforge.content
 from botforge.cues import count_lexicon_terms
 from botforge.errors import BackendError, SchemaError, ValidationError
 
@@ -310,100 +309,66 @@ def _sized_pools(n_hashtags, n_urls):
             "urls": [f"https://u.example/{i}" for i in range(n_urls)]}
 
 
-def _pcg(seed, buffered=False):
-    rng = np.random.default_rng(seed)
+_BIT_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox,
+                   np.random.SFC64)
+
+
+def _rng(seed, buffered=False, bit_generator=np.random.PCG64):
+    rng = np.random.Generator(bit_generator(seed))
     if buffered:
-        rng.integers(0, 10, dtype=np.uint32)  # draws one 32-bit half, buffers the other
-        assert rng.bit_generator.state["has_uint32"] == 1
+        # Draws one 32-bit half and buffers the other; MT19937 makes 32-bit outputs, no halves.
+        rng.integers(0, 10, dtype=np.uint32)
+        assert rng.bit_generator.state.get("has_uint32", 1) == 1
     return rng
 
 
 def _state(rng) -> dict:
-    """The bit generator's state, with MT19937's key array as a list."""
-    state = rng.bit_generator.state
-    return {**state, "state": {name: value.tolist() if isinstance(value, np.ndarray) else value
-                               for name, value in state["state"].items()}}
+    """The bit generator's state, every array in it (MT19937's key, Philox's buffer) as a list."""
+
+    def plain(value):
+        if isinstance(value, dict):
+            return {name: plain(v) for name, v in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+
+    return plain(rng.bit_generator.state)
 
 
-def _mt(seed):
-    return np.random.Generator(np.random.MT19937(seed))
-
-
-def _assert_same_draws(pools, requests) -> list[int]:
+def _assert_same_draws(pools, requests) -> None:
     """draw_pool_samples gives each of requests' generators Generator.choice's slices and end state.
 
-    requests holds (make_rng, k) pairs; returns the k of each sequential fallback call.
+    requests holds (make_rng, k) pairs.
     """
     batch = [(make_rng(), k) for make_rng, k in requests]
     reference = [(make_rng(), k) for make_rng, k in requests]
-    fallbacks = []
-    sequential = botforge.content._sample_sequential
-
-    def counted(pools, rng, k):
-        fallbacks.append(k)
-        return sequential(pools, rng, k)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(botforge.content, "_sample_sequential", counted)
-        drawn = draw_pool_samples(pools, batch)
+    drawn = draw_pool_samples(pools, batch)
     assert drawn == [_choice_samples(pools, rng, k) for rng, k in reference]
     assert [_state(rng) for rng, _ in batch] == [_state(rng) for rng, _ in reference]
-    return fallbacks
 
 
 _pool_size = st.integers(0, 40)
-_pcg_request = st.builds(lambda seed, buffered, k: ((lambda: _pcg(seed, buffered)), k),
-                         st.integers(0, 2**64 - 1), st.booleans(), st.integers(0, 30))
-_mt_request = st.builds(lambda seed, k: ((lambda: _mt(seed)), k),
-                        st.integers(0, 2**32 - 1), st.integers(0, 30))
+_request = st.builds(lambda seed, buffered, bit_generator, k:
+                     ((lambda: _rng(seed, buffered, bit_generator)), k),
+                     st.integers(0, 2**64 - 1), st.booleans(), st.sampled_from(_BIT_GENERATORS),
+                     st.integers(0, 30))
 
 
 class TestPoolSampleDraws:
     @settings(max_examples=200, deadline=None)
-    @given(n_hashtags=_pool_size, n_urls=_pool_size,
-           requests=st.lists(_pcg_request, max_size=4))
+    @given(n_hashtags=_pool_size, n_urls=_pool_size, requests=st.lists(_request, max_size=4))
     def test_block_equals_sequential_choice(self, n_hashtags, n_urls, requests):
         _assert_same_draws(_sized_pools(n_hashtags, n_urls), requests)
 
     @settings(max_examples=50, deadline=None)
     @given(n_hashtags=_pool_size, n_urls=_pool_size, seed=st.integers(0, 2**64 - 1),
-           buffered=st.booleans())
-    def test_sample_pools_is_one_block_draw(self, n_hashtags, n_urls, seed, buffered):
+           buffered=st.booleans(), bit_generator=st.sampled_from(_BIT_GENERATORS))
+    def test_sample_pools_is_one_block_draw(self, n_hashtags, n_urls, seed, buffered,
+                                            bit_generator):
         pools = _sized_pools(n_hashtags, n_urls)
-        rng, reference = _pcg(seed, buffered), _pcg(seed, buffered)
+        rng, reference = (_rng(seed, buffered, bit_generator) for _ in range(2))
         assert sample_pools(pools, rng) == _choice_samples(pools, reference, 1)[0]
         assert _state(rng) == _state(reference)
 
-    @settings(max_examples=50, deadline=None)
-    @given(n_hashtags=_pool_size, n_urls=_pool_size,
-           requests=st.lists(st.one_of(_pcg_request, _mt_request), max_size=4))
-    def test_other_bit_generators_fall_back(self, n_hashtags, n_urls, requests):
-        fallbacks = _assert_same_draws(_sized_pools(n_hashtags, n_urls), requests)
-        assert fallbacks == [k for make_rng, k in requests
-                             if isinstance(make_rng().bit_generator, np.random.MT19937)]
-
-    @settings(max_examples=50, deadline=None)
-    @given(n_hashtags=st.integers(6, 40), n_urls=_pool_size,
-           requests=st.lists(_pcg_request, max_size=4))
-    def test_forced_rejection_falls_back(self, n_hashtags, n_urls, requests):
-        # Every row rejected: every generator that draws falls back.
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(botforge.content, "_rejected", lambda low, bounds: np.ones(len(low), bool))
-            fallbacks = _assert_same_draws(_sized_pools(n_hashtags, n_urls), requests)
-        assert fallbacks == [k for _, k in requests if k]
-
-    @settings(max_examples=50, deadline=None)
-    @given(n_hashtags=st.integers(6, 40), n_urls=_pool_size,
-           requests=st.lists(_pcg_request, min_size=1, max_size=4))
-    def test_one_rejected_row_falls_back_its_generator_alone(self, n_hashtags, n_urls,
-                                                              requests):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(botforge.content, "_rejected", lambda low, bounds: np.arange(len(low)) == 0)
-            fallbacks = _assert_same_draws(_sized_pools(n_hashtags, n_urls), requests)
-        first = [k for _, k in requests if k][:1]
-        assert fallbacks == first
-
-    def test_real_rejection_falls_back(self):
+    def test_real_rejection_redraws_as_choice_does(self):
         # A buffered half of 0 is the first draw; on 7 items Floyd's first bound is 3, and
         # Lemire's method redraws 0 * 3, whose low 32 bits are below 2**32 % 3 = 1.
         def rigged():
@@ -411,15 +376,16 @@ class TestPoolSampleDraws:
             rng.bit_generator.state = dict(rng.bit_generator.state, has_uint32=1, uinteger=0)
             return rng
 
-        plain = (lambda: _pcg(9), 3)
+        plain = (lambda: _rng(9), 3)
         for k in (1, 4):
-            assert _assert_same_draws(_sized_pools(7, 9), [plain, (rigged, k), plain]) == [k]
-        assert _assert_same_draws(_sized_pools(8, 9), [(rigged, 4)]) == []  # bound 4: no redraw
+            _assert_same_draws(_sized_pools(7, 9), [plain, (rigged, k), plain])
+        _assert_same_draws(_sized_pools(8, 9), [(rigged, 4)])  # bound 4: no redraw
 
-    def test_pools_past_the_block_limit_fall_back(self):
-        requests = [(lambda: _pcg(3), 2), (lambda: _pcg(4), 1)]
-        assert _assert_same_draws(_sized_pools(10_001, 8), requests) == [2, 1]
-        assert _assert_same_draws(_sized_pools(10_000, 8), requests) == []
+    def test_pools_past_ten_thousand_items(self):
+        # Generator.choice keeps to Floyd's algorithm for 5 of more than 10,000 items too.
+        requests = [(lambda: _rng(3), 2), (lambda: _rng(4, True, np.random.MT19937), 1)]
+        for n in (10_000, 10_001, 50_000):
+            _assert_same_draws(_sized_pools(n, 8), requests)
 
 
 class TestSelectNarrative:

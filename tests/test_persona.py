@@ -22,6 +22,9 @@ from botforge.persona import (
 from conftest import make_persona
 
 
+NOT_HANDLES = ("Aura Fan", "Aura_", "_Aura", "Aura-Fan")
+
+
 class TestPersonaInvariants:
     def test_valid_persona_has_no_violations(self):
         assert make_persona("x_01").violations() == []
@@ -51,6 +54,15 @@ class TestPersonaInvariants:
             "personas[3].narratives: must be a non-empty array of non-empty strings",
         ]
 
+    @pytest.mark.parametrize("name", NOT_HANDLES)
+    def test_display_name_must_be_a_handle(self, name):
+        # "@Aura_" tokenizes as the mention "@Aura", so a reply to Aura_ would never
+        # find its target's mention and would get a second, equally wrong one.
+        p = replace(make_persona("x_01"), display_name=name)
+        assert validate_population(Population([p])) == [
+            f"personas[0].display_name: must be a handle ('@{name}' must read as one mention)"
+        ]
+
     def test_violation_messages_carry_path(self):
         p = make_persona("x_01", stance="angry")
         assert p.violations(path="personas[3]")[0].startswith("personas[3].")
@@ -67,6 +79,8 @@ REFUSALS = [
       for key in ("id", "display_name", "community") for value in ("", 7)),
     *(pytest.param("narratives", value, "narratives", id=f"narratives={value!r}")
       for value in ([], [""], [1], "x")),
+    *(pytest.param("display_name", name, "display_name", id=f"display_name={name!r}")
+      for name in NOT_HANDLES),
     pytest.param("stance", "angry", "stance", id="stance=angry"),
     pytest.param("is_leader", 1, "is_leader", id="is_leader=1"),
     *(pytest.param(key, value, key, id=f"{key}={value!r}")

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from conftest import make_persona
 from test_netgraph import tiny_population
 
-import botforge.content
 import botforge.simcore
 from botforge.content import TemplateBackend, default_pools_path
 import botforge.corpus
@@ -418,27 +417,21 @@ class TestRunSimulation:
             assert lo <= counts["quote"] <= hi
 
     def test_prompt_samples_take_the_block_route(self, seed_pop, pools, monkeypatch):
-        # Every agent's pool samples come from one block of its prompt stream, drawn in
-        # one batch per run; none falls back to one Generator.choice call per pool and post.
-        batches, fallbacks = [], []
-        batch, sequential = botforge.simcore.draw_pool_samples, botforge.content._sample_sequential
+        # Every agent's pool samples come from one draw on its prompt stream, all of a
+        # run's agents in one batch.
+        batches = []
+        batch = botforge.simcore.draw_pool_samples
 
         def counted_batch(pools, requests):
             batches.append([k for _, k in requests])
             return batch(pools, requests)
 
-        def counted_fallback(pools, rng, k):
-            fallbacks.append(k)
-            return sequential(pools, rng, k)
-
         monkeypatch.setattr(botforge.simcore, "draw_pool_samples", counted_batch)
-        monkeypatch.setattr(botforge.content, "_sample_sequential", counted_fallback)
         cfg = config_from_dict({"seed": 1, "runs": 1, "mixing": "pa+leader+random",
                                 "scheme": "targets:all"})
         result = run_simulation(cfg, seed_pop, TemplateBackend(seed=1), pools=pools)
         assert len(batches) == 1 and len(batches[0]) == len(seed_pop) == 169
         assert sum(batches[0]) == sum(t.kind != "retweet" for t in result.tweets) > 0
-        assert fallbacks == []
 
     def test_no_contract_violations(self, micro_pop, backend):
         result = run_simulation(micro_cfg(runs=1), micro_pop, backend)
