@@ -23,7 +23,7 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
-from .corpus import TWEET_KINDS, Tweet
+from .corpus import TWEET_MAX_CHARS, Tweet
 from .cues import classify_tokens
 from .errors import BackendError, SchemaError, ValidationError, read_json
 from .persona import STANCES, Persona
@@ -32,7 +32,6 @@ API_KEY_ENV = "BOTFORGE_API_KEY"
 # Seconds an llm-http request may wait on the connection or on a read.
 HTTP_TIMEOUT_S = 30.0
 DEFAULT_MODEL_NAME = "gpt-4.1-mini"
-TWEET_MAX_CHARS = 280
 
 SCHEME_LEVELS = ("naive", "guidelines", "examples", "targets")
 # Canonical steering-cue order; augmentation sentences are appended in this order.
@@ -235,20 +234,18 @@ class GenerationTask:
             self.slot_kind = self.kind
 
     def validate(self) -> None:
-        if self.kind not in TWEET_KINDS:
-            raise ValidationError(f"unknown task kind {self.kind!r}")
-        if self.kind == "original":
-            if self.narrative is None:
-                raise ValidationError("original task requires a narrative")
-            if self.target_agent_id is not None or self.target_tweet_id is not None:
-                raise ValidationError("original task must not carry a target")
-            return
-        if self.target_agent_id is None or self.target_display is None:
-            raise ValidationError(f"{self.kind} task requires a target agent")
-        if self.kind in ("retweet", "quote") and (
-            self.target_tweet_id is None or self.target_text is None
-        ):
-            raise ValidationError(f"{self.kind} task requires a target tweet")
+        """Tweet.violations' first for the post's fields, then the prompt inputs it needs."""
+        problems = Tweet(self.tweet_id, "", self.kind, "", self.target_tweet_id,
+                         self.target_agent_id, self.run_index, self.slot_index,
+                         self.slot_kind).violations()
+        if problems:
+            raise ValidationError(problems[0])
+        if self.kind == "original" and self.narrative is None:
+            raise ValidationError("original task requires a narrative")
+        if self.kind != "original" and self.target_display is None:
+            raise ValidationError(f"{self.kind} task requires a target display name")
+        if self.kind in ("retweet", "quote") and self.target_text is None:
+            raise ValidationError(f"{self.kind} task requires a target text")
 
 
 # --- User-prompt wording -------------------------------------------------

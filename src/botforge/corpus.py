@@ -28,6 +28,7 @@ from types import NoneType
 from .errors import ManifestError, SchemaError, _check_types
 
 TWEET_KINDS = ("original", "retweet", "quote", "reply")
+TWEET_MAX_CHARS = 280
 
 # Each key's exact value types: no bool passes for an int, as bool is its own type.
 _TWEET_TYPES = {
@@ -111,8 +112,8 @@ class Tweet:
             out.append(f"tweet {self.id}: unknown kind {self.kind!r}")
         if self.slot_kind not in TWEET_KINDS:
             out.append(f"tweet {self.id}: unknown slot_kind {self.slot_kind!r}")
-        if len(self.text) > 280:
-            out.append(f"tweet {self.id}: text exceeds 280 characters")
+        if len(self.text) > TWEET_MAX_CHARS:
+            out.append(f"tweet {self.id}: text exceeds {TWEET_MAX_CHARS} characters")
         if self.kind == "original":
             if self.target_tweet_id is not None or self.target_agent_id is not None:
                 out.append(f"tweet {self.id}: original tweets carry no target")
@@ -230,7 +231,7 @@ def _read_line(line: bytes, path, lineno: int | None = None) -> dict | None:
     except RecursionError:
         raise SchemaError(_where(path, lineno), "not valid JSON: nested too deeply") from None
     try:
-        if (type(obj) is dict and _signature(obj) in _ACCEPTED and len(obj["text"]) <= 280
+        if (type(obj) is dict and _signature(obj) in _ACCEPTED and len(obj["text"]) <= TWEET_MAX_CHARS
                 and _STR.issuperset(map(type, obj["mentions"] + obj["hashtags"] + obj["urls"]))):
             return obj
     except TypeError:  # an unhashable kind or slot_kind

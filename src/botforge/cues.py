@@ -346,8 +346,7 @@ def aggregate_cues(
     table = LexiconTable.from_lexicons(lexicons if lexicons is not None else load_lexicons())
 
     ids = pop.ids()
-    agent_index = {pid: i for i, pid in enumerate(ids)}
-    agents = np.fromiter(map(agent_index.get, cols.authors, repeat(-1, n)), dtype=np.intp, count=n)
+    agents = np.fromiter(map(pop.index.get, cols.authors, repeat(-1, n)), dtype=np.intp, count=n)
     unknown = agents < 0
     if unknown.any():
         i = int(unknown.argmax())

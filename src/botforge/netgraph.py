@@ -110,34 +110,45 @@ def _eligible(agent: Persona, other: Persona, require_both: bool) -> bool:
 
 
 class CandidateCache:
-    """Each agent's candidate index array: the agents _eligible for it, never itself.
+    """Each agent's class array: the agents _eligible for its (community, narrative set) class.
 
-    Eligibility depends only on an agent's (community, narrative set) class,
-    so each class's array is computed once and each agent's is that array
-    without the agent. Arrays are int64 and sorted by population index, which
-    fixes the sampling order; they are reusable across runs and selections.
+    Eligibility depends only on the class, so its array is computed once and
+    its members share it; the array holds the agent too unless require_both
+    and no narrative leave it out. Arrays are int64 and sorted by population
+    index, which fixes the sampling order; they are reusable across runs.
     """
 
     def __init__(self, pop: Population, *, require_both: bool = False):
         by_class: dict[tuple[str, frozenset[str]], np.ndarray] = {}
         self._by_agent: dict[str, np.ndarray] = {}
-        for i, agent in enumerate(pop.personas):
+        for agent in pop.personas:
             key = (agent.community, frozenset(agent.narratives))
             if key not in by_class:
                 by_class[key] = np.array([j for j, p in enumerate(pop.personas)
                                           if _eligible(agent, p, require_both)], dtype=np.int64)
-            self._by_agent[agent.id] = by_class[key][by_class[key] != i]
+            self._by_agent[agent.id] = by_class[key]
 
     def indexes(self, agent_id: str) -> np.ndarray:
         return self._by_agent[agent_id]
 
 
-def _pa_select_idx(cand_idx: np.ndarray, degrees: DegreeState, rng: np.random.Generator) -> int:
-    """One candidate index sampled proportional to total degree + 1."""
+def _pa_select_idx(cand_idx: np.ndarray, degrees: DegreeState, rng: np.random.Generator,
+                   self_idx: int = -1) -> int | None:
+    """An entry of the sorted cand_idx other than self_idx, drawn proportional to degree + 1.
+
+    None, with no draw made, when there is none. The integer weights sum
+    exactly, so self_idx's weight 0 only repeats a cumsum value, which
+    searchsorted never picks: the draw is the one over cand_idx without it.
+    """
     weights = (degrees.in_deg[cand_idx] + degrees.out_deg[cand_idx] + 1).astype(np.float64)
-    cum = np.cumsum(weights)
-    u = rng.random() * cum[-1]
-    return int(cand_idx[np.searchsorted(cum, u, side="right")])
+    k = cand_idx.searchsorted(self_idx)
+    if k < len(cand_idx) and cand_idx[k] == self_idx:
+        weights[k] = 0.0
+    cum = weights.cumsum()
+    total = float(cum[-1]) if len(cum) else 0.0
+    if not total:
+        return None
+    return int(cand_idx[cum.searchsorted(rng.random() * total, side="right")])
 
 
 def pa_select(candidates, degrees: DegreeState, rng: np.random.Generator) -> str:
@@ -162,11 +173,6 @@ class PartnerChoice:
     fallbacks: tuple[str, ...] = ()  # e.g. ("leader->pa",)
 
 
-def _random_other_idx(n: int, self_idx: int, rng: np.random.Generator) -> int:
-    j = int(rng.integers(n - 1))
-    return j + 1 if j >= self_idx else j
-
-
 def select_partner_detail(
     agent: Persona,
     pop: Population,
@@ -179,8 +185,8 @@ def select_partner_detail(
     """Partner selection with full fallback provenance.
 
     Mode is drawn from the policy; fallbacks keep the operation total for any
-    population of at least 2 agents: a missing/self leader degrades to pa, an
-    empty pa candidate set degrades to random.
+    population of at least 2 agents: a missing/self leader degrades to pa, and
+    pa with no candidate but the agent itself degrades to random.
     """
     n = len(pop)
     if n < 2:
@@ -207,18 +213,17 @@ def select_partner_detail(
         else:
             return PartnerChoice(leader_id, "leader", requested)
 
-    if mode == "pa":
-        cand_idx = cache.indexes(agent.id)
-        if len(cand_idx) == 0:
-            fallbacks.append("pa->random")
-            mode = "random"
-        else:
-            pid = pop.personas[_pa_select_idx(cand_idx, degrees, rng)].id
-            return PartnerChoice(pid, "pa", requested, tuple(fallbacks))
-
     self_idx = pop.index_of(agent.id)
-    pid = pop.personas[_random_other_idx(n, self_idx, rng)].id
-    return PartnerChoice(pid, "random", requested, tuple(fallbacks))
+    if mode == "pa":
+        j = _pa_select_idx(cache.indexes(agent.id), degrees, rng, self_idx)
+        if j is None:
+            fallbacks.append("pa->random")
+        else:
+            return PartnerChoice(pop.personas[j].id, "pa", requested, tuple(fallbacks))
+
+    j = int(rng.integers(n - 1))  # any index but self_idx
+    return PartnerChoice(pop.personas[j + (j >= self_idx)].id, "random", requested,
+                         tuple(fallbacks))
 
 
 def draw_interaction_counts(p: Persona, rng: np.random.Generator) -> dict[str, int]:
@@ -266,9 +271,8 @@ class CommGraph:
 
     def degree_arrays(self, pop: Population) -> tuple[np.ndarray, np.ndarray]:
         """(in_degree, out_degree) over distinct collapsed edges, population order."""
-        index = {pid: i for i, pid in enumerate(pop.ids())}
         n = len(self.edges)
-        ends = np.fromiter(map(index.__getitem__, chain.from_iterable(self.edges)),
+        ends = np.fromiter(map(pop.index.__getitem__, chain.from_iterable(self.edges)),
                            dtype=np.intp, count=2 * n).reshape(n, 2)
         return (np.bincount(ends[:, 1], minlength=len(pop)),
                 np.bincount(ends[:, 0], minlength=len(pop)))
@@ -310,10 +314,9 @@ def build_comm_graph(tweets, pop: Population,
     cols = as_columns(tweets)
     ids = pop.ids()
     n = len(cols)
-    index = {pid: i for i, pid in enumerate(ids)}
-    src = np.fromiter(map(index.get, cols.authors, repeat(-1, n)), dtype=np.intp, count=n)
-    index[None] = -2  # no target
-    dst = np.fromiter(map(index.get, cols.targets, repeat(-1, n)), dtype=np.intp, count=n)
+    src = np.fromiter(map(pop.index.get, cols.authors, repeat(-1, n)), dtype=np.intp, count=n)
+    dst_index = {**pop.index, None: -2}  # -2: no target
+    dst = np.fromiter(map(dst_index.get, cols.targets, repeat(-1, n)), dtype=np.intp, count=n)
     kind = np.fromiter(map(_KIND_CODES.get, cols.kinds, repeat(_UNKNOWN_KIND, n)),
                        dtype=np.intp, count=n)
     interacting = (kind >= 0) & (dst != -2)
@@ -415,7 +418,7 @@ def read_edges_csv(
     total weight of 2**53 or more is a SchemaError naming path:line.
     """
     edges: dict[tuple[str, str], EdgeStats] = {}
-    index = {pid: i for i, pid in enumerate(pop.ids())}
+    index = pop.index
     n = len(index)
     ends: list[int] = []  # per edge, its source's index, then n + its target's index
     weights: list[int] = []  # per edge, its weight twice, one for each end

@@ -112,9 +112,9 @@ class Persona:
 
 @dataclass
 class Population:
-    """A validated persona list plus derived community/leader indexes.
+    """A validated persona list plus derived id (index), community and leader indexes.
 
-    Read-only after construction; safe to share across threads.
+    Read-only after construction, index included; safe to share across threads.
     """
 
     personas: list[Persona]
@@ -122,8 +122,7 @@ class Population:
     leaders: dict[str, str] = field(init=False, default_factory=dict)
 
     def __post_init__(self):
-        self._by_id = {p.id: p for p in self.personas}
-        self._index = {p.id: i for i, p in enumerate(self.personas)}
+        self.index = {p.id: i for i, p in enumerate(self.personas)}  # id -> index_of
         for p in self.personas:
             self.communities.setdefault(p.community, []).append(p.id)
             if p.is_leader:
@@ -133,14 +132,14 @@ class Population:
         return len(self.personas)
 
     def __contains__(self, agent_id: str) -> bool:
-        return agent_id in self._by_id
+        return agent_id in self.index
 
     def get(self, agent_id: str) -> Persona:
-        return self._by_id[agent_id]
+        return self.personas[self.index[agent_id]]
 
     def index_of(self, agent_id: str) -> int:
         """Dense index of an agent, stable for the population's lifetime."""
-        return self._index[agent_id]
+        return self.index[agent_id]
 
     def ids(self) -> list[str]:
         return [p.id for p in self.personas]

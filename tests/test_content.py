@@ -228,6 +228,12 @@ class TestGenerationTask:
     def test_slot_kind_defaults_to_kind(self):
         assert reply_task().slot_kind == "reply"
 
+    def test_unknown_slot_kind_rejected(self):
+        t = reply_task()
+        t.slot_kind = "boost"
+        with pytest.raises(ValidationError, match="unknown slot_kind 'boost'"):
+            t.validate()
+
     def test_degraded_reply_valid_without_target_tweet(self):
         t = reply_task(target_text=None)
         t.target_tweet_id = None

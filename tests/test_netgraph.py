@@ -17,6 +17,7 @@ from botforge.netgraph import (
     DegreeState,
     EdgeStats,
     MixingPolicy,
+    PartnerChoice,
     build_comm_graph,
     draw_interaction_counts,
     export_edges_csv,
@@ -89,7 +90,7 @@ def eligible_candidates(agent, pop, *, require_both=False) -> set[str]:
     """Agent ids sharing the agent's community or a narrative string (never self).
 
     require_both=True switches the clause join from OR to AND. The set-based
-    reference that CandidateCache's class-keyed index arrays must equal.
+    reference that CandidateCache's class arrays, less the agent, must equal.
     """
     if agent.id not in pop:
         raise ValidationError(f"agent {agent.id!r} not in population")
@@ -106,22 +107,39 @@ def eligible_candidates(agent, pop, *, require_both=False) -> set[str]:
     return out
 
 
-def eligible(agent, pop, *, require_both=False) -> set[str]:
-    """The oracle's set, after checking that CandidateCache gives the same one."""
-    expected = eligible_candidates(agent, pop, require_both=require_both)
-    got = CandidateCache(pop, require_both=require_both).indexes(agent.id)
+def others_in_class(cache, agent, pop, *, require_both=False) -> set[str]:
+    """The ids in the agent's class array less the agent, after checking the array's form.
+
+    The array is int64 and sorted, and it holds the agent unless the agent
+    has no narrative under require_both.
+    """
+    got = cache.indexes(agent.id)
+    i = pop.index_of(agent.id)
     assert got.dtype == np.int64 and list(got) == sorted(got)
-    assert {pop.personas[i].id for i in got} == expected
+    assert (i in got) == (bool(agent.narratives) or not require_both)
+    return {pop.personas[j].id for j in got if j != i}
+
+
+def eligible(agent, pop, *, require_both=False) -> set[str]:
+    """The oracle's set, after checking that CandidateCache's class array less the agent is it."""
+    expected = eligible_candidates(agent, pop, require_both=require_both)
+    cache = CandidateCache(pop, require_both=require_both)
+    assert others_in_class(cache, agent, pop, require_both=require_both) == expected
     return expected
 
 
 @st.composite
-def eligibility_population(draw):
-    """Up to 12 agents over a few communities; narratives shared, repeated or absent."""
+def eligibility_population(draw, leaders=False):
+    """Up to 12 agents over a few communities; narratives shared, repeated or absent.
+
+    With leaders, any agent may be a leader, and a community may have
+    several (an unvalidated Population keeps the last).
+    """
     narrative = st.sampled_from(["Line A", "Line B", "Line C", "Line D"])
     return Population(personas=[
         make_persona(f"p_{i:02d}", draw(st.sampled_from(["alpha", "beta", "gamma"])),
-                     narratives=draw(st.lists(narrative, max_size=3)))
+                     narratives=draw(st.lists(narrative, max_size=3)),
+                     leader=draw(st.booleans()) if leaders else False)
         for i in range(draw(st.integers(1, 12)))
     ])
 
@@ -166,9 +184,13 @@ class TestEligibility:
     def test_cache_matches_direct_computation(self, seed_pop):
         cache = CandidateCache(seed_pop)
         for agent in seed_pop.personas[::40]:
-            direct = eligible_candidates(agent, seed_pop)
-            via_cache = {seed_pop.personas[i].id for i in cache.indexes(agent.id)}
-            assert via_cache == direct
+            assert others_in_class(cache, agent, seed_pop) == eligible_candidates(agent, seed_pop)
+
+    def test_one_array_per_class(self, seed_pop):
+        cache = CandidateCache(seed_pop)
+        classes = {(p.community, frozenset(p.narratives)) for p in seed_pop.personas}
+        arrays = {id(cache.indexes(p.id)) for p in seed_pop.personas}
+        assert len(classes) == len(arrays) == 8
 
     @given(pop=eligibility_population(), require_both=st.booleans())
     @settings(max_examples=200, deadline=None)
@@ -177,9 +199,7 @@ class TestEligibility:
         # member is reused for the others.
         cache = CandidateCache(pop, require_both=require_both)
         for agent in pop.personas:
-            got = cache.indexes(agent.id)
-            assert got.dtype == np.int64 and list(got) == sorted(got)
-            assert ({pop.personas[i].id for i in got}
+            assert (others_in_class(cache, agent, pop, require_both=require_both)
                     == eligible_candidates(agent, pop, require_both=require_both))
 
 
@@ -298,6 +318,80 @@ class TestSelectPartner:
             )
 
 
+def reference_select(agent, pop, policy, degrees, rng, *, require_both):
+    """select_partner_detail as drawn over a per-agent candidate copy.
+
+    The copy is the agent's eligible candidates in population order, that is
+    its class array cls less the agent (cls[cls != i]), and the pa draw is a
+    searchsorted into the cumsum of the copy's degree + 1 weights.
+    """
+    if len(pop) < 2:
+        raise ValidationError("partner selection requires a population of at least 2 agents")
+    u = rng.random()
+    requested = ("pa" if u < policy.p_pa else
+                 "leader" if u < policy.p_pa + policy.p_leader else "random")
+    mode, fallbacks = requested, []
+    if mode == "leader":
+        leader_id = pop.leader_of(agent.community)
+        if leader_id is None or leader_id == agent.id:
+            fallbacks.append("leader->pa")
+            mode = "pa"
+        else:
+            return PartnerChoice(leader_id, "leader", requested)
+    if mode == "pa":
+        copy = np.array(sorted(map(pop.index_of, eligible_candidates(
+            agent, pop, require_both=require_both))), dtype=np.int64)
+        if len(copy) == 0:
+            fallbacks.append("pa->random")
+            mode = "random"
+        else:
+            cum = np.cumsum((degrees.in_deg[copy] + degrees.out_deg[copy] + 1).astype(np.float64))
+            j = int(copy[np.searchsorted(cum, rng.random() * cum[-1], side="right")])
+            return PartnerChoice(pop.personas[j].id, "pa", requested, tuple(fallbacks))
+    i = pop.index_of(agent.id)
+    j = int(rng.integers(len(pop) - 1))
+    return PartnerChoice(pop.personas[j + (j >= i)].id, "random", requested, tuple(fallbacks))
+
+
+@st.composite
+def partner_case(draw):
+    """A population with leaders, prior commits, a policy over all three modes, a rule and a seed."""
+    pop = draw(eligibility_population(leaders=True))
+    n = len(pop)
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    commits = draw(st.lists(pairs, max_size=20)) if n > 1 else []
+    shares = draw(st.tuples(*[st.integers(0, 4)] * 3).filter(any))
+    policy = MixingPolicy(*(s / sum(shares) for s in shares))
+    return pop, commits, policy, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+class TestSharedClassArrays:
+    @given(case=partner_case())
+    @settings(max_examples=300, deadline=None)
+    def test_draw_equals_per_agent_copy_draw(self, case):
+        # Every agent draws three times from one seed, committing each pick,
+        # so later draws see the degrees the earlier ones left.
+        pop, commits, policy, require_both, seed = case
+        degrees = DegreeState(pop)
+        for s, d in commits:
+            degrees.commit(pop.personas[s].id, pop.personas[d].id)
+        cache = CandidateCache(pop, require_both=require_both)
+        for agent in pop.personas:
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            if len(pop) < 2:
+                with pytest.raises(ValidationError):
+                    select_partner_detail(agent, pop, policy, degrees, got_rng, cache=cache)
+                continue
+            for _ in range(3):
+                got = select_partner_detail(agent, pop, policy, degrees, got_rng, cache=cache)
+                want = reference_select(agent, pop, policy, degrees, want_rng,
+                                        require_both=require_both)
+                assert got == want
+                assert got.partner_id != agent.id
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+                degrees.commit(agent.id, got.partner_id)
+
+
 class TestInteractionCounts:
     def test_within_bounds(self):
         p = make_persona("x_01", posts=(3, 10), retweets=(2, 5), replies=(1, 5), quotes=(0, 2))
@@ -341,6 +435,13 @@ class TestCommGraph:
         assert star_graph.n_nodes == 5
         assert star_graph.n_edges == 4
         assert star_graph.total_weight() == 4
+
+    def test_population_index_left_unchanged(self, micro_pop):
+        before = dict(micro_pop.index)
+        tweets = [interaction(1, "a_01", "b_02"),
+                  interaction(2, "a_02", None, kind="original", target_tweet=None)]
+        build_comm_graph(tweets, micro_pop)
+        assert micro_pop.index == before == {"a_01": 0, "a_02": 1, "b_01": 2, "b_02": 3}
 
     def test_parallel_interactions_collapse(self, micro_pop):
         tweets = [
