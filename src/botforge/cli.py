@@ -7,6 +7,7 @@ files. Exit codes: 0 success, 1 validation, 2 I/O, 3 backend.
 """
 from __future__ import annotations
 
+import shutil
 import sys
 from pathlib import Path
 
@@ -15,8 +16,8 @@ import click
 from .benchmark import compare_from_report, render_report
 from .content import DEFAULT_MODEL_NAME, make_backend
 from .cues import aggregate_cues, load_lexicons, read_cue_report, write_cue_report
-from .errors import BackendError, BotforgeError, SchemaError, ValidationError, read_json
-from .netgraph import build_comm_graph, export_edges_csv, export_graphml, graph_metrics
+from .errors import BackendError, BotforgeError, SchemaError, read_json
+from .netgraph import build_comm_graph, graph_metrics
 from .persona import expand_personas, load_seed_personas, save_personas
 from .simcore import (
     SimulationAborted,
@@ -137,10 +138,6 @@ def simulate(config_path, population, pools, backend_name, mixing, scheme, seed,
         result = resume_or_extend(extend_from, cfg)
         where = cfg.out_dir or extend_from
     else:
-        if not cfg.out_dir:
-            raise ValidationError("simulate requires --out-dir (or out_dir in the config)")
-        if not cfg.population_path:
-            raise ValidationError("simulate requires --population (or population_path in the config)")
         result = simulate_to_dir(cfg)
         where = cfg.out_dir
     click.echo(
@@ -193,23 +190,22 @@ def compare(cues_path, out, fmt):
 @click.option("--run-dir", required=True, help="A simulate output directory.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "graphml", "both"]),
               default="both", show_default=True)
-@click.option("--out-dir", default=None, help="Destination (default: the run directory).")
+@click.option("--out-dir", default=None,
+              help="Destination (default: the run directory, where nothing is written).")
 def export(run_dir, fmt, out_dir):
-    """Re-emit the communication graph from a run directory."""
+    """Copy the communication graph files of a run directory, once they verify."""
+    names = ["graph.csv", "graph.graphml"] if fmt == "both" else [f"graph.{fmt}"]
     manifest = read_manifest(run_dir)
-    verify_manifest_files(run_dir, manifest, ("tweets.jsonl", "population.json"))
-    pop, tweets = load_corpus(run_dir)
-    graph = build_comm_graph(tweets, pop)
-    dest = Path(out_dir) if out_dir else Path(run_dir)
+    verify_manifest_files(run_dir, manifest, ("tweets.jsonl", "population.json", *names))
+    run = Path(run_dir)
+    dest = Path(out_dir) if out_dir else run
+    if dest.is_dir() and dest.samefile(run):
+        click.echo(f"{', '.join(names)} in {dest} verified; nothing written")
+        return
     dest.mkdir(parents=True, exist_ok=True)
-    written = []
-    if fmt in ("csv", "both"):
-        export_edges_csv(graph, dest / "graph.csv")
-        written.append("graph.csv")
-    if fmt in ("graphml", "both"):
-        export_graphml(graph, pop, dest / "graph.graphml")
-        written.append("graph.graphml")
-    click.echo(f"wrote {', '.join(written)} to {dest}")
+    for name in names:
+        shutil.copyfile(run / name, dest / name)
+    click.echo(f"wrote {', '.join(names)} to {dest}")
 
 
 def main(argv=None) -> int:

@@ -155,19 +155,15 @@ def build_system_prompt(p: Persona) -> str:
 def augment_prompt(base: str, scheme: PromptScheme) -> str:
     """Append the scheme's steering sentences to a prompt, canonical cue order.
 
-    Not idempotent by design: callers apply it exactly once per prompt. In
-    debug builds a sentence already present trips the re-application check.
+    Not idempotent by design: callers apply it exactly once per prompt. The
+    base may already hold a steering sentence's words (a persona's narrative,
+    say); the sentences are appended all the same.
     """
     if scheme.level == "naive":
         return base
     out = base
     for cue in scheme.targeted_cues:
-        sentence = AUGMENTATIONS[(cue, scheme.level)]
-        if __debug__ and sentence in out:
-            raise ValidationError(
-                f"augmentation for {cue!r} already present: augment_prompt applied twice?"
-            )
-        out = out + " " + sentence
+        out = out + " " + AUGMENTATIONS[(cue, scheme.level)]
     return out
 
 

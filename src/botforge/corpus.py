@@ -3,13 +3,13 @@
 A corpus is one JSON object per line, in commit order. One line reader
 parses and fully checks every line; read_corpus_columns streams a file
 through it and keeps only what analysis reads (id, author, kind, target
-and text), while read_tweets_jsonl, read_corpus_tail and CorpusView build
-Tweet records from the same reader. Extending a run needs only the end of
-a finished corpus, which read_corpus_tail scans backwards; the whole
-extended corpus is a CorpusView, whose finished part is read only when
-something asks for it, and the writer copies that part's bytes (verified
-against their recorded digest) and appends only the new tweets, so
-extending a run never parses or re-serializes what it already holds.
+and text), while read_tweets_jsonl and read_corpus_tail build Tweet
+records from the same reader. Extending a run needs only the end of a
+finished corpus, which read_corpus_tail scans backwards. The extended
+corpus is a CorpusView: the finished file, verified against its recorded
+digest, and the new tweets. The writer copies that file's bytes (checking
+the digest again) and appends only the new tweets, so extending a run
+never parses or re-serializes what it already holds.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import hashlib
 import json
 import re
 import string
-from collections.abc import Collection, Sequence
+from collections.abc import Collection
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import product
@@ -240,20 +240,15 @@ def _read_line(line: bytes, path, lineno: int | None = None) -> dict | None:
     return obj
 
 
-def _read_lines(lines, path) -> list[Tweet]:
-    """The tweets of a corpus's lines, as bytes split at b"\\n"; blank lines are skipped."""
-    tweets = []
-    for lineno, line in enumerate(lines, start=1):
-        doc = _read_line(line, path, lineno)
-        if doc is not None:
-            tweets.append(Tweet(*_tweet_args(doc)))
-    return tweets
-
-
 def read_tweets_jsonl(path: str | Path) -> list[Tweet]:
     """Every tweet of a corpus file, read one line at a time; blank lines are skipped."""
+    tweets = []
     with open(path, "rb") as fh:
-        return _read_lines(fh, path)
+        for lineno, line in enumerate(fh, start=1):
+            doc = _read_line(line, path, lineno)
+            if doc is not None:
+                tweets.append(Tweet(*_tweet_args(doc)))
+    return tweets
 
 
 @dataclass(slots=True)
@@ -387,50 +382,25 @@ class CorpusPrefix:
                                 f"recorded {self.sha256}, now {actual}")
 
 
-class CorpusView(Sequence):
+class CorpusView:
     """A whole corpus: a finished corpus file's tweets, then new tweets.
 
-    len() needs no read. Any other access reads prefix.chunks() once and
-    parses them; ManifestError if they changed or do not hold
-    prefix.tweet_count tweets, so no other corpus is ever returned.
-    Indexing, slicing, iteration and == against a list or another view
-    then behave as on the list of every tweet.
+    prefix vouches for the file's bytes and its tweet count; the file is
+    never parsed here. len() is the whole corpus's tweet count.
     """
 
     def __init__(self, prefix: CorpusPrefix, new: list[Tweet]):
         self.prefix = prefix
         self.new = new
-        self._tweets: list[Tweet] | None = None
-
-    def _all(self) -> list[Tweet]:
-        if self._tweets is None:
-            p = self.prefix
-            tweets = _read_lines(b"".join(p.chunks()).split(b"\n"), p.path)
-            if len(tweets) != p.tweet_count:
-                raise ManifestError(f"{p.path} holds {len(tweets)} tweets, not the "
-                                    f"{p.tweet_count} recorded")
-            self._tweets = tweets + self.new
-        return self._tweets
 
     def __len__(self) -> int:
         return self.prefix.tweet_count + len(self.new)
-
-    def __getitem__(self, index):
-        return self._all()[index]
-
-    def __iter__(self):
-        return iter(self._all())
-
-    def __eq__(self, other):
-        if isinstance(other, CorpusView):
-            other = other._all()
-        return self._all() == other if isinstance(other, list) else NotImplemented
 
 
 _encode = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def write_tweets_jsonl(tweets: Sequence[Tweet], path: str | Path) -> str:
+def write_tweets_jsonl(tweets: list[Tweet] | CorpusView, path: str | Path) -> str:
     """Write the corpus tweets to path, one JSON object per line, and return
     the SHA-256 hex digest of the bytes written.
 

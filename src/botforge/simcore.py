@@ -17,7 +17,6 @@ import heapq
 import json
 import math
 import os
-from collections.abc import Sequence
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
@@ -237,11 +236,12 @@ class SimResult:
     """What run_simulation committed.
 
     tweets is the whole corpus: a list for a fresh run, and for an extend a
-    read-only CorpusView whose prior part is read only when accessed (len()
-    reads nothing). graph and metrics cover the whole corpus too.
+    CorpusView of the prior corpus file and the new tweets, whose len() is
+    the whole corpus's (the prior tweets are in the run directory's
+    tweets.jsonl). graph and metrics cover the whole corpus too.
     """
 
-    tweets: Sequence[Tweet]
+    tweets: list[Tweet] | CorpusView
     graph: CommGraph
     metrics: GraphMetrics | None
     log: list[str]
@@ -441,7 +441,8 @@ def run_simulation(
     tweet count, partners respond to its agents' last tweets, attachment
     starts from its degrees, and the graph is its edges plus the new
     tweets'. Only the new tweets are held; SimResult.tweets is then a
-    CorpusView over the prior file and them.
+    CorpusView of the prior file and them, which the writer copies and
+    appends to.
 
     Each run is planned first, with no backend call, then rendered: up to
     cfg.max_in_flight backend calls are outstanding when the backend is
@@ -610,10 +611,11 @@ def simulate_to_dir(
     manifest) are still written before the error propagates.
     """
     if not cfg.out_dir:
-        raise ValidationError("config has no out_dir")
+        raise ValidationError("config has no out_dir: pass --out-dir or set out_dir in the config")
     if pop is None:
         if not cfg.population_path:
-            raise ValidationError("config has no population_path")
+            raise ValidationError("config has no population_path: pass --population or set "
+                                  "population_path in the config")
         pop = load_seed_personas(cfg.population_path)
     if pools is None:
         pools = load_pools(cfg.pools_path) if cfg.pools_path else EMPTY_POOLS
@@ -714,9 +716,9 @@ def resume_or_extend(prev_dir: str | Path, cfg: ScenarioConfig) -> SimResult:
     tweet_count, and the graph and degree state, so that attachment
     continues from the prior structure, from graph.csv. Output goes to
     cfg.out_dir (defaulting to prev_dir); its tweets.jsonl is the prior
-    file's bytes with the new tweets appended. The result's tweets are the
-    whole corpus as a CorpusView, which parses the prior tweets only if
-    they are accessed, after checking their hash again.
+    file's bytes, checked against their hash again, with the new tweets
+    appended. The result's tweets are a CorpusView of that file and the new
+    tweets: the prior tweets are never parsed.
     """
     prev_dir = Path(prev_dir)
     manifest = read_manifest(prev_dir)

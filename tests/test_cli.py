@@ -1,6 +1,8 @@
 """End-to-end command-line coverage: every subcommand plus the exit-code map."""
 
+import builtins
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -15,8 +17,15 @@ from botforge.cli import main
 from botforge.content import TemplateBackend
 from botforge.cues import default_lexicon_dir
 from botforge.errors import BackendError
-from botforge.persona import load_seed_personas, save_personas
-from botforge.simcore import SimulationAborted, config_from_dict, read_manifest, simulate_to_dir
+from botforge.netgraph import build_comm_graph, export_edges_csv, export_graphml
+from botforge.persona import default_population_path, load_seed_personas, save_personas
+from botforge.simcore import (
+    SimulationAborted,
+    config_from_dict,
+    load_corpus,
+    read_manifest,
+    simulate_to_dir,
+)
 
 
 @pytest.fixture()
@@ -72,6 +81,14 @@ def test_missing_required_option(capsys):
     assert main(["analyze"]) == 1
 
 
+# The refusal of a simulate call that lacks an input: it names the flag and the config key.
+_MISSING = {
+    "out_dir": "error: config has no out_dir: pass --out-dir or set out_dir in the config\n",
+    "population_path": "error: config has no population_path: pass --population or set "
+                       "population_path in the config\n",
+}
+
+
 class TestSimulate:
     def test_happy_path(self, cli_run_dir, capsys):
         manifest = read_manifest(cli_run_dir)
@@ -107,13 +124,27 @@ class TestSimulate:
         assert code == 1
         assert "base_url" in capsys.readouterr().err
 
-    def test_out_dir_required(self, pop_file, capsys):
+    def test_out_dir_required(self, pop_file, tmp_path, capsys):
+        before = sorted(tmp_path.iterdir())
         assert main(["simulate", "--population", pop_file]) == 1
-        assert "--out-dir" in capsys.readouterr().err
+        assert capsys.readouterr().err == _MISSING["out_dir"]
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_population_required(self, tmp_path, capsys):
         assert main(["simulate", "--out-dir", str(tmp_path / "run")]) == 1
-        assert "--population" in capsys.readouterr().err
+        assert capsys.readouterr().err == _MISSING["population_path"]
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("missing", sorted(_MISSING))
+    def test_config_file_without_an_input(self, pop_file, tmp_path, capsys, missing):
+        doc = {"population_path": pop_file, "out_dir": str(tmp_path / "run")}
+        del doc[missing]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        before = sorted(tmp_path.iterdir())
+        assert main(["simulate", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == _MISSING[missing]
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_config_file_with_flag_override(self, pop_file, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -344,20 +375,87 @@ def _nested_input(kind, run_dir, pop_file, tmp_path, deep):
     _record_hash(run_dir, path.name)
     if kind == "corpus tail":
         return extend, f"{path}:{at}"
-    if kind == "corpus (export)":
-        return ["export", "--run-dir", str(run_dir), "--out-dir", str(tmp_path / "out")], \
-            f"{path}:{at}"
     return analyze, f"{path}:{at}"
 
 
 @pytest.mark.parametrize("deep", sorted(_TOO_DEEP))
-@pytest.mark.parametrize("kind", ["corpus (analyze)", "corpus (export)", "corpus tail",
-                                  "population", "pools", "config", "manifest"])
+@pytest.mark.parametrize("kind", ["corpus (analyze)", "corpus tail", "population", "pools",
+                                  "config", "manifest"])
 def test_deeply_nested_json_is_refused(cli_run_dir, pop_file, tmp_path, capsys, kind, deep):
     argv, where = _nested_input(kind, cli_run_dir, pop_file, tmp_path, _TOO_DEEP[deep])
     capsys.readouterr()
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {where}: not valid JSON: nested too deeply\n"
+
+
+class _DownAfter:
+    """A backend whose calls after the first n fail."""
+
+    def __init__(self, n):
+        self.n = n
+        self.calls = 0
+        self.lock = threading.Lock()
+
+    def complete(self, system_text, user_text, params):
+        with self.lock:
+            self.calls += 1
+            if self.calls > self.n:
+                raise BackendError("backend down")
+        return "A planned note for the schedule."
+
+
+_GRAPH_FILES = ("graph.csv", "graph.graphml")
+
+
+def _shipped_run(tmp_path, monkeypatch, case) -> Path:
+    """A run directory of the shipped personas, seed 3, made through the CLI.
+
+    case is a mixing preset (one run), "extended in place" (one
+    pa+leader+random run, then two more appended in place) or "aborted"
+    (the backend fails after 200 calls of the first run).
+    """
+    run = tmp_path / "run"
+    argv = ["simulate", "--population", str(default_population_path()), "--seed", "3",
+            "--runs", "1", "--out-dir", str(run),
+            "--mixing", case if case in ("pa", "pa+leader") else "pa+leader+random"]
+    if case == "aborted":
+        monkeypatch.setattr("botforge.simcore.make_backend", lambda *a, **kw: _DownAfter(200))
+        assert main(argv) == 3
+    else:
+        assert main(argv) == 0
+    if case == "extended in place":
+        assert main(["simulate", "--extend-from", str(run), "--runs", "2"]) == 0
+    return run
+
+
+def _rebuilt_graph(run_dir, dest) -> dict[str, bytes]:
+    """The graph files as rebuilt from run_dir's corpus, written into dest: export's oracle."""
+    pop, tweets = load_corpus(run_dir)
+    graph = build_comm_graph(tweets, pop)
+    dest.mkdir()
+    export_edges_csv(graph, dest / "graph.csv")
+    export_graphml(graph, pop, dest / "graph.graphml")
+    return {name: (dest / name).read_bytes() for name in _GRAPH_FILES}
+
+
+def _refuse_writes(mp) -> None:
+    """Make every file write, copy, directory creation and rename raise OSError."""
+    def refuse(*args, **kwargs):
+        raise OSError("write refused")
+
+    def reading_only(real_open):
+        def opener(file, mode="r", *args, **kwargs):
+            if set(mode) & set("wax+"):
+                refuse()
+            return real_open(file, mode, *args, **kwargs)
+        return opener
+
+    mp.setattr(builtins, "open", reading_only(builtins.open))
+    mp.setattr(io, "open", reading_only(io.open))
+    for name in ("copyfile", "copy", "copy2", "copyfileobj"):
+        mp.setattr(shutil, name, refuse)
+    for name in ("mkdir", "makedirs", "replace", "rename"):
+        mp.setattr(os, name, refuse)
 
 
 class TestAnalyzeCompareExport:
@@ -381,22 +479,10 @@ class TestAnalyzeCompareExport:
         assert not cues.exists()
 
     def test_analyze_notes_aborted_run(self, micro_pop, tmp_path, capsys):
-        class _DownAfterFive:
-            def __init__(self):
-                self.calls = 0
-                self.lock = threading.Lock()
-
-            def complete(self, system_text, user_text, params):
-                with self.lock:
-                    self.calls += 1
-                    if self.calls > 5:
-                        raise BackendError("backend down")
-                return "A planned note for the schedule."
-
         out = tmp_path / "aborted"
         cfg = config_from_dict({"seed": 5, "out_dir": str(out)})
         with pytest.raises(SimulationAborted):
-            simulate_to_dir(cfg, pop=micro_pop, backend=_DownAfterFive())
+            simulate_to_dir(cfg, pop=micro_pop, backend=_DownAfter(5))
         cues = tmp_path / "cues.csv"
         assert main(["analyze", "--corpus-dir", str(out), "--out", str(cues)]) == 0
         assert "aborted run (backend down)" in capsys.readouterr().err
@@ -440,14 +526,58 @@ class TestAnalyzeCompareExport:
         assert (dest / "graph.csv").is_file()
         assert (dest / "graph.graphml").is_file()
 
+    @pytest.mark.parametrize("case", ["pa", "pa+leader", "pa+leader+random",
+                                      "extended in place", "aborted"])
+    def test_export_copies_what_a_rebuild_writes(self, tmp_path, monkeypatch, capsys, case):
+        run = _shipped_run(tmp_path, monkeypatch, case)
+        expected = _rebuilt_graph(run, tmp_path / "rebuilt")
+        dest = tmp_path / "exported"
+        assert main(["export", "--run-dir", str(run), "--out-dir", str(dest)]) == 0
+        assert {path.name: path.read_bytes() for path in dest.iterdir()} == expected
+
+    @pytest.mark.parametrize("fmt,name", [("csv", "graph.csv"), ("graphml", "graph.graphml")])
+    def test_export_one_format(self, cli_run_dir, tmp_path, capsys, fmt, name):
+        dest = tmp_path / "exported"
+        assert main(["export", "--run-dir", str(cli_run_dir), "--format", fmt,
+                     "--out-dir", str(dest)]) == 0
+        assert [path.name for path in dest.iterdir()] == [name]
+        assert (dest / name).read_bytes() == (cli_run_dir / name).read_bytes()
+
+    @pytest.mark.parametrize("out_dir", [None, "{run}", "{run}/../{name}"])
+    def test_export_into_its_run_directory_writes_nothing(self, cli_run_dir, tmp_path,
+                                                          monkeypatch, capsys, out_dir):
+        before = {path.name: path.read_bytes() for path in cli_run_dir.iterdir()}
+        argv = ["export", "--run-dir", str(cli_run_dir)]
+        if out_dir:
+            argv += ["--out-dir", out_dir.format(run=cli_run_dir, name=cli_run_dir.name)]
+        with monkeypatch.context() as mp:
+            _refuse_writes(mp)
+            assert main(argv) == 0
+        assert "nothing written" in capsys.readouterr().out
+        assert {path.name: path.read_bytes() for path in cli_run_dir.iterdir()} == before
+        assert main(["simulate", "--extend-from", str(cli_run_dir), "--runs", "1"]) == 0
+        assert main(["analyze", "--corpus-dir", str(cli_run_dir),
+                     "--out", str(tmp_path / "cues.csv")]) == 0
+
+    @pytest.mark.parametrize("out_dir", [None, "exported"])
+    @pytest.mark.parametrize("name", _GRAPH_FILES)
+    def test_export_refuses_tampered_graph(self, cli_run_dir, tmp_path, capsys, name, out_dir):
+        with open(cli_run_dir / name, "a", encoding="utf-8") as fh:
+            fh.write("\n")
+        argv = ["export", "--run-dir", str(cli_run_dir)]
+        if out_dir:
+            argv += ["--out-dir", str(tmp_path / out_dir)]
+        assert main(argv) == 1
+        assert f"hash mismatch for {name}" in capsys.readouterr().err
+        assert not (tmp_path / "exported").exists()
+
     def test_export_refuses_tampered_corpus(self, cli_run_dir, capsys):
         with open(cli_run_dir / "tweets.jsonl", "a", encoding="utf-8") as fh:
             fh.write("\n")
         assert main(["export", "--run-dir", str(cli_run_dir)]) == 1
         assert "hash mismatch" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", [["analyze", "--corpus-dir", "{run}", "--out", "{out}"],
-                                         ["export", "--run-dir", "{run}", "--out-dir", "{out}"]])
+    @pytest.mark.parametrize("command", [["analyze", "--corpus-dir", "{run}", "--out", "{out}"]])
     def test_non_utf8_corpus_line_is_refused(self, cli_run_dir, tmp_path, capsys, command):
         # The manifest records the damaged file's hash, so only the reader can refuse it.
         path = cli_run_dir / "tweets.jsonl"

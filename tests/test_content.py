@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from botforge.cli import main
 from botforge.content import (
     AUGMENTATIONS,
     POOL_SAMPLE_CAP,
@@ -34,6 +35,7 @@ from botforge.content import (
 )
 from botforge.cues import count_lexicon_terms
 from botforge.errors import BackendError, SchemaError, ValidationError
+from botforge.persona import default_population_path, load_seed_personas
 
 from conftest import make_persona, ok_payload
 
@@ -166,11 +168,29 @@ class TestAugmentPrompt:
         second = AUGMENTATIONS[("positive_sentiment", "targets")]
         assert out.index(first) < out.index(second)
 
-    def test_double_application_trips(self):
-        s = PromptScheme("guidelines", ("abusive",))
-        once = augment_prompt("Base.", s)
-        with pytest.raises(ValidationError, match="twice"):
-            augment_prompt(once, s)
+    def test_sentence_already_in_a_narrative_is_appended(self, tmp_path, monkeypatch):
+        # A persona may post on a narrative that reads like a steering
+        # sentence: the population simulates, and the sentence is appended.
+        sentence = AUGMENTATIONS[("negative_sentiment", "guidelines")]
+        doc = json.loads(default_population_path().read_text(encoding="utf-8"))
+        doc[0]["narratives"].append(sentence)
+        pop_path = tmp_path / "pop.json"
+        pop_path.write_text(json.dumps(doc), encoding="utf-8")
+        prompts = set()
+
+        class Recording(TemplateBackend):
+            def complete(self, system_text, user_text, params):
+                prompts.add(system_text)
+                return super().complete(system_text, user_text, params)
+
+        monkeypatch.setattr("botforge.simcore.make_backend",
+                            lambda *a, seed, **kw: Recording(seed=seed))
+        assert main(["simulate", "--population", str(pop_path), "--runs", "1",
+                     "--scheme", "guidelines:negative_sentiment",
+                     "--out-dir", str(tmp_path / "run")]) == 0
+        persona = load_seed_personas(pop_path).get(doc[0]["id"])
+        prompt = build_system_prompt(persona) + " " + sentence
+        assert prompt in prompts and prompt.count(sentence) == 2
 
 
 class TestTruncate:

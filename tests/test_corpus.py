@@ -285,8 +285,6 @@ class TestReaderMatchesOracle:
         expected = _outcome(_oracle_read, path)
         assert _outcome(read_tweets_jsonl, path) == expected
         assert _column_outcome(path) == _as_column_outcome(expected)
-        count = len(expected[0]) if expected[0] is not None else 0
-        assert _outcome(lambda p: list(CorpusView(_prefix(p, count), [])), path) == expected
 
     @pytest.mark.parametrize("order", ["two alone", "split first", "two first"])
     def test_lines_that_do_not_hold_one_tweet_each(self, tmp_path, order):
@@ -318,8 +316,6 @@ class TestReaderMatchesOracle:
         assert (expected[1] is None) == accepted, expected
         assert _outcome(read_tweets_jsonl, path) == expected
         assert _column_outcome(path) == _as_column_outcome(expected)
-        count = len(expected[0]) if accepted else 0
-        assert _outcome(lambda p: list(CorpusView(_prefix(p, count), [])), path) == expected
         tail = _outcome(lambda p: read_corpus_tail(p, {"ghost"}, p.stat().st_size), path)
         assert tail == expected
 
@@ -455,7 +451,9 @@ class TestWriterPrefix:
         result = resume_or_extend(out, ScenarioConfig(seed=3, runs=1))
         write_tweets_jsonl(result.tweets, tmp_path / "copy.jsonl")
         assert (tmp_path / "copy.jsonl").read_bytes() == (out / "tweets.jsonl").read_bytes()
-        assert list(result.tweets) == read_tweets_jsonl(out / "tweets.jsonl")
+        written = read_tweets_jsonl(out / "tweets.jsonl")
+        assert len(result.tweets) == len(written)
+        assert result.tweets.new == written[result.tweets.prefix.tweet_count:]
 
 
 class TestWriterDigest:
@@ -498,50 +496,14 @@ class TestWriterDigest:
 
 
 class TestCorpusView:
-    def test_reads_the_prefix_once_on_first_access(self, tmp_path, monkeypatch):
+    def test_len_reads_nothing(self, tmp_path):
+        # len() is the whole corpus's count: the recorded prefix count plus
+        # the new tweets, with the prefix file gone.
         prior = tmp_path / "prior.jsonl"
         prior.write_bytes(_lines(_tweets(3)))
         view = CorpusView(_prefix(prior, 3), _tweets(5)[3:])
-        reads = []  # one per tweet line read
-        parse = botforge.corpus._read_line
-
-        def counting(*args):
-            doc = parse(*args)
-            if doc is not None:
-                reads.append(None)
-            return doc
-
-        monkeypatch.setattr(botforge.corpus, "_read_line", counting)
-        assert len(view) == 5 and reads == []
-        assert view == _tweets(5) and _tweets(5) == view
-        assert view[0] == _tweets(1)[0] and view[-1].id == 5 and view[1:3] == _tweets(3)[1:]
-        assert [t.id for t in view] == [1, 2, 3, 4, 5]
-        assert view == CorpusView(_prefix(prior, 3), _tweets(5)[3:])
-        assert view != _tweets(4) and view != tuple(_tweets(5))
-        assert len(reads) == 3 + 3  # the prior lines, once per view
-
-    def test_only_the_recorded_bytes_are_read(self, tmp_path):
-        # An in-place extend appends to the prefix file after it was verified.
-        prior = tmp_path / "prior.jsonl"
-        prior.write_bytes(_lines(_tweets(2)).rstrip(b"\n"))
-        view = CorpusView(_prefix(prior, 2), _tweets(4)[2:])
-        prior.write_bytes(_lines(_tweets(4)))
-        assert view == _tweets(4)
-
-    def test_changed_prefix_is_refused(self, tmp_path):
-        prior = tmp_path / "prior.jsonl"
-        prior.write_bytes(_lines(_tweets(2)))
-        view = CorpusView(_prefix(prior, 2), [])
-        prior.write_bytes(_lines(_tweets(2)).replace(b"Note 1", b"Note 9"))
-        with pytest.raises(ManifestError, match="changed after its hash was verified"):
-            view[0]
-        assert len(view) == 2
-
-    def test_recorded_count_is_checked(self, tmp_path):
-        prior = tmp_path / "prior.jsonl"
-        prior.write_bytes(_lines(_tweets(3)))
-        with pytest.raises(ManifestError, match="holds 3 tweets, not the 2 recorded"):
-            list(CorpusView(_prefix(prior, 2), _tweets(4)[3:]))
+        prior.unlink()
+        assert len(view) == 5 and view.new == _tweets(5)[3:]
 
 
 class TestLineEnds:
@@ -555,13 +517,12 @@ class TestLineEnds:
         path.write_bytes(t[:second_end] + b"\r" + t[second_end + 1:])
         errors = []
         for read in (read_tweets_jsonl,
-                     lambda p: list(CorpusView(_prefix(p, 3), [])),
                      lambda p: read_corpus_tail(p, {"ghost"}, p.stat().st_size)):
             with pytest.raises(SchemaError) as exc:
                 read(path)
             errors.append(str(exc.value))
         assert errors[0].startswith(f"{path}:2: not valid JSON: Extra data")
-        assert errors == [errors[0]] * 3
+        assert errors == [errors[0]] * 2
 
 
 def _oracle_tail(path, authors):
