@@ -169,10 +169,11 @@ def main() -> None:
     pop = load_seed_personas(OUT)
     problems = validate_population(pop)
     assert not problems, problems
+    communities = {p.community for p in pop.personas}
     assert len(pop) == 169
-    assert len(pop.communities) == 8
+    assert len(communities) == 8
     assert len(pop.leaders) == 8
-    print(f"wrote {len(pop)} personas in {len(pop.communities)} communities to {OUT}")
+    print(f"wrote {len(pop)} personas in {len(communities)} communities to {OUT}")
 
 
 if __name__ == "__main__":

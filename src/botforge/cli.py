@@ -16,7 +16,7 @@ import click
 from .benchmark import compare_from_report, render_report
 from .content import DEFAULT_MODEL_NAME, make_backend
 from .cues import aggregate_cues, load_lexicons, read_cue_report, write_cue_report
-from .errors import BackendError, BotforgeError, SchemaError, read_json
+from .errors import BackendError, BotforgeError, ManifestError, SchemaError, read_json
 from .netgraph import build_comm_graph, graph_metrics
 from .persona import expand_personas, load_seed_personas, save_personas
 from .simcore import (
@@ -87,9 +87,12 @@ def _load_config_file(path: str) -> dict:
 
 @cli.command()
 @click.option("--config", "config_path", default=None, help="JSON config file.")
-@click.option("--population", default=None, help="Persona JSON document.")
-@click.option("--pools", default=None, help="Hashtag/URL pools JSON file.")
-@click.option("--backend", "backend_name", default=None, help="template or llm-http.")
+@click.option("--extend-from", default=None,
+              help="Existing run directory to append further runs to.")
+# Every option below is named after the config key it sets; None means unset.
+@click.option("--population", "population_path", default=None, help="Persona JSON document.")
+@click.option("--pools", "pools_path", default=None, help="Hashtag/URL pools JSON file.")
+@click.option("--backend", default=None, help="template or llm-http.")
 @click.option("--mixing", default=None,
               help="Partner-mode split 'p_pa,p_leader,p_random' or a preset name.")
 @click.option("--scheme", default=None,
@@ -101,13 +104,9 @@ def _load_config_file(path: str) -> dict:
 @click.option("--max-tokens", type=int, default=None)
 @click.option("--base-url", default=None)
 @click.option("--out-dir", default=None, help="Output directory.")
-@click.option("--extend-from", default=None,
-              help="Existing run directory to append further runs to.")
-@click.option("--require-both-eligibility", is_flag=True, default=False,
+@click.option("--require-both-eligibility", is_flag=True, default=None,
               help="Partner candidates must share community AND a narrative (default: OR).")
-def simulate(config_path, population, pools, backend_name, mixing, scheme, seed, runs,
-             temperature, model_name, max_tokens, base_url, out_dir, extend_from,
-             require_both_eligibility):
+def simulate(config_path, extend_from, **flags):
     """Run the simulation and write the output directory."""
     merged: dict = {}
     if extend_from:
@@ -115,23 +114,7 @@ def simulate(config_path, population, pools, backend_name, mixing, scheme, seed,
         merged.pop("out_dir", None)
     if config_path:
         merged.update(_load_config_file(config_path))
-    flag_values = {
-        "population_path": population,
-        "pools_path": pools,
-        "backend": backend_name,
-        "mixing": mixing,
-        "scheme": scheme,
-        "seed": seed,
-        "runs": runs,
-        "temperature": temperature,
-        "model_name": model_name,
-        "max_tokens": max_tokens,
-        "base_url": base_url,
-        "out_dir": out_dir,
-    }
-    merged.update({k: v for k, v in flag_values.items() if v is not None})
-    if require_both_eligibility:
-        merged["require_both_eligibility"] = True
+    merged.update({k: v for k, v in flags.items() if v is not None})
     cfg = config_from_dict(merged)
 
     if extend_from:
@@ -191,7 +174,7 @@ def compare(cues_path, out, fmt):
 @click.option("--format", "fmt", type=click.Choice(["csv", "graphml", "both"]),
               default="both", show_default=True)
 @click.option("--out-dir", default=None,
-              help="Destination (default: the run directory, where nothing is written).")
+              help="Destination, never another run directory (default: none; only verify).")
 def export(run_dir, fmt, out_dir):
     """Copy the communication graph files of a run directory, once they verify."""
     names = ["graph.csv", "graph.graphml"] if fmt == "both" else [f"graph.{fmt}"]
@@ -202,6 +185,8 @@ def export(run_dir, fmt, out_dir):
     if dest.is_dir() and dest.samefile(run):
         click.echo(f"{', '.join(names)} in {dest} verified; nothing written")
         return
+    if (dest / "manifest.json").exists():
+        raise ManifestError(f"{dest} is another run directory; its graph files stay as they are")
     dest.mkdir(parents=True, exist_ok=True)
     for name in names:
         shutil.copyfile(run / name, dest / name)

@@ -298,8 +298,12 @@ def _floyd_rows(draws: np.ndarray, n: int) -> np.ndarray:
 
 
 def draw_pool_samples(pools: dict[str, list[str]], requests) -> list[list[dict[str, list[str]]]]:
-    """For each (rng, k) of requests, the k slices that k sample_pools calls on
-    rng give, leaving rng in the state those calls leave.
+    """For each (rng, k) of requests, k slices of the common pools drawn from rng in turn.
+
+    A pool of more than POOL_SAMPLE_CAP items gives POOL_SAMPLE_CAP of them,
+    kept in pool order: rng.choice(len(pool), POOL_SAMPLE_CAP, replace=False),
+    sorted, for each such pool, hashtags first. A smaller pool is listed
+    whole and draws nothing. rng ends in the state those choice calls leave.
 
     Each rng makes all its draws in one rng.integers call over an array of
     exclusive bounds, k rows of _draw_bounds. Given an array, integers draws
@@ -329,26 +333,12 @@ def draw_pool_samples(pools: dict[str, list[str]], requests) -> list[list[dict[s
     return [slices[a:b] for a, b in zip(ends, ends[1:])]
 
 
-def sample_pools(pools: dict[str, list[str]], rng) -> dict[str, list[str]]:
-    """The slice of each common pool that one prompt lists, hashtags drawn first.
-
-    A pool of more than POOL_SAMPLE_CAP items gives POOL_SAMPLE_CAP of them,
-    drawn without replacement and kept in pool order. A smaller pool is
-    listed whole and draws nothing.
-
-    The draws are Generator.choice's: rng.choice(len(pool), POOL_SAMPLE_CAP,
-    replace=False), sorted, for each large pool in turn. This is
-    draw_pool_samples for one slice.
-    """
-    return draw_pool_samples(pools, [(rng, 1)])[0][0]
-
-
 def _pool_text(items: list[str]) -> str:
     return " ".join(items) if items else _EMPTY_POOL_TEXT
 
 
 def build_user_prompt(task: GenerationTask, sample: dict[str, list[str]]) -> str:
-    """The task-side prompt, listing a sample_pools slice of the common pools."""
+    """The task-side prompt, listing a draw_pool_samples slice of the common pools."""
     hashtags = _pool_text(sample["hashtags"])
     urls = _pool_text(sample["urls"])
     if task.kind == "original":
@@ -380,8 +370,6 @@ class ContentBackend:
     in Python sets it False and is called inline, one call at a time. A
     backend without the attribute counts as io_bound.
     """
-
-    io_bound = True
 
     def complete(self, system_text: str, user_text: str, params: dict) -> str:
         raise NotImplementedError
@@ -709,7 +697,7 @@ def generate_post(
 ) -> Tweet:
     """Produce the finished Tweet for one generation task.
 
-    sample is the sample_pools slice the user prompt lists; a retweet has no
+    sample is the draw_pool_samples slice the user prompt lists; a retweet has no
     prompt, so it may be None there. Retweets are verbatim copies and never
     call the backend. All texts are capped at 280 characters on a word
     boundary. A reply or quote whose capped text has no @<display name> of

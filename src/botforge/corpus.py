@@ -362,7 +362,8 @@ class CorpusPrefix:
     def chunks(self, digest=None):
         """The file's first size bytes in pieces, then ManifestError if their
         SHA-256 is not sha256 (the file changed after it was verified). The
-        file may have grown since: an in-place extend appends to it.
+        file itself is never written to: an in-place extend copies these
+        bytes into .tweets.jsonl.staged, which then replaces the file.
 
         The pieces are fed to digest, a fresh hashlib.sha256() unless given;
         a writer that hashes what it writes passes its own, so the copied

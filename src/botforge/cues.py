@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -26,23 +26,36 @@ from .errors import SchemaError, ValidationError, read_text
 from .netgraph import GraphMetrics
 from .persona import Population
 
+
+@dataclass(frozen=True)
+class CueVector:
+    first_person_pronouns: float
+    second_person_pronouns: float
+    third_person_pronouns: float
+    reading_difficulty: float
+    abusive_terms: float
+    expletives: float
+    negative_sentiment: float
+    positive_sentiment: float
+    mentions: float
+    urls: float
+    hashtags: float
+    total_degree: float
+    in_degree: float
+    out_degree: float
+
+    def violations(self) -> list[str]:
+        out = []
+        for name in CUE_NAMES:
+            if getattr(self, name) < 0:
+                out.append(f"{name}: cue values must be non-negative")
+        if not 0.0 <= self.reading_difficulty <= 1.0:
+            out.append("reading_difficulty: must be in [0, 1]")
+        return out
+
+
 # Canonical cue order; every report and vector follows it.
-CUE_NAMES = (
-    "first_person_pronouns",
-    "second_person_pronouns",
-    "third_person_pronouns",
-    "reading_difficulty",
-    "abusive_terms",
-    "expletives",
-    "negative_sentiment",
-    "positive_sentiment",
-    "mentions",
-    "urls",
-    "hashtags",
-    "total_degree",
-    "in_degree",
-    "out_degree",
-)
+CUE_NAMES = tuple(f.name for f in fields(CueVector))
 
 # Cues computed from text alone, in CUE_NAMES order. The network cues come
 # last, so a row of text cue values fills CueVector's leading fields.
@@ -51,16 +64,6 @@ TEXT_CUES = tuple(c for c in CUE_NAMES if c not in NETWORK_CUES)
 # Each text cue's position in a row of cue values.
 _CUE_POS = {cue: i for i, cue in enumerate(TEXT_CUES)}
 _READING_POS = _CUE_POS["reading_difficulty"]
-
-LEXICON_CATEGORIES = (
-    "first_person",
-    "second_person",
-    "third_person",
-    "abusive",
-    "expletive",
-    "positive",
-    "negative",
-)
 
 # lexicon category -> cue it feeds
 LEXICON_CUE = {
@@ -72,6 +75,7 @@ LEXICON_CUE = {
     "positive": "positive_sentiment",
     "negative": "negative_sentiment",
 }
+LEXICON_CATEGORIES = tuple(LEXICON_CUE)
 
 _VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
 _SENTENCE_SPLIT_RE = re.compile(r"[.!?]+")
@@ -237,9 +241,8 @@ def reading_difficulty(text: str) -> float:
     return _cue_row(text, LexiconTable({}, ()))[_READING_POS]
 
 
-def metadata_cues(tweet_or_text) -> dict[str, int]:
-    """Mention/URL/hashtag token counts for one post (accepts a Tweet or raw text)."""
-    text = tweet_or_text if isinstance(tweet_or_text, str) else tweet_or_text.text
+def metadata_cues(text: str) -> dict[str, int]:
+    """Mention/URL/hashtag token counts for one post text."""
     row = _cue_row(text, LexiconTable({}, ()))
     return {cue: int(row[_CUE_POS[cue]]) for cue in ("mentions", "urls", "hashtags")}
 
@@ -270,45 +273,13 @@ def _cue_row(text: str, table: LexiconTable) -> list[float]:
     return row
 
 
-def text_cues(text: str, lexicons: dict[str, Lexicon] | LexiconTable) -> dict[str, float]:
+def text_cues(text: str, table: LexiconTable) -> dict[str, float]:
     """All eleven text-derived cue values for one post, in TEXT_CUES order.
 
-    lexicons is the category -> Lexicon dict or its LexiconTable;
     aggregate_cues builds the table once and passes it for every post, so
     each distinct token is classified once per call.
     """
-    table = lexicons if isinstance(lexicons, LexiconTable) else LexiconTable.from_lexicons(lexicons)
     return dict(zip(TEXT_CUES, _cue_row(text, table)))
-
-
-@dataclass(frozen=True)
-class CueVector:
-    first_person_pronouns: float
-    second_person_pronouns: float
-    third_person_pronouns: float
-    reading_difficulty: float
-    abusive_terms: float
-    expletives: float
-    negative_sentiment: float
-    positive_sentiment: float
-    mentions: float
-    urls: float
-    hashtags: float
-    total_degree: float
-    in_degree: float
-    out_degree: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in CUE_NAMES}
-
-    def violations(self) -> list[str]:
-        out = []
-        for name in CUE_NAMES:
-            if getattr(self, name) < 0:
-                out.append(f"{name}: cue values must be non-negative")
-        if not 0.0 <= self.reading_difficulty <= 1.0:
-            out.append("reading_difficulty: must be in [0, 1]")
-        return out
 
 
 @dataclass

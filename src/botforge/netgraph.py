@@ -43,20 +43,12 @@ class MixingPolicy:
     def pa_only(cls) -> MixingPolicy:
         return cls(1.0, 0.0, 0.0)
 
-    @classmethod
-    def pa_leader(cls) -> MixingPolicy:
-        return cls(0.7, 0.3, 0.0)
-
-    @classmethod
-    def pa_leader_random(cls) -> MixingPolicy:
-        return cls(0.6, 0.3, 0.1)
-
 
 # Named presets accepted wherever a policy can be configured.
 POLICY_PRESETS = {
-    "pa": MixingPolicy.pa_only,
-    "pa+leader": MixingPolicy.pa_leader,
-    "pa+leader+random": MixingPolicy.pa_leader_random,
+    "pa": MixingPolicy(1.0, 0.0, 0.0),
+    "pa+leader": MixingPolicy(0.7, 0.3, 0.0),
+    "pa+leader+random": MixingPolicy(0.6, 0.3, 0.1),
 }
 
 
@@ -76,16 +68,9 @@ class DegreeState:
 
     def commit(self, source_id: str, target_id: str) -> None:
         """Record one committed interaction edge source → target."""
-        self.out_deg[self._pop.index_of(source_id)] += 1
-        self.in_deg[self._pop.index_of(target_id)] += 1
+        self.out_deg[self._pop.index[source_id]] += 1
+        self.in_deg[self._pop.index[target_id]] += 1
         self.n_interactions += 1
-
-    def total_deg(self) -> np.ndarray:
-        return self.in_deg + self.out_deg
-
-    def total_of(self, agent_id: str) -> int:
-        i = self._pop.index_of(agent_id)
-        return int(self.in_deg[i] + self.out_deg[i])
 
     def violations(self) -> list[str]:
         out = []
@@ -161,7 +146,7 @@ def pa_select(candidates, degrees: DegreeState, rng: np.random.Generator) -> str
     if not len(candidates):
         raise ValidationError("pa_select requires a non-empty candidate set")
     pop = degrees._pop
-    cand_idx = np.sort(np.asarray([pop.index_of(c) for c in candidates], dtype=np.int64))
+    cand_idx = np.sort(np.asarray([pop.index[c] for c in candidates], dtype=np.int64))
     return pop.personas[_pa_select_idx(cand_idx, degrees, rng)].id
 
 
@@ -206,14 +191,14 @@ def select_partner_detail(
     fallbacks: list[str] = []
 
     if mode == "leader":
-        leader_id = pop.leader_of(agent.community)
+        leader_id = pop.leaders.get(agent.community)
         if leader_id is None or leader_id == agent.id:
             fallbacks.append("leader->pa")
             mode = "pa"
         else:
             return PartnerChoice(leader_id, "leader", requested)
 
-    self_idx = pop.index_of(agent.id)
+    self_idx = pop.index[agent.id]
     if mode == "pa":
         j = _pa_select_idx(cache.indexes(agent.id), degrees, rng, self_idx)
         if j is None:
@@ -284,14 +269,6 @@ class GraphMetrics:
     avg_total_degree_centrality: float
     avg_in_degree_centrality: float
     avg_out_degree_centrality: float
-
-    def to_dict(self) -> dict[str, float]:
-        return {
-            "density": self.density,
-            "avg_total_degree_centrality": self.avg_total_degree_centrality,
-            "avg_in_degree_centrality": self.avg_in_degree_centrality,
-            "avg_out_degree_centrality": self.avg_out_degree_centrality,
-        }
 
 
 # Edge kinds in EdgeStats's count order; a kind's code is its position.

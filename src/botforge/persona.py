@@ -112,19 +112,19 @@ class Persona:
 
 @dataclass
 class Population:
-    """A validated persona list plus derived id (index), community and leader indexes.
+    """A validated persona list, its id -> index dict and its community -> leader id dict.
 
-    Read-only after construction, index included; safe to share across threads.
+    index maps each id to its dense position in personas, stable for the
+    population's lifetime. Read-only after construction; safe to share
+    across threads.
     """
 
     personas: list[Persona]
-    communities: dict[str, list[str]] = field(init=False, default_factory=dict)
     leaders: dict[str, str] = field(init=False, default_factory=dict)
 
     def __post_init__(self):
-        self.index = {p.id: i for i, p in enumerate(self.personas)}  # id -> index_of
+        self.index = {p.id: i for i, p in enumerate(self.personas)}
         for p in self.personas:
-            self.communities.setdefault(p.community, []).append(p.id)
             if p.is_leader:
                 self.leaders[p.community] = p.id
 
@@ -137,15 +137,8 @@ class Population:
     def get(self, agent_id: str) -> Persona:
         return self.personas[self.index[agent_id]]
 
-    def index_of(self, agent_id: str) -> int:
-        """Dense index of an agent, stable for the population's lifetime."""
-        return self.index[agent_id]
-
     def ids(self) -> list[str]:
         return [p.id for p in self.personas]
-
-    def leader_of(self, community: str) -> str | None:
-        return self.leaders.get(community)
 
 
 def validate_population(pop: Population) -> list[str]:

@@ -19,7 +19,7 @@ import math
 import os
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import chain
 from pathlib import Path
 from types import NoneType
@@ -167,7 +167,7 @@ def _parse_mixing(value, path: str = "mixing") -> MixingPolicy:
         return value
     if isinstance(value, str):
         if value in POLICY_PRESETS:
-            return POLICY_PRESETS[value]()
+            return POLICY_PRESETS[value]
         parts = [s.strip() for s in value.split(",")]
         if len(parts) != 3:
             raise ValidationError(
@@ -245,7 +245,6 @@ class SimResult:
     graph: CommGraph
     metrics: GraphMetrics | None
     log: list[str]
-    start_run_index: int
     runs_completed: int  # total runs reflected in tweets (prior + new)
     status: str = "ok"
     error: str | None = None
@@ -255,12 +254,14 @@ class SimResult:
 class PriorRun:
     """What extending a finished run needs of it, read without parsing its whole corpus.
 
-    prefix is its verified tweets.jsonl (tweet_count tweets, ids 1 to
+    runs_completed is its manifest's run count, where the new runs' indexes
+    start. prefix is its verified tweets.jsonl (tweet_count tweets, ids 1 to
     tweet_count), last_by_agent each agent's latest tweet in it, and edges
     and degrees its graph, as read from graph.csv. run_simulation commits
     the new interactions to degrees.
     """
 
+    runs_completed: int
     prefix: CorpusPrefix
     last_by_agent: dict[str, Tweet]
     edges: dict[tuple[str, str], EdgeStats]
@@ -274,8 +275,7 @@ class _PlannedPost:
     target is the plan index of the tweet it responds to when that tweet is
     planned in the same run (its text is filled in once rendered); a target
     from an earlier run has its text set at planning. log_end counts the
-    plan's log lines that come before the post's commit, and interactions
-    the interactions committed before it.
+    plan's log lines that come before the post's commit.
     """
 
     persona: Persona
@@ -283,7 +283,6 @@ class _PlannedPost:
     pool_sample: dict[str, list[str]] | None  # None for a retweet, which has no prompt
     target: int | None
     log_end: int
-    interactions: int
     events: list[str] = field(default_factory=list)
 
 
@@ -314,7 +313,7 @@ def _plan_run(cfg, pop, pools, run_index, first_id, degrees, cache, last_by_agen
         slot = 0
 
         def add(task: GenerationTask, target: int | None = None) -> None:
-            post = _PlannedPost(p, task, None, target, len(log), degrees.n_interactions)
+            post = _PlannedPost(p, task, None, target, len(log))
             plan.append(post)
             if task.kind != "retweet":
                 prompted.append(post)
@@ -432,26 +431,25 @@ def run_simulation(
     backend,
     *,
     pools: dict[str, list[str]] | None = None,
-    start_run_index: int = 0,
     prior: PriorRun | None = None,
 ) -> SimResult:
     """Execute cfg.runs simulation runs and return the full committed corpus.
 
-    With prior, the runs continue a finished run: ids go on from its
-    tweet count, partners respond to its agents' last tweets, attachment
-    starts from its degrees, and the graph is its edges plus the new
-    tweets'. Only the new tweets are held; SimResult.tweets is then a
-    CorpusView of the prior file and them, which the writer copies and
-    appends to.
+    With prior, the runs continue a finished run: run indexes go on from
+    its runs_completed and ids from its tweet count, partners respond to
+    its agents' last tweets, attachment starts from its degrees, and the
+    graph is its edges plus the new tweets'. Only the new tweets are held;
+    SimResult.tweets is then a CorpusView of the prior file and them, which
+    the writer copies and appends to.
 
     Each run is planned first, with no backend call, then rendered: up to
     cfg.max_in_flight backend calls are outstanding when the backend is
     io_bound, and tweets commit strictly in (run, agent, slot) order, so the
     output does not depend on max_in_flight. Backend failure aborts with
     partial results attached (SimulationAborted): everything committed before
-    the first failing post in commit order stays valid, and the interactions
-    planned past it are not counted. The degree state then already holds the
-    aborted run's whole plan.
+    the first failing post in commit order stays valid. The degree state then
+    already holds the aborted run's whole plan; the interactions logged as
+    committed are the graph's, which counts committed tweets only.
     """
     cfg.validate()
     violations = validate_population(pop)
@@ -466,6 +464,7 @@ def run_simulation(
     corpus = CorpusView(prior.prefix, tweets) if prior else tweets
     last_by_agent: dict[str, Tweet] = dict(prior.last_by_agent) if prior else {}
     next_id = prior.prefix.tweet_count + 1 if prior else 1
+    start = prior.runs_completed if prior else 0
     params = cfg.backend_params()
 
     def render(post: _PlannedPost) -> Tweet:
@@ -473,18 +472,17 @@ def run_simulation(
                              params=params, on_event=post.events.append)
 
     log = [
-        f"simulation: seed={cfg.seed} runs={cfg.runs} start_run={start_run_index} "
+        f"simulation: seed={cfg.seed} runs={cfg.runs} start_run={start} "
         f"agents={len(pop)} backend={cfg.backend} scheme={cfg.scheme.level} "
         f"mixing=({cfg.mixing.p_pa},{cfg.mixing.p_leader},{cfg.mixing.p_random})"
     ]
     status, error = "ok", None
-    runs_done = start_run_index
-    interactions = None  # committed interactions, when a failure leaves planned ones behind
+    runs_done = start
     overlap = cfg.max_in_flight > 1 and getattr(backend, "io_bound", True)
 
     with ThreadPoolExecutor(cfg.max_in_flight) if overlap else nullcontext() as executor:
         try:
-            for run_index in range(start_run_index, start_run_index + cfg.runs):
+            for run_index in range(start, start + cfg.runs):
                 first_id = next_id + len(tweets)
                 plan, plan_log = _plan_run(cfg, pop, pools, run_index, first_id, degrees, cache,
                                            last_by_agent)
@@ -495,7 +493,6 @@ def run_simulation(
                     here = f"[run {run_index}] agent {post.persona.id} slot {post.task.slot_index}"
                     log.extend(f"{here}: {msg}" for msg in post.events)
                     if isinstance(outcome, BaseException):
-                        interactions = post.interactions
                         raise outcome
                     tweets.append(outcome)
                     last_by_agent[outcome.author_id] = outcome
@@ -505,17 +502,14 @@ def run_simulation(
             status, error = "aborted", str(exc)
             log.append(f"ABORTED: {error}")
 
-    if interactions is None:
-        interactions = degrees.n_interactions
-    log.append(f"committed {len(corpus)} tweets, {interactions} interactions")
     graph = build_comm_graph(tweets, pop, prior.edges if prior else None)
+    log.append(f"committed {len(corpus)} tweets, {graph.total_weight()} interactions")
     metrics = graph_metrics(graph, pop) if len(pop) >= 2 else None
     result = SimResult(
         tweets=corpus,
         graph=graph,
         metrics=metrics,
         log=log,
-        start_run_index=start_run_index,
         runs_completed=runs_done,
         status=status,
         error=error,
@@ -558,7 +552,7 @@ def write_outputs(
         export_graphml(result.graph, pop, staged["graph.graphml"])
 
         if result.metrics is not None:
-            metrics_doc = dict(result.metrics.to_dict())
+            metrics_doc = asdict(result.metrics)
             metrics_doc["weighted_density"] = weighted_density(result.graph)
             metrics_doc["defined"] = True
         else:
@@ -623,7 +617,7 @@ def simulate_to_dir(
 
 
 def _run_and_write(cfg: ScenarioConfig, pop: Population, pools: dict[str, list[str]], backend,
-                   start_run_index: int = 0, prior: PriorRun | None = None) -> SimResult:
+                   prior: PriorRun | None = None) -> SimResult:
     """run_simulation, then write_outputs to cfg.out_dir, also for an aborted run.
 
     backend None means cfg's backend. Both functions are looked up in this
@@ -638,8 +632,7 @@ def _run_and_write(cfg: ScenarioConfig, pop: Population, pools: dict[str, list[s
             backoff_s=cfg.backoff_s,
         )
     try:
-        result = run_simulation(cfg, pop, backend, pools=pools, start_run_index=start_run_index,
-                                prior=prior)
+        result = run_simulation(cfg, pop, backend, pools=pools, prior=prior)
     except SimulationAborted as exc:
         write_outputs(exc.result, cfg, pop, pools, cfg.out_dir)
         raise
@@ -703,7 +696,8 @@ def _read_prior(prev_dir: Path, manifest: dict, pop: Population) -> PriorRun:
                 raise ManifestError(f"{path}: tweet {t.id} names {agent!r}, who is not in "
                                     f"population.json")
     edges, degrees = read_edges_csv(prev_dir / "graph.csv", pop)
-    return PriorRun(prefix, {t.author_id: t for t in tail}, edges, degrees)
+    return PriorRun(manifest["runs_completed"], prefix, {t.author_id: t for t in tail}, edges,
+                    degrees)
 
 
 def resume_or_extend(prev_dir: str | Path, cfg: ScenarioConfig) -> SimResult:
@@ -731,12 +725,11 @@ def resume_or_extend(prev_dir: str | Path, cfg: ScenarioConfig) -> SimResult:
     pop = load_seed_personas(prev_dir / "population.json")
     pools = load_pools(prev_dir / "pools.json")
     prior = _read_prior(prev_dir, manifest, pop)
-    start = manifest["runs_completed"]
 
     cfg = replace(cfg, out_dir=cfg.out_dir or str(prev_dir),
                   population_path=str(prev_dir / "population.json"),
                   pools_path=str(prev_dir / "pools.json"))
-    return _run_and_write(cfg, pop, pools, None, start, prior)
+    return _run_and_write(cfg, pop, pools, None, prior)
 
 
 def load_corpus(run_dir: str | Path) -> tuple[Population, CorpusColumns]:

@@ -158,6 +158,33 @@ class TestSimulate:
         # flags outrank the config file
         assert read_manifest(tmp_path / "run3")["config"]["seed"] == 7
 
+    @pytest.mark.parametrize("in_config,flag,expected", [
+        (True, False, True), (False, True, True), (None, True, True), (None, False, False),
+    ], ids=["config only", "flag over config", "flag only", "neither"])
+    def test_require_both_eligibility_precedence(self, pop_file, tmp_path, capsys, in_config,
+                                                 flag, expected):
+        doc = {"population_path": pop_file, "out_dir": str(tmp_path / "run")}
+        if in_config is not None:
+            doc["require_both_eligibility"] = in_config
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        argv = ["simulate", "--config", str(cfg_path)]
+        assert main(argv + ["--require-both-eligibility"] * flag) == 0
+        config = read_manifest(tmp_path / "run")["config"]
+        assert config["require_both_eligibility"] is expected
+
+    def test_input_flags_set_their_config_keys(self, pop_file, tmp_path, capsys):
+        # --population and --pools set population_path and pools_path, over the config file.
+        pools = tmp_path / "pools.json"
+        pools.write_text(json.dumps({"hashtags": ["#x"], "urls": []}))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"population_path": str(tmp_path / "missing.json"),
+                                        "pools_path": str(tmp_path / "missing_pools.json")}))
+        assert main(["simulate", "--config", str(cfg_path), "--population", pop_file,
+                     "--pools", str(pools), "--out-dir", str(tmp_path / "run")]) == 0
+        config = read_manifest(tmp_path / "run")["config"]
+        assert (config["population_path"], config["pools_path"]) == (pop_file, str(pools))
+
     def test_wrong_typed_config_value_is_validation_error(self, pop_file, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"runs": "3"}))
@@ -520,11 +547,28 @@ class TestAnalyzeCompareExport:
         assert main(["compare", "--cues", "x.csv", "--format", "pdf"]) == 1
 
     def test_export_both_formats(self, cli_run_dir, tmp_path, capsys):
+        # A plain directory, with no manifest.json, takes the copies beside what it holds.
         dest = tmp_path / "exported"
+        dest.mkdir()
+        (dest / "notes.txt").write_text("kept")
         assert main(["export", "--run-dir", str(cli_run_dir),
                      "--out-dir", str(dest)]) == 0
-        assert (dest / "graph.csv").is_file()
-        assert (dest / "graph.graphml").is_file()
+        assert sorted(path.name for path in dest.iterdir()) == [*_GRAPH_FILES, "notes.txt"]
+        for name in _GRAPH_FILES:
+            assert (dest / name).read_bytes() == (cli_run_dir / name).read_bytes()
+
+    def test_export_refuses_another_run_directory(self, cli_run_dir, pop_file, tmp_path,
+                                                 capsys):
+        other = tmp_path / "other"
+        assert main(["simulate", "--population", pop_file, "--out-dir", str(other),
+                     "--seed", "6", "--runs", "1"]) == 0
+        before = {path.name: path.read_bytes() for path in other.iterdir()}
+        assert any(before[name] != (cli_run_dir / name).read_bytes() for name in _GRAPH_FILES)
+        capsys.readouterr()
+        assert main(["export", "--run-dir", str(cli_run_dir), "--out-dir", str(other)]) == 1
+        assert "is another run directory" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in other.iterdir()} == before
+        assert main(["simulate", "--extend-from", str(other), "--runs", "1"]) == 0
 
     @pytest.mark.parametrize("case", ["pa", "pa+leader", "pa+leader+random",
                                       "extended in place", "aborted"])

@@ -29,7 +29,6 @@ from botforge.content import (
     load_pools,
     make_backend,
     parse_scheme,
-    sample_pools,
     select_narrative,
     truncate_to_limit,
 )
@@ -285,7 +284,7 @@ class TestUserPrompt:
 
     def test_large_pools_sampled_to_cap(self):
         pools = {"hashtags": [f"#t{i}" for i in range(12)], "urls": ["https://u.example/1"]}
-        sample = sample_pools(pools, np.random.default_rng(0))
+        sample = draw_pool_samples(pools, [(np.random.default_rng(0), 1)])[0][0]
         hashtags = sample["hashtags"]
         assert len(hashtags) == POOL_SAMPLE_CAP == len(set(hashtags))
         assert hashtags == [h for h in pools["hashtags"] if h in hashtags]  # pool order kept
@@ -387,11 +386,11 @@ class TestPoolSampleDraws:
     @settings(max_examples=50, deadline=None)
     @given(n_hashtags=_pool_size, n_urls=_pool_size, seed=st.integers(0, 2**64 - 1),
            buffered=st.booleans(), bit_generator=st.sampled_from(_BIT_GENERATORS))
-    def test_sample_pools_is_one_block_draw(self, n_hashtags, n_urls, seed, buffered,
-                                            bit_generator):
+    def test_one_slice_is_one_choice_call_per_pool(self, n_hashtags, n_urls, seed, buffered,
+                                                   bit_generator):
         pools = _sized_pools(n_hashtags, n_urls)
         rng, reference = (_rng(seed, buffered, bit_generator) for _ in range(2))
-        assert sample_pools(pools, rng) == _choice_samples(pools, reference, 1)[0]
+        assert draw_pool_samples(pools, [(rng, 1)]) == [_choice_samples(pools, reference, 1)]
         assert _state(rng) == _state(reference)
 
     def test_real_rejection_redraws_as_choice_does(self):

@@ -18,6 +18,7 @@ from botforge.cues import (
     TEXT_CUES,
     CueVector,
     Lexicon,
+    LexiconTable,
     aggregate_cues,
     classify_tokens,
     count_lexicon_terms,
@@ -177,14 +178,10 @@ class TestMetadataCues:
     def test_mentions_only(self):
         assert metadata_cues("@a @b @c") == {"mentions": 3, "urls": 0, "hashtags": 0}
 
-    def test_accepts_tweet(self):
-        t = post(1, "a_01", "Go @bob! #win #win http://t.co/x")
-        assert metadata_cues(t) == {"mentions": 1, "urls": 1, "hashtags": 2}
-
 
 class TestTextCues:
     def test_hand_counted_vector(self, lexicons):
-        vals = text_cues("I hate that you love my work.", lexicons)
+        vals = text_cues("I hate that you love my work.", LexiconTable.from_lexicons(lexicons))
         assert vals["first_person_pronouns"] == 2  # I, my
         assert vals["second_person_pronouns"] == 1  # you
         assert vals["negative_sentiment"] == 1  # hate
@@ -207,10 +204,6 @@ class TestCueVector:
         msgs = bad.violations()
         assert any("mentions" in m for m in msgs)
         assert any("reading_difficulty" in m for m in msgs)
-
-    def test_as_dict_order(self):
-        vec = CueVector(**{name: float(i) for i, name in enumerate(CUE_NAMES)})
-        assert tuple(vec.as_dict()) == CUE_NAMES
 
 
 class TestAggregate:
@@ -282,7 +275,7 @@ class TestAggregate:
         agg = aggregate_cues(tweets, FLAT_METRICS, pop, lexicons)
         report = _report(agg, tmp_path)
         for cue in CUE_NAMES:
-            vals = [v.as_dict()[cue] for v in agg.per_agent.values()]
+            vals = [getattr(v, cue) for v in agg.per_agent.values()]
             assert min(vals) - 1e-12 <= report[cue]["mean"] <= max(vals) + 1e-12
 
 
@@ -480,6 +473,7 @@ def _oracle_artifacts(text):
 
 
 SHIPPED_LEXICONS = load_lexicons()
+SHIPPED_TABLE = LexiconTable.from_lexicons(SHIPPED_LEXICONS)
 # Every word of every shipped term (so the multi-word terms and their
 # prefixes occur), plus filler words no lexicon holds.
 _SHIPPED_WORDS = sorted({w for lex in SHIPPED_LEXICONS.values() for term in lex.terms
@@ -561,17 +555,18 @@ class TestOnePassMatchesOracle:
     @given(_texts(_SHIPPED_WORDS))
     @settings(max_examples=400, deadline=None)
     def test_shipped_lexicons(self, text):
-        assert text_cues(text, SHIPPED_LEXICONS) == _oracle_text_cues(text, SHIPPED_LEXICONS)
+        assert text_cues(text, SHIPPED_TABLE) == _oracle_text_cues(text, SHIPPED_LEXICONS)
 
     @given(SAFE_TEXT)
     @settings(max_examples=200, deadline=None)
     def test_arbitrary_text(self, text):
-        assert text_cues(text, SHIPPED_LEXICONS) == _oracle_text_cues(text, SHIPPED_LEXICONS)
+        assert text_cues(text, SHIPPED_TABLE) == _oracle_text_cues(text, SHIPPED_LEXICONS)
 
     @given(_LEXICON_SETS, _texts(_SMALL_VOCAB))
     @settings(max_examples=300, deadline=None)
     def test_custom_lexicon_sets(self, lexicons, text):
-        assert text_cues(text, lexicons) == _oracle_text_cues(text, lexicons)
+        assert text_cues(text, LexiconTable.from_lexicons(lexicons)) == _oracle_text_cues(
+            text, lexicons)
         for cat in LEXICON_CATEGORIES:
             words = [t.lower() for t in _oracle_tokenize(text) if not _oracle_is_artifact(t)]
             assert count_lexicon_terms(text, lexicons[cat]) == _oracle_count_tokens(
@@ -587,7 +582,7 @@ class TestOnePassMatchesOracle:
 
     def test_marker_edge_cases(self):
         text = "@ #! @bob's shut up, well done done (http://a.b/c.d) Lack OF #x"
-        assert text_cues(text, SHIPPED_LEXICONS) == _oracle_text_cues(text, SHIPPED_LEXICONS)
+        assert text_cues(text, SHIPPED_TABLE) == _oracle_text_cues(text, SHIPPED_LEXICONS)
         assert _extract_artifacts(text) == ([], ["#x"], ["http://a.b/c.d"])
 
     @given(st.one_of(_corpora(_texts(_SHIPPED_WORDS), SHIPPED_LEXICONS),

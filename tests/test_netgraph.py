@@ -52,9 +52,9 @@ def interaction(tid, src, dst, kind="reply", target_tweet=1):
 class TestMixingPolicy:
     def test_presets(self):
         assert set(POLICY_PRESETS) == {"pa", "pa+leader", "pa+leader+random"}
-        assert POLICY_PRESETS["pa"]() == MixingPolicy(1.0, 0.0, 0.0)
-        assert POLICY_PRESETS["pa+leader"]() == MixingPolicy(0.7, 0.3, 0.0)
-        assert POLICY_PRESETS["pa+leader+random"]() == MixingPolicy(0.6, 0.3, 0.1)
+        assert POLICY_PRESETS["pa"] == MixingPolicy(1.0, 0.0, 0.0) == MixingPolicy.pa_only()
+        assert POLICY_PRESETS["pa+leader"] == MixingPolicy(0.7, 0.3, 0.0)
+        assert POLICY_PRESETS["pa+leader+random"] == MixingPolicy(0.6, 0.3, 0.1)
 
     def test_sum_must_be_one(self):
         with pytest.raises(ValidationError):
@@ -74,11 +74,11 @@ class TestDegreeState:
         d.commit("a_01", "b_02")
         d.commit("a_01", "b_02")
         d.commit("b_02", "a_01")
-        assert d.total_of("a_01") == 3
-        assert d.total_of("b_02") == 3
-        assert d.total_of("a_02") == 0
+        assert micro_pop.ids() == ["a_01", "a_02", "b_01", "b_02"]
+        np.testing.assert_array_equal(d.out_deg, [2, 0, 0, 1])
+        np.testing.assert_array_equal(d.in_deg, [1, 0, 0, 2])
+        assert d.n_interactions == 3
         assert d.violations() == []
-        np.testing.assert_array_equal(d.total_deg(), [3, 0, 0, 3])
 
     def test_unknown_agent_rejected(self, micro_pop):
         d = DegreeState(micro_pop)
@@ -114,7 +114,7 @@ def others_in_class(cache, agent, pop, *, require_both=False) -> set[str]:
     has no narrative under require_both.
     """
     got = cache.indexes(agent.id)
-    i = pop.index_of(agent.id)
+    i = pop.index[agent.id]
     assert got.dtype == np.int64 and list(got) == sorted(got)
     assert (i in got) == (bool(agent.narratives) or not require_both)
     return {pop.personas[j].id for j in got if j != i}
@@ -332,14 +332,14 @@ def reference_select(agent, pop, policy, degrees, rng, *, require_both):
                  "leader" if u < policy.p_pa + policy.p_leader else "random")
     mode, fallbacks = requested, []
     if mode == "leader":
-        leader_id = pop.leader_of(agent.community)
+        leader_id = pop.leaders.get(agent.community)
         if leader_id is None or leader_id == agent.id:
             fallbacks.append("leader->pa")
             mode = "pa"
         else:
             return PartnerChoice(leader_id, "leader", requested)
     if mode == "pa":
-        copy = np.array(sorted(map(pop.index_of, eligible_candidates(
+        copy = np.array(sorted(map(pop.index.__getitem__, eligible_candidates(
             agent, pop, require_both=require_both))), dtype=np.int64)
         if len(copy) == 0:
             fallbacks.append("pa->random")
@@ -348,7 +348,7 @@ def reference_select(agent, pop, policy, degrees, rng, *, require_both):
             cum = np.cumsum((degrees.in_deg[copy] + degrees.out_deg[copy] + 1).astype(np.float64))
             j = int(copy[np.searchsorted(cum, rng.random() * cum[-1], side="right")])
             return PartnerChoice(pop.personas[j].id, "pa", requested, tuple(fallbacks))
-    i = pop.index_of(agent.id)
+    i = pop.index[agent.id]
     j = int(rng.integers(len(pop) - 1))
     return PartnerChoice(pop.personas[j + (j >= i)].id, "random", requested, tuple(fallbacks))
 
@@ -554,8 +554,8 @@ class TestGraphFromEdges:
                   build_comm_graph(self.TWEETS[split:], micro_pop, edges)):
             expected_in, expected_out = [0] * len(micro_pop), [0] * len(micro_pop)
             for src, dst in g.edges:
-                expected_out[micro_pop.index_of(src)] += 1
-                expected_in[micro_pop.index_of(dst)] += 1
+                expected_out[micro_pop.index[src]] += 1
+                expected_in[micro_pop.index[dst]] += 1
             in_deg, out_deg = g.degree_arrays(micro_pop)
             assert (in_deg.tolist(), out_deg.tolist()) == (expected_in, expected_out)
 
@@ -728,7 +728,7 @@ class TestProperties:
         rng = np.random.default_rng(seed)
         agent = pop.personas[0]
         choice = select_partner_detail(
-            agent, pop, MixingPolicy.pa_leader_random(), DegreeState(pop), rng
+            agent, pop, POLICY_PRESETS["pa+leader+random"], DegreeState(pop), rng
         )
         assert choice.partner_id in pop
         assert choice.partner_id != agent.id

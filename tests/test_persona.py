@@ -151,11 +151,9 @@ class TestPersonaDoc:
 class TestPopulation:
     def test_indexes(self, micro_pop):
         assert len(micro_pop) == 4
-        assert micro_pop.index_of("a_02") == 1
+        assert micro_pop.index == {"a_01": 0, "a_02": 1, "b_01": 2, "b_02": 3}
         assert micro_pop.get("b_01").is_leader
-        assert micro_pop.leader_of("alpha") == "a_01"
-        assert micro_pop.leader_of("nowhere") is None
-        assert set(micro_pop.communities) == {"alpha", "beta"}
+        assert micro_pop.leaders == {"alpha": "a_01", "beta": "b_01"}
         assert "a_01" in micro_pop and "zzz" not in micro_pop
 
     def test_validate_clean(self, micro_pop):
@@ -185,9 +183,14 @@ class TestSeedFile:
         assert validate_population(seed_pop) == []
         assert all(p.origin == "manual" for p in seed_pop.personas)
         # every community has exactly one leader
-        for community, members in seed_pop.communities.items():
+        communities: dict[str, list[str]] = {}
+        for p in seed_pop.personas:
+            communities.setdefault(p.community, []).append(p.id)
+        assert len(communities) == 8
+        for community, members in communities.items():
             leaders = [m for m in members if seed_pop.get(m).is_leader]
             assert len(leaders) == 1, community
+            assert seed_pop.leaders[community] == leaders[0]
 
     def test_save_load_round_trip(self, micro_pop, tmp_path):
         path = tmp_path / "pop.json"

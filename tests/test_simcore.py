@@ -1,5 +1,6 @@
 """Simulation loop, output directory layout, manifests, and run extension."""
 
+import csv
 import hashlib
 import json
 import re
@@ -274,7 +275,7 @@ class TestScenarioConfig:
     def test_manifest_echo_round_trips(self):
         cfg = ScenarioConfig(
             seed=42,
-            mixing=MixingPolicy.pa_leader_random(),
+            mixing=POLICY_PRESETS["pa+leader+random"],
             backend="template",
             runs=3,
             temperature=0.2,
@@ -340,7 +341,7 @@ class TestParseMixing:
         assert _parse_mixing([1, 0, 0]) == MixingPolicy.pa_only()
 
     def test_policy_passthrough(self):
-        policy = MixingPolicy.pa_leader()
+        policy = POLICY_PRESETS["pa+leader"]
         assert _parse_mixing(policy) is policy
 
     def test_wrong_arity_rejected(self):
@@ -679,7 +680,7 @@ class TestResumeOrExtend:
     def test_extension_matches_fresh_two_run_corpus(self, micro_pop, pools, run_dir):
         out, cfg, first = run_dir
         ext = resume_or_extend(out, replace(cfg, out_dir=str(out.parent / "ext")))
-        assert ext.start_run_index == 1
+        assert {t.run_index for t in ext.tweets.new} == {1}
         assert ext.runs_completed == 2
         written = read_tweets_jsonl(out.parent / "ext" / "tweets.jsonl")
         assert written[: len(first.tweets)] == first.tweets
@@ -853,8 +854,8 @@ class TestExtendReadsTail:
         edges, degrees = read_edges_csv(out / "graph.csv", pop)
         by_edge = DegreeState(pop)
         for (src, dst), e in edges.items():
-            by_edge.out_deg[pop.index_of(src)] += e.weight
-            by_edge.in_deg[pop.index_of(dst)] += e.weight
+            by_edge.out_deg[pop.index[src]] += e.weight
+            by_edge.in_deg[pop.index[dst]] += e.weight
             by_edge.n_interactions += e.weight
         by_tweet = DegreeState(pop)
         for t in read_tweets_jsonl(out / "tweets.jsonl"):
@@ -942,8 +943,55 @@ class TestLoadCorpus:
             load_corpus(tmp_path)
 
 
+def _committed_line(run_dir: Path) -> tuple[int, int]:
+    """(tweets, interactions) of run.log's `committed N tweets, M interactions` line."""
+    lines = re.findall(r"^committed (\d+) tweets, (\d+) interactions$",
+                       (run_dir / "run.log").read_text(encoding="utf-8"), re.MULTILINE)
+    assert len(lines) == 1, lines
+    return int(lines[0][0]), int(lines[0][1])
+
+
+def _graph_weight(run_dir: Path) -> int:
+    with open(run_dir / "graph.csv", newline="", encoding="utf-8") as fh:
+        return sum(int(row["weight"]) for row in csv.DictReader(fh))
+
+
+class TestCommittedInteractionCount:
+    """run.log's committed interaction count is the sum of graph.csv's weights."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("case", ["fresh", "extended in place", "aborted fresh",
+                                      "aborted extend"])
+    def test_logged_count_is_graph_weight(self, tmp_path, monkeypatch, case, seed):
+        out = tmp_path / "run"
+        cfg = config_from_dict({
+            "seed": seed, "runs": 1, "mixing": "pa+leader+random",
+            "population_path": str(default_population_path()),
+            "pools_path": str(default_pools_path()), "out_dir": str(out),
+        })
+        if case == "aborted fresh":
+            with pytest.raises(SimulationAborted):
+                simulate_to_dir(cfg, backend=_FailingBackend(fail_after=700))
+        else:
+            simulate_to_dir(cfg)
+        if case == "extended in place":
+            resume_or_extend(out, replace(cfg, out_dir=None))
+        elif case == "aborted extend":
+            monkeypatch.setattr("botforge.simcore.make_backend",
+                                lambda *a, **kw: _FailingBackend(fail_after=700))
+            with pytest.raises(SimulationAborted):
+                resume_or_extend(out, replace(cfg, out_dir=None))
+        manifest = read_manifest(out)
+        assert manifest["status"] == ("aborted" if case.startswith("aborted") else "ok")
+        n_tweets, n_interactions = _committed_line(out)
+        assert n_tweets == manifest["tweet_count"]
+        assert n_interactions == _graph_weight(out) > 0
+        kinds = [t.kind for t in read_tweets_jsonl(out / "tweets.jsonl")]
+        assert n_interactions == len(kinds) - kinds.count("original")
+
+
 _SEEDS = st.integers(0, 2**32 - 1)
-_MIXING = st.sampled_from(sorted(POLICY_PRESETS)).map(lambda name: POLICY_PRESETS[name]())
+_MIXING = st.sampled_from(sorted(POLICY_PRESETS)).map(POLICY_PRESETS.__getitem__)
 
 
 class TestInvariantProperties:
