@@ -10,11 +10,12 @@ the whole pipeline reproducible offline.
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import os
 import random
 import re
+import socket
+import ssl
 import time
 from dataclasses import dataclass
 from email.utils import parsedate_to_datetime
@@ -529,6 +530,11 @@ class TemplateBackend(ContentBackend):
 
 # Statuses worth a retry: timeout, rate limit, and every 5xx.
 RETRY_STATUSES = frozenset({408, 429})
+# Reply limits, http.client's: the bytes of one status, header, chunk-size or
+# trailer line with its end, and the lines of one header block with its blank end.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+_LINE_ENDS = (b"\r\n", b"\n", b"")  # a blank line, or the end of the stream
 
 
 def _retry_after_s(value: str | None) -> float | None:
@@ -546,6 +552,98 @@ def _retry_after_s(value: str | None) -> float | None:
     return max(0.0, when.timestamp() - time.time())
 
 
+class _BadReply(Exception):
+    """A reply that breaks HTTP/1.1 message syntax; retried like a transport error."""
+
+
+def _read_reply(recv) -> tuple[int, str | None, bytes]:
+    """(status, Retry-After, body) of one HTTP/1.1 reply (RFC 9112), read
+    through recv(bufsize) -> bytes, which gives b"" at the end of the stream.
+
+    Interim 1xx replies are skipped. Header lines without a colon, folded
+    ones included, are skipped. A 204 or 304 has no body; otherwise
+    Transfer-Encoding chunked is decoded, a Content-Length that is an
+    integer >= 0 counts the body's bytes, and without either the body runs
+    to the end of the stream. Retry-After joins the header's values with
+    ", ", as http.client's getheader does. _BadReply for a status line that
+    is not HTTP/1.x or HTTP/0.9 with a code in 100..999, a line over
+    _MAX_LINE bytes, more than _MAX_HEADERS header lines, or a body cut short.
+    """
+    buf = bytearray()
+
+    def more() -> bool:
+        data = recv(_MAX_LINE)
+        buf.extend(data)
+        return bool(data)
+
+    def take(n: int) -> bytes:
+        data = bytes(buf[:n])
+        del buf[:n]
+        return data
+
+    def line(what: str) -> bytes:  # with its end; at the end of the stream, what is left
+        while (end := buf.find(b"\n", 0, _MAX_LINE)) < 0:
+            if len(buf) > _MAX_LINE:
+                raise _BadReply(f"{what} longer than {_MAX_LINE} bytes")
+            if not more():
+                return take(len(buf))
+        return take(end + 1)
+
+    def exactly(n: int) -> bytes:
+        while len(buf) < n:
+            if not more():
+                raise _BadReply(f"reply ended {n - len(buf)} bytes short of its body")
+        return take(n)
+
+    status = 100
+    while status < 200:
+        status_line = line("status line")
+        parts = status_line.decode("latin-1").split(None, 2)
+        try:
+            status = int(parts[1]) if parts[0] == "HTTP/0.9" or parts[0][:7] == "HTTP/1." else 0
+        except (IndexError, ValueError):
+            status = 0
+        if not 100 <= status <= 999:
+            raise _BadReply(f"bad status line {status_line[:80]!r}")
+        fields: dict[bytes, list[bytes]] = {}
+        for _ in range(_MAX_HEADERS):
+            if (field := line("header line")) in _LINE_ENDS:
+                break
+            name, colon, value = field.partition(b":")
+            if colon:
+                fields.setdefault(name.lower(), []).append(value.lstrip(b" \t").rstrip(b"\r\n"))
+        else:
+            raise _BadReply(f"more than {_MAX_HEADERS} header lines")
+    retry_after = fields.get(b"retry-after")  # None, or one value or more
+    retry_after = retry_after and b", ".join(retry_after).decode("latin-1")
+    if status in (204, 304):
+        return status, retry_after, b""
+    if fields.get(b"transfer-encoding", [b""])[0].lower() == b"chunked":
+        chunks = []
+        while True:
+            size_line = line("chunk size line")
+            try:
+                size = int(size_line.partition(b";")[0], 16)
+            except ValueError:
+                size = -1
+            if size <= 0:
+                break
+            chunks.append(exactly(size))
+            exactly(2)  # the line end after the chunk's data
+        if size < 0:
+            raise _BadReply(f"bad chunk size line {size_line[:80]!r}")
+        while line("trailer line") not in _LINE_ENDS:
+            pass
+        return status, retry_after, b"".join(chunks)
+    try:
+        length = int(fields[b"content-length"][0].decode("latin-1"))
+    except (KeyError, ValueError):
+        length = -1
+    while length < 0 and more():  # no length: the body runs to the end of the stream
+        pass
+    return status, retry_after, exactly(length if length >= 0 else len(buf))
+
+
 class LlmHttpBackend(ContentBackend):
     """HTTP client for a chat-completion endpoint.
 
@@ -556,6 +654,10 @@ class LlmHttpBackend(ContentBackend):
     beyond the cap. Each request opens its own connection and closes it
     before returning, so calls from several threads share no state. Proxy
     environment variables are not read.
+
+    The request head (the headers http.client sends, with Connection: close)
+    and, for https://, the TLS context (HTTPSConnection's default one) are
+    built once; a call sends head, Content-Length and body in one sendall.
     """
 
     def __init__(
@@ -575,34 +677,49 @@ class LlmHttpBackend(ContentBackend):
             port = 0
         if url.scheme not in ("http", "https") or not url.hostname or port == 0:
             raise ValidationError(f"base_url {base_url!r} must be an http:// or https:// URL")
+        target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        try:
+            host = url.hostname.encode("idna")
+        except UnicodeError:  # a label that is empty or over 63 characters
+            host = b""
+        if not (host and target.isascii() and target.isprintable()) or " " in target:
+            raise ValidationError(f"base_url {base_url!r} cannot be sent: it needs a valid host "
+                                  "and a path and query of printable ASCII with no space")
         key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         if not key:
             raise BackendError(
                 f"no API key: set the {API_KEY_ENV} environment variable"
             )
-        self._connection_class = (
-            http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
-        )
-        self._host = url.hostname
-        self._port = port or (443 if url.scheme == "https" else 80)
-        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
-        self._api_key = key
+        if not (key.isascii() and key.isprintable()):
+            raise BackendError(f"the API key (from {API_KEY_ENV}) holds a control or "
+                               "non-ASCII character")
+        default_port = 443 if url.scheme == "https" else 80
+        if b":" in host:  # an IPv6 address: bracketed, without its zone
+            host = b"[" + host.partition(b"%")[0] + b"]"
+        if port not in (None, default_port):
+            host += b":%d" % port
+        self._address = (url.hostname, port or default_port)
+        self._head = (f"POST {target} HTTP/1.1\r\nHost: ".encode("ascii") + host
+                      + b"\r\nAccept-Encoding: identity\r\nContent-Length: ")
+        self._tail = (f"\r\nAuthorization: Bearer {key}\r\nContent-Type: application/json"
+                      "\r\nConnection: close\r\n\r\n").encode("ascii")
+        self._tls = ssl.create_default_context() if url.scheme == "https" else None
+        if self._tls is not None:
+            self._tls.set_alpn_protocols(["http/1.1"])
         self.max_retries = int(max_retries)
         self.backoff_s = float(backoff_s)
 
     def _post(self, body: bytes) -> tuple[int, str | None, bytes]:
         """One request on a connection of its own: (status, Retry-After, body)."""
-        conn = self._connection_class(self._host, self._port, timeout=HTTP_TIMEOUT_S)
+        sock = socket.create_connection(self._address, HTTP_TIMEOUT_S)
         try:
-            conn.request("POST", self._path, body=body, headers={
-                "Authorization": f"Bearer {self._api_key}",
-                "Content-Type": "application/json",
-                "Connection": "close",
-            })
-            resp = conn.getresponse()
-            return resp.status, resp.getheader("Retry-After"), resp.read()
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tls is not None:
+                sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
+            sock.sendall(b"%s%d%s%s" % (self._head, len(body), self._tail, body))
+            return _read_reply(sock.recv)
         finally:
-            conn.close()
+            sock.close()
 
     def complete(self, system_text: str, user_text: str, params: dict) -> str:
         body = {
@@ -627,7 +744,7 @@ class LlmHttpBackend(ContentBackend):
                 )
             try:
                 status, retry_header, payload = self._post(data)
-            except (OSError, http.client.HTTPException) as exc:
+            except (OSError, _BadReply) as exc:
                 last_error = f"transport error: {exc}"
                 retry_after = None
                 continue

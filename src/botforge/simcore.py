@@ -17,7 +17,8 @@ import heapq
 import json
 import math
 import os
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import chain
@@ -238,7 +239,8 @@ class SimResult:
     tweets is the whole corpus: a list for a fresh run, and for an extend a
     CorpusView of the prior corpus file and the new tweets, whose len() is
     the whole corpus's (the prior tweets are in the run directory's
-    tweets.jsonl). graph and metrics cover the whole corpus too.
+    tweets.jsonl). graph and metrics cover the whole corpus too. log holds
+    this call's lines, which run.log appends to prior_log (an extend's).
     """
 
     tweets: list[Tweet] | CorpusView
@@ -248,6 +250,7 @@ class SimResult:
     runs_completed: int  # total runs reflected in tweets (prior + new)
     status: str = "ok"
     error: str | None = None
+    prior_log: bytes = b""
 
 
 @dataclass
@@ -256,9 +259,9 @@ class PriorRun:
 
     runs_completed is its manifest's run count, where the new runs' indexes
     start. prefix is its verified tweets.jsonl (tweet_count tweets, ids 1 to
-    tweet_count), last_by_agent each agent's latest tweet in it, and edges
-    and degrees its graph, as read from graph.csv. run_simulation commits
-    the new interactions to degrees.
+    tweet_count), last_by_agent each agent's latest tweet in it, edges and
+    degrees its graph, as read from graph.csv, and log its run.log's bytes.
+    run_simulation commits the new interactions to degrees.
     """
 
     runs_completed: int
@@ -266,6 +269,7 @@ class PriorRun:
     last_by_agent: dict[str, Tweet]
     edges: dict[tuple[str, str], EdgeStats]
     degrees: DegreeState
+    log: bytes
 
 
 @dataclass(slots=True)
@@ -383,6 +387,7 @@ def _render_in_order(plan, render, executor, limit):
         else:
             dependents.setdefault(post.target, []).append(i)
     running: dict = {}  # future -> plan index
+    done = queue.SimpleQueue()  # running futures, each put there once it has finished
     stop = len(plan)  # plan index of the first failure so far
 
     def finish(i, outcome):
@@ -413,16 +418,17 @@ def _render_in_order(plan, render, executor, limit):
             if inline:
                 finish(i, render_inline(post))
             else:
-                running[executor.submit(render, post)] = i
+                future = executor.submit(render, post)
+                running[future] = i
+                future.add_done_callback(done.put)
         while committed < len(plan) and outcomes[committed] is not None:
             yield plan[committed], outcomes[committed]
             if isinstance(outcomes[committed], BaseException):
                 return
             committed += 1
         if running:
-            done, _ = wait(running, return_when=FIRST_COMPLETED)
-            for future in done:
-                finish(running.pop(future), future.exception() or future.result())
+            future = done.get()
+            finish(running.pop(future), future.exception() or future.result())
 
 
 def run_simulation(
@@ -513,6 +519,7 @@ def run_simulation(
         runs_completed=runs_done,
         status=status,
         error=error,
+        prior_log=prior.log if prior else b"",
     )
     if status != "ok":
         raise SimulationAborted(error, result)
@@ -540,7 +547,8 @@ def write_outputs(
     there; the data files then replace their namesakes, the manifest last.
     A failure while staging leaves the directory as it was and removes the
     staged files. When result extends a finished run, its tweets.jsonl is
-    that run's verified file's bytes with the new tweets appended.
+    that run's verified file's bytes with the new tweets appended, and its
+    run.log result.prior_log with the new lines appended.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -564,7 +572,8 @@ def write_outputs(
             json.dumps(metrics_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
 
-        staged["run.log"].write_text("\n".join(result.log) + "\n", encoding="utf-8")
+        staged["run.log"].write_bytes(result.prior_log
+                                      + ("\n".join(result.log) + "\n").encode("utf-8"))
         save_personas(pop, staged["population.json"])
         staged["pools.json"].write_text(
             json.dumps(pools, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -697,20 +706,21 @@ def _read_prior(prev_dir: Path, manifest: dict, pop: Population) -> PriorRun:
                                     f"population.json")
     edges, degrees = read_edges_csv(prev_dir / "graph.csv", pop)
     return PriorRun(manifest["runs_completed"], prefix, {t.author_id: t for t in tail}, edges,
-                    degrees)
+                    degrees, (prev_dir / "run.log").read_bytes())
 
 
 def resume_or_extend(prev_dir: str | Path, cfg: ScenarioConfig) -> SimResult:
     """Append cfg.runs further runs on top of a finished run directory.
 
-    The directory's tweets.jsonl, graph.csv, population.json and pools.json
-    are verified against the manifest hashes. The prior corpus is then
+    The directory's tweets.jsonl, graph.csv, run.log, population.json and
+    pools.json are verified against the manifest hashes. The prior corpus is then
     trusted and not parsed: each agent's last tweet comes from a backward
     scan of its end (about one run), the next id from the manifest's
     tweet_count, and the graph and degree state, so that attachment
     continues from the prior structure, from graph.csv. Output goes to
     cfg.out_dir (defaulting to prev_dir); its tweets.jsonl is the prior
     file's bytes, checked against their hash again, with the new tweets
+    appended, and its run.log the prior run.log's bytes with the new lines
     appended. The result's tweets are a CorpusView of that file and the new
     tweets: the prior tweets are never parsed.
     """
@@ -719,7 +729,8 @@ def resume_or_extend(prev_dir: str | Path, cfg: ScenarioConfig) -> SimResult:
     if manifest.get("status") != "ok":
         raise ManifestError(f"cannot extend a run with status {manifest.get('status')!r}")
     verify_manifest_files(
-        prev_dir, manifest, ("tweets.jsonl", "graph.csv", "population.json", "pools.json")
+        prev_dir, manifest,
+        ("tweets.jsonl", "graph.csv", "run.log", "population.json", "pools.json"),
     )
 
     pop = load_seed_personas(prev_dir / "population.json")

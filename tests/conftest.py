@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import ssl
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -88,16 +90,22 @@ def backend():
     return TemplateBackend(seed=7)
 
 
+# A self-signed certificate for 127.0.0.1 (valid until 2126) and its key.
+TLS_CERT = Path(__file__).parent / "data" / "tls-cert.pem"
+TLS_KEY = Path(__file__).parent / "data" / "tls-key.pem"
+
+
 class ChatServer:
     """An in-process chat-completion endpoint on 127.0.0.1.
 
     Each POST is recorded as (path, headers, parsed body) and answered by
     answer(body) -> (status, headers, payload). By default the answers are
     the scripted replies, in order, with the last one repeating; payload is
-    JSON-encoded unless it is bytes already.
+    JSON-encoded unless it is bytes already. With tls, it serves https://
+    with TLS_CERT.
     """
 
-    def __init__(self):
+    def __init__(self, tls: bool = False):
         self.replies: list[tuple[int, dict, object]] = []
         self.requests: list[tuple[str, dict, dict]] = []
         self.answer = self._scripted
@@ -122,7 +130,12 @@ class ChatServer:
                 pass
 
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.url = f"http://127.0.0.1:{self._httpd.server_port}/v1/chat/completions"
+        if tls:
+            context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            context.load_cert_chain(TLS_CERT, TLS_KEY)
+            self._httpd.socket = context.wrap_socket(self._httpd.socket, server_side=True)
+        scheme = "https" if tls else "http"
+        self.url = f"{scheme}://127.0.0.1:{self._httpd.server_port}/v1/chat/completions"
 
     def _scripted(self, body):
         with self._lock:
@@ -133,9 +146,7 @@ def ok_payload(content="generated text"):
     return {"choices": [{"message": {"content": content}}]}
 
 
-@pytest.fixture()
-def chat_server():
-    server = ChatServer()
+def _serving(server: ChatServer):
     thread = threading.Thread(target=server._httpd.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     try:
@@ -145,3 +156,14 @@ def chat_server():
         server._httpd.server_close()
         thread.join(timeout=10)
         assert not thread.is_alive()
+
+
+@pytest.fixture()
+def chat_server():
+    yield from _serving(ChatServer())
+
+
+@pytest.fixture()
+def tls_chat_server():
+    """A ChatServer on https://, whose certificate only TLS_CERT trusts."""
+    yield from _serving(ChatServer(tls=True))

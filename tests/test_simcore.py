@@ -719,6 +719,13 @@ class TestResumeOrExtend:
         verify_manifest_files(out, manifest, manifest["files"])
         assert load_corpus(out)[1] == as_columns(first.tweets)
 
+    def test_tampered_run_log_refused(self, run_dir):
+        out, cfg, _ = run_dir
+        with open(out / "run.log", "a", encoding="utf-8") as fh:
+            fh.write("edited\n")
+        with pytest.raises(ManifestError, match="hash mismatch for run.log"):
+            resume_or_extend(out, cfg)
+
     def test_tampered_corpus_refused(self, run_dir):
         out, cfg, _ = run_dir
         with open(out / "tweets.jsonl", "a", encoding="utf-8") as fh:
@@ -756,6 +763,17 @@ class TestExtendAppends:
         assert (dest / "tweets.jsonl").read_bytes() == (fresh / "tweets.jsonl").read_bytes()
         if not in_place:
             assert (out / "tweets.jsonl").read_bytes() == prior
+        manifest = read_manifest(dest)
+        verify_manifest_files(dest, manifest, manifest["files"])
+
+    @pytest.mark.parametrize("in_place", [True, False])
+    def test_run_log_keeps_prior_lines(self, run_dir, in_place):
+        out, cfg, _ = run_dir
+        prior = (out / "run.log").read_bytes()
+        dest = out if in_place else out.parent / "ext"
+        ext = resume_or_extend(out, replace(cfg, out_dir=None if in_place else str(dest)))
+        assert ext.log[0].startswith("simulation: seed=")
+        assert (dest / "run.log").read_bytes() == prior + ("\n".join(ext.log) + "\n").encode()
         manifest = read_manifest(dest)
         verify_manifest_files(dest, manifest, manifest["files"])
 
@@ -943,12 +961,15 @@ class TestLoadCorpus:
             load_corpus(tmp_path)
 
 
-def _committed_line(run_dir: Path) -> tuple[int, int]:
-    """(tweets, interactions) of run.log's `committed N tweets, M interactions` line."""
+def _committed_line(run_dir: Path, writes: int) -> tuple[int, int]:
+    """(tweets, interactions) of run.log's last `committed N tweets, M interactions` line.
+
+    Each write of the directory (a fresh run, then each extend) adds one.
+    """
     lines = re.findall(r"^committed (\d+) tweets, (\d+) interactions$",
                        (run_dir / "run.log").read_text(encoding="utf-8"), re.MULTILINE)
-    assert len(lines) == 1, lines
-    return int(lines[0][0]), int(lines[0][1])
+    assert len(lines) == writes, lines
+    return int(lines[-1][0]), int(lines[-1][1])
 
 
 def _graph_weight(run_dir: Path) -> int:
@@ -983,7 +1004,7 @@ class TestCommittedInteractionCount:
                 resume_or_extend(out, replace(cfg, out_dir=None))
         manifest = read_manifest(out)
         assert manifest["status"] == ("aborted" if case.startswith("aborted") else "ok")
-        n_tweets, n_interactions = _committed_line(out)
+        n_tweets, n_interactions = _committed_line(out, 2 if "extend" in case else 1)
         assert n_tweets == manifest["tweet_count"]
         assert n_interactions == _graph_weight(out) > 0
         kinds = [t.kind for t in read_tweets_jsonl(out / "tweets.jsonl")]
