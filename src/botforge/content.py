@@ -9,15 +9,22 @@ the whole pipeline reproducible offline.
 """
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
 import random
 import re
+import selectors
 import socket
 import ssl
+import sys
+import threading
 import time
+from concurrent.futures import Future
+from contextlib import closing, suppress
 from dataclasses import dataclass
+from functools import partial
 from email.utils import parsedate_to_datetime
 from pathlib import Path
 from urllib.parse import urlsplit
@@ -30,7 +37,7 @@ from .errors import BackendError, SchemaError, ValidationError, read_json
 from .persona import STANCES, Persona
 
 API_KEY_ENV = "BOTFORGE_API_KEY"
-# Seconds an llm-http request may wait on the connection or on a read.
+# Seconds an llm-http request may wait for its socket, in each wait.
 HTTP_TIMEOUT_S = 30.0
 DEFAULT_MODEL_NAME = "gpt-4.1-mini"
 
@@ -365,11 +372,13 @@ def build_user_prompt(task: GenerationTask, sample: dict[str, list[str]]) -> str
 class ContentBackend:
     """Interface: complete(system_text, user_text, params) -> generated text.
 
-    Implementations must be safe for concurrent calls. io_bound says a call
-    mostly waits on something outside the process, so the simulator keeps
-    up to max_in_flight calls outstanding; a backend that computes its text
-    in Python sets it False and is called inline, one call at a time. A
-    backend without the attribute counts as io_bound.
+    io_bound says a call mostly waits on something outside the process, so
+    the simulator keeps up to max_in_flight complete calls outstanding, each
+    on a thread of its own, and complete must be safe for concurrent calls;
+    a backend that computes its text in Python sets it False and is called
+    inline, one call at a time. A backend without the attribute counts as
+    io_bound. (LlmHttpBackend's requests are instead all served from the
+    simulator's own thread.)
     """
 
     def complete(self, system_text: str, user_text: str, params: dict) -> str:
@@ -535,6 +544,12 @@ RETRY_STATUSES = frozenset({408, 429})
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
 _LINE_ENDS = (b"\r\n", b"\n", b"")  # a blank line, or the end of the stream
+# What connect_ex gives for a connection that is still being made.
+_CONNECTING = (errno.EINPROGRESS, errno.EWOULDBLOCK)
+# Linux takes a send on a socket whose connection is still being made: the
+# send blocks until the connection is up, or fails as the connection did.
+# Other systems may refuse it (ENOTCONN), so there a connection is awaited.
+_SEND_WHILE_CONNECTING = sys.platform.startswith("linux")
 
 
 def _retry_after_s(value: str | None) -> float | None:
@@ -556,9 +571,79 @@ class _BadReply(Exception):
     """A reply that breaks HTTP/1.1 message syntax; retried like a transport error."""
 
 
-def _read_reply(recv) -> tuple[int, str | None, bytes]:
-    """(status, Retry-After, body) of one HTTP/1.1 reply (RFC 9112), read
-    through recv(bufsize) -> bytes, which gives b"" at the end of the stream.
+def _io(sock, call, blocked_on: int):
+    """Generator: call() on the non-blocking socket sock, made again after a wait
+    each time it would block; returns call's value.
+
+    Each wait is yielded as (sock, event, HTTP_TIMEOUT_S). A TLS socket's error
+    names the event it waits for; a plain socket waits for blocked_on.
+    """
+    while True:
+        try:
+            return call()
+        except ssl.SSLWantReadError:
+            event = selectors.EVENT_READ
+        except ssl.SSLWantWriteError:
+            event = selectors.EVENT_WRITE
+        except BlockingIOError:
+            event = blocked_on
+        yield sock, event, HTTP_TIMEOUT_S
+
+
+def _on_thread(submit, call, seconds):
+    """Generator: call's value (or its exception), call being run on another
+    thread by submit (an Executor's submit, say), as one wait of up to
+    seconds for a socket pair that the thread writes to once call is done."""
+    done, wake = socket.socketpair()
+
+    def run():
+        with wake:
+            try:
+                return call()
+            finally:
+                with suppress(OSError):  # done is closed if the wait ended first
+                    wake.send(b"\0")
+
+    with done:
+        try:
+            future = submit(run)
+        except BaseException:
+            wake.close()
+            raise
+        yield done, selectors.EVENT_READ, seconds
+        return future.result()
+
+
+def _start_thread(call) -> Future:
+    """The Future of call(), run on a daemon thread of its own."""
+    future = Future()
+
+    def run():
+        try:
+            future.set_result(call())
+        except BaseException as exc:
+            future.set_exception(exc)
+
+    threading.Thread(target=run, name="botforge-getaddrinfo", daemon=True).start()
+    return future
+
+
+def _is_ip_address(host: str) -> bool:
+    """Whether host is an IPv4 or IPv6 address (the latter with its zone, if
+    any), which getaddrinfo turns into socket addresses without a lookup."""
+    for family, text in ((socket.AF_INET, host), (socket.AF_INET6, host.partition("%")[0])):
+        try:
+            socket.inet_pton(family, text)
+            return True
+        except OSError:
+            pass
+    return False
+
+
+def _read_reply(sock):
+    """Generator: (status, Retry-After, body) of one HTTP/1.1 reply (RFC 9112),
+    read from the non-blocking socket sock, whose recv gives b"" at the end of
+    the stream. It yields _io's wait whenever sock has nothing to read yet.
 
     Interim 1xx replies are skipped. Header lines without a colon, folded
     ones included, are skipped. A 204 or 304 has no body; otherwise
@@ -568,11 +653,12 @@ def _read_reply(recv) -> tuple[int, str | None, bytes]:
     ", ", as http.client's getheader does. _BadReply for a status line that
     is not HTTP/1.x or HTTP/0.9 with a code in 100..999, a line over
     _MAX_LINE bytes, more than _MAX_HEADERS header lines, or a body cut short.
+    Each byte is searched for a line end once, whatever pieces it comes in.
     """
     buf = bytearray()
 
-    def more() -> bool:
-        data = recv(_MAX_LINE)
+    def more():
+        data = yield from _io(sock, lambda: sock.recv(_MAX_LINE), selectors.EVENT_READ)
         buf.extend(data)
         return bool(data)
 
@@ -581,23 +667,25 @@ def _read_reply(recv) -> tuple[int, str | None, bytes]:
         del buf[:n]
         return data
 
-    def line(what: str) -> bytes:  # with its end; at the end of the stream, what is left
-        while (end := buf.find(b"\n", 0, _MAX_LINE)) < 0:
+    def line(what: str):  # with its end; at the end of the stream, what is left
+        searched = 0  # buf[:searched] holds no line end
+        while (end := buf.find(b"\n", searched, _MAX_LINE)) < 0:
             if len(buf) > _MAX_LINE:
                 raise _BadReply(f"{what} longer than {_MAX_LINE} bytes")
-            if not more():
+            searched = len(buf)
+            if not (yield from more()):
                 return take(len(buf))
         return take(end + 1)
 
-    def exactly(n: int) -> bytes:
+    def exactly(n: int):
         while len(buf) < n:
-            if not more():
+            if not (yield from more()):
                 raise _BadReply(f"reply ended {n - len(buf)} bytes short of its body")
         return take(n)
 
     status = 100
     while status < 200:
-        status_line = line("status line")
+        status_line = yield from line("status line")
         parts = status_line.decode("latin-1").split(None, 2)
         try:
             status = int(parts[1]) if parts[0] == "HTTP/0.9" or parts[0][:7] == "HTTP/1." else 0
@@ -607,7 +695,7 @@ def _read_reply(recv) -> tuple[int, str | None, bytes]:
             raise _BadReply(f"bad status line {status_line[:80]!r}")
         fields: dict[bytes, list[bytes]] = {}
         for _ in range(_MAX_HEADERS):
-            if (field := line("header line")) in _LINE_ENDS:
+            if (field := (yield from line("header line"))) in _LINE_ENDS:
                 break
             name, colon, value = field.partition(b":")
             if colon:
@@ -621,27 +709,27 @@ def _read_reply(recv) -> tuple[int, str | None, bytes]:
     if fields.get(b"transfer-encoding", [b""])[0].lower() == b"chunked":
         chunks = []
         while True:
-            size_line = line("chunk size line")
+            size_line = yield from line("chunk size line")
             try:
                 size = int(size_line.partition(b";")[0], 16)
             except ValueError:
                 size = -1
             if size <= 0:
                 break
-            chunks.append(exactly(size))
-            exactly(2)  # the line end after the chunk's data
+            chunks.append((yield from exactly(size)))
+            yield from exactly(2)  # the line end after the chunk's data
         if size < 0:
             raise _BadReply(f"bad chunk size line {size_line[:80]!r}")
-        while line("trailer line") not in _LINE_ENDS:
+        while (yield from line("trailer line")) not in _LINE_ENDS:
             pass
         return status, retry_after, b"".join(chunks)
     try:
         length = int(fields[b"content-length"][0].decode("latin-1"))
     except (KeyError, ValueError):
         length = -1
-    while length < 0 and more():  # no length: the body runs to the end of the stream
+    while length < 0 and (yield from more()):  # no length: the body runs to the end of the stream
         pass
-    return status, retry_after, exactly(length if length >= 0 else len(buf))
+    return status, retry_after, (yield from exactly(length if length >= 0 else len(buf)))
 
 
 class LlmHttpBackend(ContentBackend):
@@ -651,13 +739,20 @@ class LlmHttpBackend(ContentBackend):
     token from the environment. Transport errors, 408, 429 and 5xx are
     retried up to the configured cap, after the server's Retry-After when it
     sends one and otherwise after exponential backoff; nothing is retried
-    beyond the cap. Each request opens its own connection and closes it
-    before returning, so calls from several threads share no state. Proxy
-    environment variables are not read.
+    beyond the cap, and a TLS certificate that fails verification is not
+    retried at all. Each request opens its own connection and closes it
+    before it ends, so requests share no state. Proxy environment variables
+    are not read.
 
-    The request head (the headers http.client sends, with Connection: close)
-    and, for https://, the TLS context (HTTPSConnection's default one) are
-    built once; a call sends head, Content-Length and body in one sendall.
+    _exchange() is one completion as a generator of the waits it makes, for
+    the simulator, which serves many at once from one thread; complete()
+    serves one exchange's waits by blocking on them. Each socket wait may
+    last HTTP_TIMEOUT_S. A host name is looked up on a thread of its own
+    for each connection, so that a slow lookup, which may also last
+    HTTP_TIMEOUT_S, holds no other request; an IP address needs no lookup.
+    The request head (the headers http.client sends, with
+    Connection: close) and, for https://, the TLS context (HTTPSConnection's
+    default one) are built once; a request's bytes go out in one send.
     """
 
     def __init__(
@@ -699,6 +794,7 @@ class LlmHttpBackend(ContentBackend):
         if port not in (None, default_port):
             host += b":%d" % port
         self._address = (url.hostname, port or default_port)
+        self._named = not _is_ip_address(url.hostname)
         self._head = (f"POST {target} HTTP/1.1\r\nHost: ".encode("ascii") + host
                       + b"\r\nAccept-Encoding: identity\r\nContent-Length: ")
         self._tail = (f"\r\nAuthorization: Bearer {key}\r\nContent-Type: application/json"
@@ -709,19 +805,65 @@ class LlmHttpBackend(ContentBackend):
         self.max_retries = int(max_retries)
         self.backoff_s = float(backoff_s)
 
-    def _post(self, body: bytes) -> tuple[int, str | None, bytes]:
-        """One request on a connection of its own: (status, Retry-After, body)."""
-        sock = socket.create_connection(self._address, HTTP_TIMEOUT_S)
+    def _connect(self):
+        """Generator: a non-blocking TCP socket to the first of the host's
+        addresses that takes a connection, tried in turn as
+        socket.create_connection tries them. A host name's addresses are
+        looked up on a thread of its own, in a wait like any other.
+
+        An http:// request goes out on the last address's socket as soon as
+        connect_ex returns, where _SEND_WHILE_CONNECTING allows it: that
+        connection is made, or fails, under the request's send. Every other
+        connection is awaited here; TLS needs one before its handshake.
+        """
+        eager = self._tls is None and _SEND_WHILE_CONNECTING
+        lookup = partial(socket.getaddrinfo, *self._address, 0, socket.SOCK_STREAM)
+        addresses = ((yield from _on_thread(_start_thread, lookup, HTTP_TIMEOUT_S))
+                     if self._named else lookup())
+        for n, (family, kind, proto, _, address) in enumerate(addresses, 1):
+            sock = socket.socket(family, kind, proto)
+            try:
+                sock.setblocking(False)
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                code = sock.connect_ex(address)
+                if code in _CONNECTING and not (eager and n == len(addresses)):
+                    yield sock, selectors.EVENT_WRITE, HTTP_TIMEOUT_S
+                    code = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+                if code not in (0, *_CONNECTING):
+                    raise OSError(code, os.strerror(code))
+                return sock
+            except BaseException as exc:  # closed while waiting, say, or no connection
+                sock.close()
+                if not isinstance(exc, OSError) or n == len(addresses):
+                    raise
+
+    def _attempt(self, request: bytes):
+        """Generator: request sent on a connection of its own; returns the
+        reply's (status, Retry-After, body)."""
+        sock = yield from self._connect()
         try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             if self._tls is not None:
-                sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
-            sock.sendall(b"%s%d%s%s" % (self._head, len(body), self._tail, body))
-            return _read_reply(sock.recv)
+                sock = self._tls.wrap_socket(sock, server_hostname=self._address[0],
+                                             do_handshake_on_connect=False)
+                yield from _io(sock, sock.do_handshake, selectors.EVENT_WRITE)
+            sent = 0
+            while sent < len(request):
+                sent += yield from _io(sock, lambda: sock.send(request[sent:]),
+                                       selectors.EVENT_WRITE)
+            return (yield from _read_reply(sock))
         finally:
             sock.close()
 
-    def complete(self, system_text: str, user_text: str, params: dict) -> str:
+    def _exchange(self, system_text: str, user_text: str, params: dict):
+        """Generator of one completion, with its retries; returns the text.
+
+        It yields each wait as (sock, event, seconds): sock to become ready
+        for the selectors event within seconds, or sock None for a pause of
+        seconds before a retry. The caller resumes it with send(None) once
+        the socket is ready or the pause is over, and with
+        throw(TimeoutError("timed out")) when a socket's seconds pass first.
+        Closing it early closes its connection.
+        """
         body = {
             "model": params.get("model_name", DEFAULT_MODEL_NAME),
             "temperature": params.get("temperature", 0.0),
@@ -733,17 +875,18 @@ class LlmHttpBackend(ContentBackend):
         if params.get("max_tokens") is not None:
             body["max_tokens"] = params["max_tokens"]
         data = json.dumps(body, allow_nan=False).encode("utf-8")
+        request = b"%s%d%s%s" % (self._head, len(data), self._tail, data)
 
         last_error = "no attempt made"
         retry_after = None
         for attempt in range(self.max_retries + 1):
             if attempt:
-                time.sleep(
-                    retry_after if retry_after is not None
-                    else self.backoff_s * (2 ** (attempt - 1))
-                )
+                yield None, 0, (retry_after if retry_after is not None
+                                else self.backoff_s * (2 ** (attempt - 1)))
             try:
-                status, retry_header, payload = self._post(data)
+                status, retry_header, payload = yield from self._attempt(request)
+            except ssl.SSLCertVerificationError as exc:  # no retry can change the certificate
+                raise BackendError(f"backend TLS certificate rejected, not retried: {exc}") from None
             except (OSError, _BadReply) as exc:
                 last_error = f"transport error: {exc}"
                 retry_after = None
@@ -761,6 +904,27 @@ class LlmHttpBackend(ContentBackend):
         raise BackendError(
             f"backend unreachable after {self.max_retries + 1} attempts ({last_error})"
         )
+
+    def complete(self, system_text: str, user_text: str, params: dict) -> str:
+        """_exchange's text, its waits made on the calling thread: each pause in
+        time.sleep, each socket wait in a selector of the call's own."""
+        exchange = self._exchange(system_text, user_text, params)
+        with selectors.DefaultSelector() as selector, closing(exchange):
+            error = None
+            try:
+                while True:
+                    sock, event, seconds = (exchange.send(None) if error is None
+                                            else exchange.throw(error))
+                    error = None
+                    if sock is None:
+                        time.sleep(seconds)
+                        continue
+                    selector.register(sock, event)
+                    if not selector.select(seconds):
+                        error = TimeoutError("timed out")
+                    selector.unregister(sock)
+            except StopIteration as done:
+                return done.value
 
     @staticmethod
     def _extract(payload: bytes) -> str:
@@ -802,42 +966,47 @@ def _extract_artifacts(text: str) -> tuple[list[str], list[str], list[str]]:
     return toks["mentions"], toks["hashtags"], toks["urls"]
 
 
-def generate_post(
-    p: Persona,
-    task: GenerationTask,
-    scheme: PromptScheme,
-    sample: dict[str, list[str]] | None,
-    backend: ContentBackend,
-    *,
-    params: dict | None = None,
-    on_event=None,
-) -> Tweet:
-    """Produce the finished Tweet for one generation task.
+def post_prompt(task: GenerationTask, system_text: str,
+                sample: dict[str, list[str]] | None) -> tuple[str, str] | None:
+    """The prompt half of a post: its (system, user) prompt pair, or None for a retweet.
 
-    sample is the draw_pool_samples slice the user prompt lists; a retweet has no
-    prompt, so it may be None there. Retweets are verbatim copies and never
-    call the backend. All texts are capped at 280 characters on a word
-    boundary. A reply or quote whose capped text has no @<display name> of
-    its target among its extracted mentions gets it prepended, and is
-    capped again. An empty backend output is regenerated once, with the
-    retry reported through on_event.
+    system_text is the persona's system prompt with the scheme's steering
+    sentences (augment_prompt(build_system_prompt(p), scheme)), the same for
+    every post of the persona; sample is the draw_pool_samples slice the user
+    prompt lists, None for a retweet. The task is validated first.
     """
     task.validate()
-    params = dict(params or {})
+    if task.kind == "retweet":
+        return None
+    return system_text, build_user_prompt(task, sample)
 
+
+def retry_prompt(prompt: tuple[str, str], text: str, on_event=None) -> tuple[str, str] | None:
+    """The prompt pair to send again after the backend answered prompt with text, or None.
+
+    An empty text (blank once stripped) is regenerated once, with
+    RETRY_SUFFIX appended to the user prompt and the retry reported through
+    on_event; finish_post refuses a text that is still empty.
+    """
+    if text.strip():
+        return None
+    if on_event is not None:
+        on_event("retry: empty backend output")
+    return prompt[0], prompt[1] + RETRY_SUFFIX
+
+
+def finish_post(p: Persona, task: GenerationTask, text: str | None) -> Tweet:
+    """The finishing half of a post: its Tweet, from the backend's text (None for a retweet).
+
+    A retweet is a verbatim copy of its target. All texts are capped at 280
+    characters on a word boundary. A reply or quote whose capped text has no
+    @<display name> of its target among its extracted mentions gets it
+    prepended, and is capped again.
+    """
     if task.kind == "retweet":
         text = f"RT @{task.target_display}: {task.target_text}"
-    else:
-        system_text = augment_prompt(build_system_prompt(p), scheme)
-        user_text = build_user_prompt(task, sample)
-        text = backend.complete(system_text, user_text, params).strip()
-        if not text:
-            if on_event is not None:
-                on_event("retry: empty backend output")
-            text = backend.complete(system_text, user_text + RETRY_SUFFIX, params).strip()
-        if not text:
-            raise BackendError("backend returned empty output twice for one task")
-
+    elif not (text := text.strip()):
+        raise BackendError("backend returned empty output twice for one task")
     text = truncate_to_limit(text)
     mentions, hashtags, urls = _extract_artifacts(text)
     if task.kind in ("reply", "quote"):
@@ -859,3 +1028,28 @@ def generate_post(
         hashtags=hashtags,
         urls=urls,
     )
+
+
+def generate_post(
+    p: Persona,
+    task: GenerationTask,
+    system_text: str,
+    sample: dict[str, list[str]] | None,
+    backend: ContentBackend,
+    *,
+    params: dict | None = None,
+    on_event=None,
+) -> Tweet:
+    """Produce the finished Tweet for one generation task through backend.complete.
+
+    post_prompt's pair is sent, retry_prompt's once if the text comes back
+    empty, and finish_post makes the Tweet; a retweet calls no backend.
+    """
+    prompt = post_prompt(task, system_text, sample)
+    text = None
+    if prompt is not None:
+        params = dict(params or {})
+        text = backend.complete(*prompt, params)
+        if (again := retry_prompt(prompt, text, on_event)) is not None:
+            text = backend.complete(*again, params)
+    return finish_post(p, task, text)

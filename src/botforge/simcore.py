@@ -17,10 +17,12 @@ import heapq
 import json
 import math
 import os
-import queue
+import selectors
+import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from itertools import chain
 from pathlib import Path
 from types import NoneType
@@ -29,12 +31,19 @@ from .content import (
     DEFAULT_MODEL_NAME,
     EMPTY_POOLS,
     GenerationTask,
+    LlmHttpBackend,
     PromptScheme,
+    _on_thread,
+    augment_prompt,
+    build_system_prompt,
     draw_pool_samples,
+    finish_post,
     generate_post,
     load_pools,
     make_backend,
     parse_scheme,
+    post_prompt,
+    retry_prompt,
     select_narrative,
 )
 from .corpus import (
@@ -83,7 +92,8 @@ MANIFEST_FORMAT = "botforge-run-v1"
 # The files of a run directory that its manifest hashes.
 _DATA_FILES = ("tweets.jsonl", "graph.csv", "graph.graphml", "metrics.json",
                "run.log", "population.json", "pools.json")
-# Backend calls one simulation may keep outstanding, at most; each is a thread.
+# Backend requests one simulation may keep outstanding, at most: each an open
+# exchange, or a complete call on a thread of its own.
 MAX_IN_FLIGHT_LIMIT = 64
 
 @dataclass
@@ -276,14 +286,16 @@ class PriorRun:
 class _PlannedPost:
     """One post of a run's plan: everything about it but its text.
 
-    target is the plan index of the tweet it responds to when that tweet is
-    planned in the same run (its text is filled in once rendered); a target
-    from an earlier run has its text set at planning. log_end counts the
-    plan's log lines that come before the post's commit.
+    system_text is its persona's system prompt, built once per agent and
+    run. target is the plan index of the tweet it responds to when that
+    tweet is planned in the same run (its text is filled in once rendered);
+    a target from an earlier run has its text set at planning. log_end
+    counts the plan's log lines that come before the post's commit.
     """
 
     persona: Persona
     task: GenerationTask
+    system_text: str
     pool_sample: dict[str, list[str]] | None  # None for a retweet, which has no prompt
     target: int | None
     log_end: int
@@ -313,11 +325,12 @@ def _plan_run(cfg, pop, pools, run_index, first_id, degrees, cache, last_by_agen
         rng_narrative = stream(cfg.seed, "narrative", str(run_index), pid)
         rng_partner = stream(cfg.seed, "partner", str(run_index), pid)
         rng_prompt = stream(cfg.seed, "prompt", str(run_index), pid)
+        system_text = augment_prompt(build_system_prompt(p), cfg.scheme)
         first_prompted = len(prompted)
         slot = 0
 
         def add(task: GenerationTask, target: int | None = None) -> None:
-            post = _PlannedPost(p, task, None, target, len(log))
+            post = _PlannedPost(p, task, system_text, None, target, len(log))
             plan.append(post)
             if task.kind != "retweet":
                 prompted.append(post)
@@ -368,15 +381,19 @@ def _plan_run(cfg, pop, pools, run_index, first_id, degrees, cache, last_by_agen
     return plan, log
 
 
-def _render_in_order(plan, render, executor, limit):
+def _render_in_order(plan, render, begin, limit):
     """Render a run's plan, yielding (post, Tweet or exception) in plan order.
 
     A post is started once the tweet it responds to has rendered, lowest
-    plan index first. Retweets and every post without an executor render
-    inline; with one, up to limit backend posts are outstanding at a time,
-    and no worker ever waits on another. Iteration ends after the first
-    failure in plan order: posts before it are still rendered and yielded,
-    posts after it are not started.
+    plan index first. Retweets, and every post when begin is None, render
+    inline through render(post). Otherwise begin(post) returns the post's
+    exchange: a generator of waits, as LlmHttpBackend._exchange yields them,
+    that returns the post's Tweet. Up to limit exchanges are open at a
+    time, all driven from the calling thread through one selector; a socket
+    wait that outlasts its seconds resumes with TimeoutError. Iteration ends
+    after the first failure in plan order: posts before it are still
+    rendered and yielded, posts after it are not started, and the exchanges
+    still open are closed.
     """
     outcomes: list = [None] * len(plan)
     dependents: dict[int, list[int]] = {}
@@ -386,9 +403,9 @@ def _render_in_order(plan, render, executor, limit):
             ready.append(i)
         else:
             dependents.setdefault(post.target, []).append(i)
-    running: dict = {}  # future -> plan index
-    done = queue.SimpleQueue()  # running futures, each put there once it has finished
+    waits: dict = {}  # open exchange -> (plan index, socket it waits for or None, deadline)
     stop = len(plan)  # plan index of the first failure so far
+    selector = selectors.DefaultSelector()
 
     def finish(i, outcome):
         nonlocal stop
@@ -402,33 +419,60 @@ def _render_in_order(plan, render, executor, limit):
     def render_inline(post):
         try:
             return render(post)
-        except Exception as exc:  # delivered in plan order, like a worker's failure
+        except Exception as exc:  # delivered in plan order, like an exchange's failure
             return exc
 
+    def step(exchange, i, error=None):
+        """Run an exchange to its next wait, or finish its post."""
+        try:
+            sock, event, seconds = exchange.send(None) if error is None else exchange.throw(error)
+        except StopIteration as done:
+            finish(i, done.value)
+        except Exception as exc:
+            finish(i, exc)
+        else:
+            if sock is not None:
+                selector.register(sock, event, exchange)
+            waits[exchange] = (i, sock, time.monotonic() + seconds)
+
+    def resume(exchange, expired=False):
+        """Step an exchange whose wait is over: its socket is ready, or its seconds passed."""
+        i, sock, _ = waits.pop(exchange)
+        if sock is not None:
+            selector.unregister(sock)
+        step(exchange, i, TimeoutError("timed out") if expired and sock is not None else None)
+
     committed = 0
-    while committed < len(plan):
-        while ready and ready[0] < stop:
-            post = plan[ready[0]]
-            inline = executor is None or post.task.kind == "retweet"
-            if not inline and len(running) >= limit:
-                break
-            i = heapq.heappop(ready)
-            if post.target is not None:
-                post.task.target_text = outcomes[post.target].text
-            if inline:
-                finish(i, render_inline(post))
-            else:
-                future = executor.submit(render, post)
-                running[future] = i
-                future.add_done_callback(done.put)
-        while committed < len(plan) and outcomes[committed] is not None:
-            yield plan[committed], outcomes[committed]
-            if isinstance(outcomes[committed], BaseException):
-                return
-            committed += 1
-        if running:
-            future = done.get()
-            finish(running.pop(future), future.exception() or future.result())
+    try:
+        while committed < len(plan):
+            while ready and ready[0] < stop:
+                post = plan[ready[0]]
+                inline = begin is None or post.task.kind == "retweet"
+                if not inline and len(waits) >= limit:
+                    break
+                i = heapq.heappop(ready)
+                if post.target is not None:
+                    post.task.target_text = outcomes[post.target].text
+                if inline:
+                    finish(i, render_inline(post))
+                else:
+                    step(begin(post), i)
+            while committed < len(plan) and outcomes[committed] is not None:
+                yield plan[committed], outcomes[committed]
+                if isinstance(outcomes[committed], BaseException):
+                    return
+                committed += 1
+            if waits:
+                timeout = min(deadline for _, _, deadline in waits.values()) - time.monotonic()
+                for key, _ in selector.select(None if timeout == math.inf else max(timeout, 0)):
+                    resume(key.data)
+                now = time.monotonic()
+                for exchange in [x for x, (_, _, deadline) in waits.items() if deadline <= now]:
+                    resume(exchange, expired=True)
+    finally:
+        selector.close()
+        for exchange in waits:
+            exchange.close()
 
 
 def run_simulation(
@@ -448,14 +492,16 @@ def run_simulation(
     SimResult.tweets is then a CorpusView of the prior file and them, which
     the writer copies and appends to.
 
-    Each run is planned first, with no backend call, then rendered: up to
-    cfg.max_in_flight backend calls are outstanding when the backend is
-    io_bound, and tweets commit strictly in (run, agent, slot) order, so the
-    output does not depend on max_in_flight. Backend failure aborts with
-    partial results attached (SimulationAborted): everything committed before
-    the first failing post in commit order stays valid. The degree state then
-    already holds the aborted run's whole plan; the interactions logged as
-    committed are the graph's, which counts committed tweets only.
+    Each run is planned first, with no backend call, then rendered, and
+    tweets commit strictly in (run, agent, slot) order, so the output does
+    not depend on cfg.max_in_flight. An LlmHttpBackend keeps up to
+    max_in_flight requests open, all driven from the calling thread through
+    one selector; any other backend runs up to max_in_flight complete calls
+    on threads when it is io_bound, and inline otherwise. Backend failure aborts with partial results attached
+    (SimulationAborted): everything committed before the first failing post
+    in commit order stays valid, and open exchanges are closed. The degree
+    state then already holds the aborted run's whole plan; the interactions
+    logged as committed are the graph's, which counts committed tweets only.
     """
     cfg.validate()
     violations = validate_population(pop)
@@ -472,10 +518,19 @@ def run_simulation(
     next_id = prior.prefix.tweet_count + 1 if prior else 1
     start = prior.runs_completed if prior else 0
     params = cfg.backend_params()
+    exchange = backend._exchange if isinstance(backend, LlmHttpBackend) else None
 
     def render(post: _PlannedPost) -> Tweet:
-        return generate_post(post.persona, post.task, cfg.scheme, post.pool_sample, backend,
-                             params=params, on_event=post.events.append)
+        return generate_post(post.persona, post.task, post.system_text, post.pool_sample,
+                             backend, params=params, on_event=post.events.append)
+
+    def exchanged(post: _PlannedPost):
+        """Generator: render's Tweet, made through backend._exchange instead of complete."""
+        prompt = post_prompt(post.task, post.system_text, post.pool_sample)
+        text = yield from exchange(*prompt, params)
+        if (again := retry_prompt(prompt, text, post.events.append)) is not None:
+            text = yield from exchange(*again, params)
+        return finish_post(post.persona, post.task, text)
 
     log = [
         f"simulation: seed={cfg.seed} runs={cfg.runs} start_run={start} "
@@ -484,24 +539,32 @@ def run_simulation(
     ]
     status, error = "ok", None
     runs_done = start
-    overlap = cfg.max_in_flight > 1 and getattr(backend, "io_bound", True)
+    threaded = (exchange is None and cfg.max_in_flight > 1
+                and getattr(backend, "io_bound", True))
 
-    with ThreadPoolExecutor(cfg.max_in_flight) if overlap else nullcontext() as executor:
+    with ThreadPoolExecutor(cfg.max_in_flight) if threaded else nullcontext() as executor:
+        def on_thread(post: _PlannedPost):
+            """Generator: render's Tweet, made on one of the executor's threads."""
+            return _on_thread(executor.submit, partial(render, post), math.inf)
+
+        begin = exchanged if exchange is not None else on_thread if threaded else None
         try:
             for run_index in range(start, start + cfg.runs):
                 first_id = next_id + len(tweets)
                 plan, plan_log = _plan_run(cfg, pop, pools, run_index, first_id, degrees, cache,
                                            last_by_agent)
                 logged = 0
-                for post, outcome in _render_in_order(plan, render, executor, cfg.max_in_flight):
-                    log.extend(plan_log[logged:post.log_end])
-                    logged = post.log_end
-                    here = f"[run {run_index}] agent {post.persona.id} slot {post.task.slot_index}"
-                    log.extend(f"{here}: {msg}" for msg in post.events)
-                    if isinstance(outcome, BaseException):
-                        raise outcome
-                    tweets.append(outcome)
-                    last_by_agent[outcome.author_id] = outcome
+                with closing(_render_in_order(plan, render, begin, cfg.max_in_flight)) as posts:
+                    for post, outcome in posts:
+                        log.extend(plan_log[logged:post.log_end])
+                        logged = post.log_end
+                        here = (f"[run {run_index}] agent {post.persona.id} "
+                                f"slot {post.task.slot_index}")
+                        log.extend(f"{here}: {msg}" for msg in post.events)
+                        if isinstance(outcome, BaseException):
+                            raise outcome
+                        tweets.append(outcome)
+                        last_by_agent[outcome.author_id] = outcome
                 log.extend(plan_log[logged:])
                 runs_done = run_index + 1
         except BackendError as exc:

@@ -35,10 +35,12 @@ from botforge.content import (
 from botforge.cues import count_lexicon_terms
 from botforge.errors import BackendError, SchemaError, ValidationError
 from botforge.persona import default_population_path, load_seed_personas
+from botforge.simcore import ScenarioConfig, run_simulation
 
 from conftest import make_persona, ok_payload
 
 NO_POOLS = {"hashtags": [], "urls": []}
+SYSTEM = "You are a test persona."
 
 
 def original_task(tid=1, narrative="Stage lineup changes again #StageWatch"):
@@ -486,7 +488,7 @@ class TestGeneratePost:
             def complete(self, *a):
                 raise AssertionError("backend must not be called for retweets")
 
-        t = generate_post(p, retweet_task(), PromptScheme(), None, _Explodes())
+        t = generate_post(p, retweet_task(), SYSTEM, None, _Explodes())
         assert t.text == "RT @OtherAgent: post worth repeating"
         assert t.kind == "retweet"
         assert t.mentions == ("@OtherAgent",)
@@ -494,13 +496,13 @@ class TestGeneratePost:
     def test_reply_mention_prepended_when_missing(self):
         p = make_persona("x_01")
         backend = _FixedBackend(["no mention in this text"])
-        t = generate_post(p, reply_task(), PromptScheme(), NO_POOLS, backend)
+        t = generate_post(p, reply_task(), SYSTEM, NO_POOLS, backend)
         assert t.text.startswith("@OtherAgent ")
 
     def test_reply_mention_not_duplicated(self):
         p = make_persona("x_01")
         backend = _FixedBackend(["@OtherAgent already present"])
-        t = generate_post(p, reply_task(), PromptScheme(), NO_POOLS, backend)
+        t = generate_post(p, reply_task(), SYSTEM, NO_POOLS, backend)
         assert t.text == "@OtherAgent already present"
 
     def test_long_reply_keeps_its_mention_after_truncation(self):
@@ -508,14 +510,14 @@ class TestGeneratePost:
         text = "word " * 58 + "@EthalFan02"
         assert len(text) == 301 and "@EthalFan02" not in truncate_to_limit(text)
         backend = _FixedBackend([text])
-        t = generate_post(make_persona("x_01"), reply_task(display="EthalFan02"), PromptScheme(),
+        t = generate_post(make_persona("x_01"), reply_task(display="EthalFan02"), SYSTEM,
                           NO_POOLS, backend)
         assert t.text.startswith("@EthalFan02 word ") and len(t.text) <= 280
         assert t.mentions == ("@EthalFan02",)
 
     def test_longer_handle_is_not_the_mention(self):
         backend = _FixedBackend(["@EthalFan029 hello"])
-        t = generate_post(make_persona("x_01"), reply_task(display="EthalFan02"), PromptScheme(),
+        t = generate_post(make_persona("x_01"), reply_task(display="EthalFan02"), SYSTEM,
                           NO_POOLS, backend)
         assert t.text == "@EthalFan02 @EthalFan029 hello"
         assert t.mentions == ("@EthalFan02", "@EthalFan029")
@@ -524,7 +526,7 @@ class TestGeneratePost:
                                       "Thanks @OtherAgent."])
     def test_mention_followed_by_punctuation_counts(self, text):
         for task in (reply_task(), quote_task()):
-            t = generate_post(make_persona("x_01"), task, PromptScheme(), NO_POOLS,
+            t = generate_post(make_persona("x_01"), task, SYSTEM, NO_POOLS,
                               _FixedBackend([text]))
             assert t.text == text
             assert t.mentions == ("@OtherAgent",)
@@ -533,7 +535,7 @@ class TestGeneratePost:
         p = make_persona("x_01")
         backend = _FixedBackend(["", "second try text"])
         events = []
-        t = generate_post(p, original_task(), PromptScheme(), NO_POOLS, backend,
+        t = generate_post(p, original_task(), SYSTEM, NO_POOLS, backend,
                           on_event=events.append)
         assert t.text == "second try text"
         assert len(backend.calls) == 2
@@ -544,29 +546,32 @@ class TestGeneratePost:
         p = make_persona("x_01")
         backend = _FixedBackend(["", "   "])
         with pytest.raises(BackendError, match="empty"):
-            generate_post(p, original_task(), PromptScheme(), NO_POOLS, backend)
+            generate_post(p, original_task(), SYSTEM, NO_POOLS, backend)
 
     def test_long_output_truncated(self):
         p = make_persona("x_01")
         backend = _FixedBackend(["word " * 100])
-        t = generate_post(p, original_task(), PromptScheme(), NO_POOLS, backend)
+        t = generate_post(p, original_task(), SYSTEM, NO_POOLS, backend)
         assert len(t.text) <= 280
 
     def test_artifacts_recorded(self):
         p = make_persona("x_01")
         backend = _FixedBackend(["Take on #Tag with @Friend at https://u.example/x"])
-        t = generate_post(p, original_task(), PromptScheme(), NO_POOLS, backend)
+        t = generate_post(p, original_task(), SYSTEM, NO_POOLS, backend)
         assert t.hashtags == ("#Tag",)
         assert t.mentions == ("@Friend",)
         assert t.urls == ("https://u.example/x",)
 
-    def test_scheme_reaches_system_prompt(self):
-        p = make_persona("x_01")
-        backend = _FixedBackend(["fine"])
+    def test_scheme_reaches_system_prompt(self, micro_pop):
+        backend = _FixedBackend(["fine"] * 1000)
         scheme = PromptScheme("guidelines", ("positive_sentiment",))
-        generate_post(p, original_task(), scheme, NO_POOLS, backend)
-        system_text = backend.calls[0][0]
-        assert system_text.endswith("Use positive terms and language")
+        run_simulation(ScenarioConfig(seed=3, scheme=scheme), micro_pop, backend)
+        by_persona = {build_system_prompt(p): p for p in micro_pop.personas}
+        assert backend.calls
+        for system_text, _ in backend.calls:
+            assert system_text.endswith(" Use positive terms and language")
+            base = system_text.removesuffix(" Use positive terms and language")
+            assert base in by_persona
 
 
 class TestLlmHttpBackend:

@@ -1,18 +1,23 @@
-"""The llm-http backend's wire format: its requests, its reply parser, and TLS.
+"""The llm-http backend's wire format, its reply parser, TLS, and the one-thread loop.
 
 http.client, which the backend used before it sent requests itself, is the
 reference: the same URL must give the same request bytes, and the same
-reply the same (status, Retry-After, body) or an error on both sides.
+reply the same (status, Retry-After, body) or an error on both sides. The
+last tests drive llm-http simulations, whose requests one thread serves
+through a selector, against servers that answer slowly or not at all.
 """
 from __future__ import annotations
 
+import contextlib
 import http.client
 import io
 import json
 import re
+import selectors
 import socket
 import ssl
 import threading
+import time
 from datetime import timezone
 from email.utils import format_datetime
 from urllib.parse import urlsplit
@@ -22,9 +27,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from botforge.cli import main
-from botforge.content import LlmHttpBackend, _BadReply, _read_reply
+from botforge.content import LlmHttpBackend, TemplateBackend, _BadReply, _read_reply
 from botforge.errors import BackendError, ValidationError
-from botforge.persona import default_population_path
+from botforge.persona import Population, default_population_path
+from botforge.simcore import SimulationAborted, config_from_dict, simulate_to_dir
 
 from conftest import TLS_CERT, ok_payload
 
@@ -36,15 +42,20 @@ KEY = "k-test"
 
 class _ReplySocket:
     """A connection whose peer sends data and then closes: recv in pieces of the
-    given sizes, in turn (all at once without any), makefile for http.client."""
+    given sizes, in turn (all at once without any), where a size of 0 is a
+    recv that would block; makefile for http.client. It records what is sent
+    and the address it is connected to."""
 
     def __init__(self, data: bytes, pieces=()):
         self._data = data
         self._pieces = list(pieces) or [len(data) + 1]
         self.sent = b""
+        self.connected = []
 
     def recv(self, bufsize: int) -> bytes:
         self._pieces.append(self._pieces.pop(0))
+        if not self._pieces[-1]:
+            raise BlockingIOError
         size = min(bufsize, self._pieces[-1])
         data, self._data = self._data[:size], self._data[size:]
         return data
@@ -52,14 +63,39 @@ class _ReplySocket:
     def makefile(self, mode):
         return io.BytesIO(self._data)
 
+    def send(self, data: bytes) -> int:
+        self.sent += data
+        return len(data)
+
     def sendall(self, data: bytes) -> None:
         self.sent += data
+
+    def connect_ex(self, address) -> int:
+        self.connected.append(address)
+        return 0
+
+    def do_handshake(self) -> None:
+        pass
+
+    def setblocking(self, flag) -> None:
+        pass
 
     def setsockopt(self, *args) -> None:
         pass
 
     def close(self) -> None:
         pass
+
+
+def _without_waiting(exchange):
+    """The value of a generator of waits (see LlmHttpBackend._exchange), each wait
+    ended at once: for a socket that is ready again by the time it is asked."""
+    try:
+        while True:
+            sock, event, seconds = next(exchange)
+            assert event == selectors.EVENT_READ and seconds > 0
+    except StopIteration as done:
+        return done.value
 
 
 def _reference_reply(raw: bytes):
@@ -73,7 +109,7 @@ def _reference_reply(raw: bytes):
 
 def _parsed_reply(raw: bytes, pieces=()):
     try:
-        return _read_reply(_ReplySocket(raw, pieces).recv)
+        return _without_waiting(_read_reply(_ReplySocket(raw, pieces)))
     except _BadReply:
         return "error"
 
@@ -148,7 +184,8 @@ class TestReplyParser:
     """_read_reply against http.client.HTTPResponse over the same bytes."""
 
     @settings(max_examples=400, deadline=None)
-    @given(raw=_replies(), pieces=st.lists(st.integers(1, 64), max_size=4))
+    @given(raw=_replies(),
+           pieces=st.lists(st.integers(0, 64), max_size=4).filter(lambda p: not p or any(p)))
     def test_equals_http_client(self, raw, pieces):
         assert _parsed_reply(raw, pieces) == _reference_reply(raw)
 
@@ -238,6 +275,7 @@ def _capture_requests(*senders) -> list[bytes]:
 
 
 def test_request_bytes_equal_http_client(monkeypatch):
+    """http.client, sending the body the backend sent, sends the same bytes."""
     monkeypatch.setenv("BOTFORGE_API_KEY", KEY)
     monkeypatch.setattr("botforge.content.HTTP_TIMEOUT_S", 5.0)  # reading to EOF would hang
     params = {"model_name": "m", "temperature": 0.5, "max_tokens": 40}
@@ -245,10 +283,11 @@ def test_request_bytes_equal_http_client(monkeypatch):
     def new(url):
         return LlmHttpBackend(url).complete("sys ü", 'user "q"', params)
 
+    body = _capture_requests(new)[0].partition(b"\r\n\r\n")[2]
+
     def reference(url):
-        backend = LlmHttpBackend(url)
-        monkeypatch.setattr(backend, "_post", lambda body: _reference_post(url, body, KEY))
-        return backend.complete("sys ü", 'user "q"', params)
+        payload = _reference_post(url, body, KEY)[2]
+        return json.loads(payload)["choices"][0]["message"]["content"]
 
     sent, expected = _capture_requests(new, reference)
     assert sent == expected
@@ -273,26 +312,45 @@ def test_request_bytes_equal_http_client(monkeypatch):
 def test_host_header_equals_http_client(monkeypatch, url):
     """Host carries the port only when it is not the scheme's default, and IPv6 in brackets."""
     monkeypatch.setenv("BOTFORGE_API_KEY", KEY)
-    connected, hostnames = [], []
+    resolved, hostnames = [], []
     ours = _ReplySocket(_reply_bytes())
 
-    def connect(address, timeout):
-        connected.append(address)
-        return ours
+    def getaddrinfo(host, port, family, kind):  # no name is looked up
+        resolved.append((host, port))
+        return [(socket.AF_INET, kind, 6, "", ("192.0.2.1", port))]
 
-    def wrap(context, sock, server_hostname):
+    def wrap(context, sock, server_hostname, do_handshake_on_connect):
         hostnames.append(server_hostname)
         return sock
 
-    monkeypatch.setattr("botforge.content.socket.create_connection", connect)
+    def new_socket(family, kind, proto, fileno=None):  # socketpair's, for a name's lookup, are real
+        return ours if fileno is None else real_socket(family, kind, proto, fileno)
+
+    real_socket = socket.socket
+    monkeypatch.setattr("botforge.content.socket.getaddrinfo", getaddrinfo)
+    monkeypatch.setattr("botforge.content.socket.socket", new_socket)
     monkeypatch.setattr(ssl.SSLContext, "wrap_socket", wrap)
     assert LlmHttpBackend(url).complete("s", "u", {}) == "hello"
     reference = _ReplySocket(_reply_bytes())
     _reference_post(url, ours.sent.partition(b"\r\n\r\n")[2], KEY, sock=reference)
     assert ours.sent == reference.sent
     u = urlsplit(url)
-    assert connected == [(u.hostname, u.port or (443 if u.scheme == "https" else 80))]
+    port = u.port or (443 if u.scheme == "https" else 80)
+    assert resolved == [(u.hostname, port)]
+    assert ours.connected == [("192.0.2.1", port)]
     assert hostnames == ([u.hostname] if u.scheme == "https" else [])
+
+
+def test_next_address_after_a_refused_one(monkeypatch, chat_server):
+    """As socket.create_connection does, a host's address that refuses gives way to its next."""
+    monkeypatch.setenv("BOTFORGE_API_KEY", KEY)
+    with socket.create_server(("127.0.0.1", 0)) as sock:
+        refused = sock.getsockname()  # closed again before the backend connects
+    served = ("127.0.0.1", urlsplit(chat_server.url).port)
+    monkeypatch.setattr("botforge.content.socket.getaddrinfo", lambda host, port, family, kind: [
+        (socket.AF_INET, kind, 6, "", refused), (socket.AF_INET, kind, 6, "", served)])
+    chat_server.replies.append((200, {}, ok_payload("from the second address")))
+    assert LlmHttpBackend(chat_server.url).complete("s", "u", {}) == "from the second address"
 
 
 # --- Refusals at construction -------------------------------------------------
@@ -348,14 +406,25 @@ class TestHttps:
         assert tls_chat_server.requests[0][1]["Authorization"] == f"Bearer {KEY}"
 
     def test_untrusted_certificate(self, monkeypatch, tls_chat_server):
+        """A certificate that fails verification fails the call at once: no retry can change it."""
         monkeypatch.setenv("BOTFORGE_API_KEY", KEY)
         monkeypatch.delenv("SSL_CERT_FILE", raising=False)
         monkeypatch.delenv("SSL_CERT_DIR", raising=False)
-        monkeypatch.setattr("botforge.content.time.sleep", lambda s: None)
+        monkeypatch.setattr("botforge.content.time.sleep", pytest.fail)  # no backoff
+        handshakes = []
+        wrap_socket = ssl.SSLContext.wrap_socket
+
+        def recording(context, *args, **kwargs):
+            if not kwargs.get("server_side"):  # the server wraps each connection it accepts
+                handshakes.append(context)
+            return wrap_socket(context, *args, **kwargs)
+
+        monkeypatch.setattr(ssl.SSLContext, "wrap_socket", recording)
         tls_chat_server.replies.append((200, {}, ok_payload()))
-        backend = LlmHttpBackend(tls_chat_server.url, max_retries=1)
-        with pytest.raises(BackendError, match="2 attempts.*certificate verify failed"):
+        backend = LlmHttpBackend(tls_chat_server.url, max_retries=3)
+        with pytest.raises(BackendError, match="not retried.*certificate verify failed"):
             backend.complete("s", "u", {})
+        assert len(handshakes) == 1
         assert tls_chat_server.requests == []
 
     def test_calls_share_one_context(self, monkeypatch, tls_chat_server):
@@ -376,3 +445,227 @@ class TestHttps:
             assert backend.complete("s", "u", {}) == "generated text"
         assert len(contexts) == 5
         assert len({id(context) for context in contexts}) == 1
+
+
+# --- The simulation's request loop ---------------------------------------------
+
+SEED = 20250801
+
+
+@pytest.fixture(scope="module")
+def few_pop(seed_pop):
+    """Every twelfth shipped persona: a run of about a hundred and fifty requests."""
+    return Population(personas=list(seed_pop.personas[::12]))
+
+
+def _llm_config(out_dir, base_url, **extra):
+    return config_from_dict({"seed": SEED, "runs": 1, "backend": "llm-http", "base_url": base_url,
+                             "out_dir": str(out_dir), **extra})
+
+
+def _template_answer(body):
+    system_text, user_text = (m["content"] for m in body["messages"])
+    return 200, {}, ok_payload(TemplateBackend(SEED).complete(system_text, user_text, {}))
+
+
+def _same_corpus(out, few_pop, pools, tmp_path) -> bool:
+    reference = tmp_path / "template"
+    simulate_to_dir(config_from_dict({"seed": SEED, "runs": 1, "out_dir": str(reference)}),
+                    pop=few_pop, pools=pools)
+    return all((out / name).read_bytes() == (reference / name).read_bytes()
+               for name in ("tweets.jsonl", "graph.csv"))
+
+
+def test_one_thread_drives_every_request(monkeypatch, chat_server, few_pop, pools, tmp_path):
+    """At 4 in flight the server holds more than 1 and at most 4 requests at once, and the
+    client starts no thread pool to send them."""
+    monkeypatch.setenv("BOTFORGE_API_KEY", KEY)
+    lock = threading.Lock()
+    held, peak, executor_threads = 0, 0, set()
+
+    def answer(body):
+        nonlocal held, peak
+        with lock:
+            held += 1
+            peak = max(peak, held)
+            executor_threads.update(t.name for t in threading.enumerate()
+                              if t.name.startswith("ThreadPoolExecutor"))
+        time.sleep(0.002)
+        with lock:
+            held -= 1
+        return _template_answer(body)
+
+    chat_server.answer = answer
+    out = tmp_path / "http"
+    simulate_to_dir(_llm_config(out, chat_server.url, max_in_flight=4), pop=few_pop, pools=pools)
+    assert executor_threads == set()
+    assert 1 < peak <= 4
+    assert _same_corpus(out, few_pop, pools, tmp_path)
+
+
+def test_stalled_request_does_not_hold_the_others(monkeypatch, chat_server, few_pop, pools,
+                                                  tmp_path):
+    """The first request to arrive is answered only after 20 others have been."""
+    monkeypatch.setenv("BOTFORGE_API_KEY", KEY)
+    lock = threading.Lock()
+    others = threading.Event()
+    answered, stalled = [], []
+
+    def answer(body):
+        with lock:
+            stall = not stalled and not answered
+            if stall:
+                stalled.append(None)
+        if stall:
+            stalled[0] = others.wait(10)
+        else:
+            with lock:
+                answered.append(None)
+                if len(answered) == 20:
+                    others.set()
+        return _template_answer(body)
+
+    chat_server.answer = answer
+    out = tmp_path / "http"
+    simulate_to_dir(_llm_config(out, chat_server.url, max_in_flight=4), pop=few_pop, pools=pools)
+    assert stalled == [True]
+    assert _same_corpus(out, few_pop, pools, tmp_path)
+
+
+def test_slow_lookup_does_not_hold_open_requests(monkeypatch, chat_server, few_pop, pools,
+                                                tmp_path):
+    """A host name is looked up off the loop's thread: while the first lookup is still
+    running, 20 other requests are answered."""
+    monkeypatch.setenv("BOTFORGE_API_KEY", KEY)
+    lock = threading.Lock()
+    others = threading.Event()
+    answered, stalled = [], []
+
+    def getaddrinfo(host, port, family, kind):
+        assert host == "chat.botforge.test"
+        with lock:
+            stall = not stalled
+            stalled.append(None)
+        if stall:
+            stalled[0] = others.wait(10)
+        return [(socket.AF_INET, kind, 6, "", ("127.0.0.1", port))]
+
+    def answer(body):
+        with lock:
+            answered.append(None)
+            if len(answered) == 20:
+                others.set()
+        return _template_answer(body)
+
+    monkeypatch.setattr("botforge.content.socket.getaddrinfo", getaddrinfo)
+    chat_server.answer = answer
+    out = tmp_path / "http"
+    url = chat_server.url.replace("127.0.0.1", "chat.botforge.test")
+    simulate_to_dir(_llm_config(out, url, max_in_flight=4), pop=few_pop, pools=pools)
+    assert stalled[0] is True
+    assert len(stalled) == len(answered)  # one lookup for each request
+    assert _same_corpus(out, few_pop, pools, tmp_path)
+
+
+def test_lookup_times_out(monkeypatch):
+    """A lookup that outlasts HTTP_TIMEOUT_S fails its attempt as a socket wait does."""
+    monkeypatch.setenv("BOTFORGE_API_KEY", KEY)
+    monkeypatch.setattr("botforge.content.HTTP_TIMEOUT_S", 0.2)
+    release = threading.Event()
+
+    def getaddrinfo(host, port, family, kind):
+        release.wait(10)
+        raise socket.gaierror(socket.EAI_NONAME, "not looked up")
+
+    monkeypatch.setattr("botforge.content.socket.getaddrinfo", getaddrinfo)
+    backend = LlmHttpBackend("http://chat.botforge.test/v1", max_retries=1, backoff_s=0.0)
+    started = time.monotonic()
+    try:
+        with pytest.raises(BackendError, match=r"after 2 attempts \(transport error: timed out\)"):
+            backend.complete("s", "u", {})
+        assert time.monotonic() - started < 5
+    finally:
+        release.set()
+        for thread in threading.enumerate():
+            if thread.name == "botforge-getaddrinfo":
+                thread.join(timeout=10)
+
+
+class _SilentServer:
+    """Accepts connections on 127.0.0.1, and reads and answers nothing.
+
+    After 10 s it shuts its connections down, so a client that never times
+    out fails instead of hanging.
+    """
+
+    def __init__(self):
+        self._sock = socket.create_server(("127.0.0.1", 0))
+        self._sock.settimeout(0.02)
+        self.url = f"http://127.0.0.1:{self._sock.getsockname()[1]}/v1"
+        self.accepted = []
+        self._done = threading.Event()
+        self._thread = threading.Thread(target=self._serve)
+        self._give_up = time.monotonic() + 10
+
+    def _serve(self):
+        while not self._done.is_set():
+            try:
+                self.accepted.append(self._sock.accept()[0])
+            except TimeoutError:
+                pass
+            if time.monotonic() > self._give_up:
+                for conn in self.accepted:
+                    with contextlib.suppress(OSError):
+                        conn.shutdown(socket.SHUT_RDWR)
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def closed_by_client(self) -> int:
+        """How many accepted connections the client has closed, after a moment
+        for the server to accept the last ones: each reads to its end."""
+        time.sleep(0.1)
+        for conn in self.accepted:
+            conn.settimeout(2)
+            while conn.recv(65536):  # TimeoutError if the client keeps it open
+                pass
+        return len(self.accepted)
+
+    def __exit__(self, *exc):
+        self._done.set()
+        self._thread.join(timeout=10)
+        for conn in self.accepted:
+            conn.close()
+        self._sock.close()
+
+
+def test_unanswered_request_times_out(monkeypatch):
+    monkeypatch.setenv("BOTFORGE_API_KEY", KEY)
+    monkeypatch.setattr("botforge.content.HTTP_TIMEOUT_S", 0.2)
+    with _SilentServer() as server:
+        backend = LlmHttpBackend(server.url, max_retries=2, backoff_s=0.0)
+        with pytest.raises(BackendError, match=r"after 3 attempts \(transport error: timed out\)"):
+            backend.complete("s", "u", {})
+        deadline = time.monotonic() + 5
+        while len(server.accepted) < 3 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(server.accepted) == 3
+
+
+def test_unanswered_requests_abort_the_run(monkeypatch, few_pop, pools, tmp_path):
+    """The loop's waits time out as complete's do, the run aborts with that error, and
+    the requests still open then are closed."""
+    monkeypatch.setenv("BOTFORGE_API_KEY", KEY)
+    monkeypatch.setattr("botforge.content.HTTP_TIMEOUT_S", 0.2)
+    with _SilentServer() as server:
+        cfg = _llm_config(tmp_path / "out", server.url, max_in_flight=4, max_retries=1,
+                          backoff_s=0.0)
+        started = time.monotonic()
+        with pytest.raises(SimulationAborted, match=r"after 2 attempts \(transport error: timed "
+                                                    r"out\)") as exc:
+            simulate_to_dir(cfg, pop=few_pop, pools=pools)
+        assert time.monotonic() - started < 5
+        assert server.closed_by_client() >= 2
+    assert exc.value.result.status == "aborted"
+    assert len(exc.value.result.tweets) == 0
