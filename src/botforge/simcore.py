@@ -28,12 +28,9 @@ from pathlib import Path
 from types import NoneType
 
 from .content import (
-    DEFAULT_MODEL_NAME,
     EMPTY_POOLS,
     GenerationTask,
-    LlmHttpBackend,
     PromptScheme,
-    _on_thread,
     augment_prompt,
     build_system_prompt,
     draw_pool_samples,
@@ -65,6 +62,7 @@ from .errors import (
     _check_types,
     read_json,
 )
+from .llm_http import DEFAULT_MODEL_NAME, LlmHttpBackend, _on_thread
 from .netgraph import (
     CandidateCache,
     CommGraph,

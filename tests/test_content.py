@@ -602,7 +602,7 @@ class TestLlmHttpBackend:
 
     def test_retries_429_then_succeeds(self, monkeypatch, chat_server):
         monkeypatch.setenv("BOTFORGE_API_KEY", "k-test")
-        monkeypatch.setattr("botforge.content.time.sleep", lambda s: None)
+        monkeypatch.setattr("botforge.llm_http.time.sleep", lambda s: None)
         chat_server.replies.extend([(429, {}, {}), (503, {}, {}), (200, {}, ok_payload())])
         backend = LlmHttpBackend(chat_server.url, max_retries=3)
         assert backend.complete("s", "u", {}) == "generated text"
@@ -610,27 +610,28 @@ class TestLlmHttpBackend:
 
     def test_retries_408_then_succeeds(self, monkeypatch, chat_server):
         monkeypatch.setenv("BOTFORGE_API_KEY", "k-test")
-        monkeypatch.setattr("botforge.content.time.sleep", lambda s: None)
+        monkeypatch.setattr("botforge.llm_http.time.sleep", lambda s: None)
         chat_server.replies.extend([(408, {}, {}), (200, {}, ok_payload())])
         backend = LlmHttpBackend(chat_server.url, max_retries=3)
         assert backend.complete("s", "u", {}) == "generated text"
         assert len(chat_server.requests) == 2
 
-    @pytest.mark.parametrize("retry_after", ["0", "Wed, 21 Oct 2015 07:28:00 GMT"])
+    @pytest.mark.parametrize("retry_after", ["0", "Wed, 21 Oct 2015 07:28:00 GMT", "3600"])
     def test_retry_after_replaces_backoff(self, monkeypatch, chat_server, retry_after):
         monkeypatch.setenv("BOTFORGE_API_KEY", "k-test")
         sleeps = []
-        monkeypatch.setattr("botforge.content.time.sleep", sleeps.append)
+        monkeypatch.setattr("botforge.llm_http.time.sleep", sleeps.append)
         chat_server.replies.append((429, {"Retry-After": retry_after}, {}))
         chat_server.replies.append((503, {}, {}))
         chat_server.replies.append((200, {}, ok_payload()))
         backend = LlmHttpBackend(chat_server.url, max_retries=3, backoff_s=30.0)
         assert backend.complete("s", "u", {}) == "generated text"
-        assert sleeps == [0.0, 60.0]  # the header's wait, then backoff_s * 2
+        wait = 3600.0 if retry_after == "3600" else 0.0  # MAX_RETRY_AFTER_S is still waited for
+        assert sleeps == [wait, 60.0]  # the header's wait, then backoff_s * 2
 
     def test_retry_budget_exhausted(self, monkeypatch, chat_server):
         monkeypatch.setenv("BOTFORGE_API_KEY", "k-test")
-        monkeypatch.setattr("botforge.content.time.sleep", lambda s: None)
+        monkeypatch.setattr("botforge.llm_http.time.sleep", lambda s: None)
         chat_server.replies.append((500, {}, {}))
         backend = LlmHttpBackend(chat_server.url, max_retries=2)
         with pytest.raises(BackendError, match="3 attempts"):
@@ -639,7 +640,7 @@ class TestLlmHttpBackend:
 
     def test_transport_error_retried(self, monkeypatch):
         monkeypatch.setenv("BOTFORGE_API_KEY", "k-test")
-        monkeypatch.setattr("botforge.content.time.sleep", lambda s: None)
+        monkeypatch.setattr("botforge.llm_http.time.sleep", lambda s: None)
         with socket.create_server(("127.0.0.1", 0)) as sock:
             port = sock.getsockname()[1]  # closed again before the backend connects
         backend = LlmHttpBackend(f"http://127.0.0.1:{port}/v1", max_retries=1)

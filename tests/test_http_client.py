@@ -1,4 +1,5 @@
-"""The llm-http backend's wire format, its reply parser, TLS, and the one-thread loop.
+"""The llm-http backend's wire format, its reply parser, TLS, its address lookups, the
+one-thread loop, and the module boundary of botforge.llm_http.
 
 http.client, which the backend used before it sent requests itself, is the
 reference: the same URL must give the same request bytes, and the same
@@ -12,23 +13,29 @@ import contextlib
 import http.client
 import io
 import json
+import os
 import re
 import selectors
 import socket
 import ssl
+import subprocess
+import sys
 import threading
 import time
 from datetime import timezone
 from email.utils import format_datetime
+from pathlib import Path
 from urllib.parse import urlsplit
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from botforge import content, llm_http
 from botforge.cli import main
-from botforge.content import LlmHttpBackend, TemplateBackend, _BadReply, _read_reply
+from botforge.content import TemplateBackend
 from botforge.errors import BackendError, ValidationError
+from botforge.llm_http import LlmHttpBackend, _BadReply, _read_reply
 from botforge.persona import Population, default_population_path
 from botforge.simcore import SimulationAborted, config_from_dict, simulate_to_dir
 
@@ -277,7 +284,7 @@ def _capture_requests(*senders) -> list[bytes]:
 def test_request_bytes_equal_http_client(monkeypatch):
     """http.client, sending the body the backend sent, sends the same bytes."""
     monkeypatch.setenv("BOTFORGE_API_KEY", KEY)
-    monkeypatch.setattr("botforge.content.HTTP_TIMEOUT_S", 5.0)  # reading to EOF would hang
+    monkeypatch.setattr("botforge.llm_http.HTTP_TIMEOUT_S", 5.0)  # reading to EOF would hang
     params = {"model_name": "m", "temperature": 0.5, "max_tokens": 40}
 
     def new(url):
@@ -327,8 +334,8 @@ def test_host_header_equals_http_client(monkeypatch, url):
         return ours if fileno is None else real_socket(family, kind, proto, fileno)
 
     real_socket = socket.socket
-    monkeypatch.setattr("botforge.content.socket.getaddrinfo", getaddrinfo)
-    monkeypatch.setattr("botforge.content.socket.socket", new_socket)
+    monkeypatch.setattr("botforge.llm_http.socket.getaddrinfo", getaddrinfo)
+    monkeypatch.setattr("botforge.llm_http.socket.socket", new_socket)
     monkeypatch.setattr(ssl.SSLContext, "wrap_socket", wrap)
     assert LlmHttpBackend(url).complete("s", "u", {}) == "hello"
     reference = _ReplySocket(_reply_bytes())
@@ -347,10 +354,56 @@ def test_next_address_after_a_refused_one(monkeypatch, chat_server):
     with socket.create_server(("127.0.0.1", 0)) as sock:
         refused = sock.getsockname()  # closed again before the backend connects
     served = ("127.0.0.1", urlsplit(chat_server.url).port)
-    monkeypatch.setattr("botforge.content.socket.getaddrinfo", lambda host, port, family, kind: [
+    monkeypatch.setattr("botforge.llm_http.socket.getaddrinfo", lambda host, port, family, kind: [
         (socket.AF_INET, kind, 6, "", refused), (socket.AF_INET, kind, 6, "", served)])
     chat_server.replies.append((200, {}, ok_payload("from the second address")))
     assert LlmHttpBackend(chat_server.url).complete("s", "u", {}) == "from the second address"
+
+
+def _counted_lookups(monkeypatch, addresses) -> list[str]:
+    """The hosts looked up, in turn; the n-th lookup gives the socket address
+    addresses(n, port) on 127.0.0.1."""
+    lookups = []
+
+    def getaddrinfo(host, port, family, kind):
+        lookups.append(host)
+        return [(socket.AF_INET, kind, 6, "", addresses(len(lookups), port))]
+
+    monkeypatch.setattr("botforge.llm_http.socket.getaddrinfo", getaddrinfo)
+    return lookups
+
+
+def test_repeated_calls_look_up_once(monkeypatch, chat_server):
+    monkeypatch.setenv("BOTFORGE_API_KEY", KEY)
+    lookups = _counted_lookups(monkeypatch, lambda n, port: ("127.0.0.1", port))
+    chat_server.replies.append((200, {}, ok_payload()))
+    backend = LlmHttpBackend(chat_server.url.replace("127.0.0.1", "chat.botforge.test"))
+    for _ in range(5):
+        assert backend.complete("s", "u", {}) == "generated text"
+    assert lookups == ["chat.botforge.test"]
+    assert len(chat_server.requests) == 5
+
+
+@pytest.mark.parametrize("server", ["chat_server", "tls_chat_server"])
+def test_refused_connection_is_looked_up_again(monkeypatch, request, server):
+    """A transport error drops the kept addresses: the retry looks the host up again and
+    connects where the new lookup says, and later calls keep that. For http://, whose
+    request goes out while the connection to its one address is still being made, and
+    for https://, whose connection is awaited."""
+    server = request.getfixturevalue(server)
+    monkeypatch.setenv("BOTFORGE_API_KEY", KEY)
+    monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
+    monkeypatch.setattr("botforge.llm_http.time.sleep", lambda s: None)
+    with socket.create_server(("127.0.0.1", 0)) as sock:
+        refused = sock.getsockname()  # closed again before the backend connects
+    lookups = _counted_lookups(monkeypatch, lambda n, port: refused if n == 1 else
+                               ("127.0.0.1", port))
+    server.replies.append((200, {}, ok_payload("after a new lookup")))
+    backend = LlmHttpBackend(server.url, max_retries=1)
+    for _ in range(3):
+        assert backend.complete("s", "u", {}) == "after a new lookup"
+    assert lookups == ["127.0.0.1", "127.0.0.1"]
+    assert len(server.requests) == 3
 
 
 # --- Refusals at construction -------------------------------------------------
@@ -386,7 +439,7 @@ def test_cli_refuses_bad_key_before_writing(monkeypatch, tmp_path, capsys):
 
 def test_cli_refuses_url_with_space_before_writing(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("BOTFORGE_API_KEY", KEY)
-    monkeypatch.setattr("botforge.content.time.sleep", pytest.fail)  # no request, no backoff
+    monkeypatch.setattr("botforge.llm_http.time.sleep", pytest.fail)  # no request, no backoff
     out = tmp_path / "out"
     assert main(_simulate_args(out) + ["--base-url", "http://127.0.0.1:9/v1 chat"]) == 1
     assert "cannot be sent" in capsys.readouterr().err
@@ -410,7 +463,7 @@ class TestHttps:
         monkeypatch.setenv("BOTFORGE_API_KEY", KEY)
         monkeypatch.delenv("SSL_CERT_FILE", raising=False)
         monkeypatch.delenv("SSL_CERT_DIR", raising=False)
-        monkeypatch.setattr("botforge.content.time.sleep", pytest.fail)  # no backoff
+        monkeypatch.setattr("botforge.llm_http.time.sleep", pytest.fail)  # no backoff
         handshakes = []
         wrap_socket = ssl.SSLContext.wrap_socket
 
@@ -535,7 +588,7 @@ def test_stalled_request_does_not_hold_the_others(monkeypatch, chat_server, few_
 def test_slow_lookup_does_not_hold_open_requests(monkeypatch, chat_server, few_pop, pools,
                                                 tmp_path):
     """A host name is looked up off the loop's thread: while the first lookup is still
-    running, 20 other requests are answered."""
+    running, 20 other requests are answered, on the addresses another lookup gave."""
     monkeypatch.setenv("BOTFORGE_API_KEY", KEY)
     lock = threading.Lock()
     others = threading.Event()
@@ -557,27 +610,41 @@ def test_slow_lookup_does_not_hold_open_requests(monkeypatch, chat_server, few_p
                 others.set()
         return _template_answer(body)
 
-    monkeypatch.setattr("botforge.content.socket.getaddrinfo", getaddrinfo)
+    monkeypatch.setattr("botforge.llm_http.socket.getaddrinfo", getaddrinfo)
     chat_server.answer = answer
     out = tmp_path / "http"
     url = chat_server.url.replace("127.0.0.1", "chat.botforge.test")
     simulate_to_dir(_llm_config(out, url, max_in_flight=4), pop=few_pop, pools=pools)
     assert stalled[0] is True
-    assert len(stalled) == len(answered)  # one lookup for each request
+    assert len(stalled) <= 4  # only the requests opened before a lookup had ended
+    assert _same_corpus(out, few_pop, pools, tmp_path)  # every request answered
+
+
+@pytest.mark.parametrize("host", ["127.0.0.1", "chat.botforge.test"])
+def test_one_lookup_for_a_whole_run(monkeypatch, chat_server, few_pop, pools, tmp_path, host):
+    """At max_in_flight 1 a simulate looks its host up once, an IP address or a name alike."""
+    monkeypatch.setenv("BOTFORGE_API_KEY", KEY)
+    lookups = _counted_lookups(monkeypatch, lambda n, port: ("127.0.0.1", port))
+    chat_server.answer = _template_answer
+    out = tmp_path / "http"
+    url = chat_server.url.replace("127.0.0.1", host)
+    simulate_to_dir(_llm_config(out, url, max_in_flight=1), pop=few_pop, pools=pools)
+    assert lookups == [host]
+    assert len(chat_server.requests) > 100
     assert _same_corpus(out, few_pop, pools, tmp_path)
 
 
 def test_lookup_times_out(monkeypatch):
     """A lookup that outlasts HTTP_TIMEOUT_S fails its attempt as a socket wait does."""
     monkeypatch.setenv("BOTFORGE_API_KEY", KEY)
-    monkeypatch.setattr("botforge.content.HTTP_TIMEOUT_S", 0.2)
+    monkeypatch.setattr("botforge.llm_http.HTTP_TIMEOUT_S", 0.2)
     release = threading.Event()
 
     def getaddrinfo(host, port, family, kind):
         release.wait(10)
         raise socket.gaierror(socket.EAI_NONAME, "not looked up")
 
-    monkeypatch.setattr("botforge.content.socket.getaddrinfo", getaddrinfo)
+    monkeypatch.setattr("botforge.llm_http.socket.getaddrinfo", getaddrinfo)
     backend = LlmHttpBackend("http://chat.botforge.test/v1", max_retries=1, backoff_s=0.0)
     started = time.monotonic()
     try:
@@ -642,7 +709,7 @@ class _SilentServer:
 
 def test_unanswered_request_times_out(monkeypatch):
     monkeypatch.setenv("BOTFORGE_API_KEY", KEY)
-    monkeypatch.setattr("botforge.content.HTTP_TIMEOUT_S", 0.2)
+    monkeypatch.setattr("botforge.llm_http.HTTP_TIMEOUT_S", 0.2)
     with _SilentServer() as server:
         backend = LlmHttpBackend(server.url, max_retries=2, backoff_s=0.0)
         with pytest.raises(BackendError, match=r"after 3 attempts \(transport error: timed out\)"):
@@ -657,7 +724,7 @@ def test_unanswered_requests_abort_the_run(monkeypatch, few_pop, pools, tmp_path
     """The loop's waits time out as complete's do, the run aborts with that error, and
     the requests still open then are closed."""
     monkeypatch.setenv("BOTFORGE_API_KEY", KEY)
-    monkeypatch.setattr("botforge.content.HTTP_TIMEOUT_S", 0.2)
+    monkeypatch.setattr("botforge.llm_http.HTTP_TIMEOUT_S", 0.2)
     with _SilentServer() as server:
         cfg = _llm_config(tmp_path / "out", server.url, max_in_flight=4, max_retries=1,
                           backoff_s=0.0)
@@ -669,3 +736,64 @@ def test_unanswered_requests_abort_the_run(monkeypatch, few_pop, pools, tmp_path
         assert server.closed_by_client() >= 2
     assert exc.value.result.status == "aborted"
     assert len(exc.value.result.tweets) == 0
+
+
+# --- Retry-After beyond MAX_RETRY_AFTER_S ----------------------------------------
+
+_HUGE_RETRY_AFTER = ["3000000", "Fri, 31 Dec 9999 23:59:59 GMT"]
+
+
+@pytest.mark.parametrize("retry_after", _HUGE_RETRY_AFTER)
+def test_huge_retry_after_aborts_the_run(monkeypatch, chat_server, few_pop, pools, tmp_path,
+                                         retry_after):
+    """A wait longer than the selector or time.sleep can take is not made: the request
+    fails at once, with no retry, and the run aborts with its directory written."""
+    monkeypatch.setenv("BOTFORGE_API_KEY", KEY)
+    chat_server.replies.append((503, {"Retry-After": retry_after}, {}))
+    out = tmp_path / "out"
+    with pytest.raises(SimulationAborted, match=re.escape(f"retry after {retry_after!r}")):
+        simulate_to_dir(_llm_config(out, chat_server.url, max_in_flight=1), pop=few_pop,
+                        pools=pools)
+    assert json.loads((out / "manifest.json").read_text())["status"] == "aborted"
+    assert len(chat_server.requests) == 1
+
+
+@pytest.mark.parametrize("retry_after", _HUGE_RETRY_AFTER)
+def test_cli_huge_retry_after_exits_3(chat_server, tmp_path, retry_after):
+    """botforge simulate, in a process of its own: its stderr then holds none of the
+    tracebacks the chat server's threads print for connections the aborted run closed."""
+    chat_server.replies.append((503, {"Retry-After": retry_after}, {}))
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-m", "botforge.cli", *_simulate_args(out), "--base-url", chat_server.url],
+        env=dict(os.environ, BOTFORGE_API_KEY=KEY, PYTHONPATH=os.pathsep.join(sys.path)),
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3, done.stderr
+    assert f"over {llm_http.MAX_RETRY_AFTER_S:g} s" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert json.loads((out / "manifest.json").read_text())["status"] == "aborted"
+
+
+# --- Module boundary ---------------------------------------------------------------
+
+
+def test_client_imports_no_other_layer():
+    """botforge.llm_http needs only botforge.errors and the standard library. It is
+    imported in a fresh interpreter without the package's __init__, which imports
+    every module."""
+    code = ("import json, sys, types\n"
+            "package = types.ModuleType('botforge')\n"
+            f"package.__path__ = [{str(Path(llm_http.__file__).parent)!r}]\n"
+            "sys.modules['botforge'] = package\n"
+            "import botforge.llm_http\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "                        if m.split('.')[0] in ('botforge', 'numpy'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert json.loads(out) == ["botforge", "botforge.errors", "botforge.llm_http"]
+
+
+def test_content_re_exports_the_client():
+    """perfbench/tracing.py wraps LlmHttpBackend's methods through content's name."""
+    assert content.LlmHttpBackend is llm_http.LlmHttpBackend
+    assert content.DEFAULT_MODEL_NAME is llm_http.DEFAULT_MODEL_NAME
