@@ -3,8 +3,10 @@
 A generation request is a (system prompt, user prompt) pair: the system
 prompt carries the persona and any cue-steering augmentation; the user
 prompt carries the task (narrative, or the tweet being responded to) plus
-the common hashtag/URL pools. Backends are pluggable: a deterministic
-template generator that makes the whole pipeline reproducible offline, and
+the common hashtag/URL pools. post_steps is the one route from a task to
+its Tweet, asking for the text through a generator of waits. A backend is
+any object with complete(system_text, user_text, params): a deterministic
+template generator that makes the whole pipeline reproducible offline, or
 botforge.llm_http's client for a chat-completion endpoint (re-exported).
 """
 from __future__ import annotations
@@ -352,21 +354,6 @@ def build_user_prompt(task: GenerationTask, sample: dict[str, list[str]]) -> str
 # --- Backends -------------------------------------------------------------
 
 
-class ContentBackend:
-    """Interface: complete(system_text, user_text, params) -> generated text.
-
-    io_bound says a call mostly waits on something outside the process, so
-    the simulator keeps up to max_in_flight complete calls outstanding, each
-    on a thread of its own, and complete must be safe for concurrent calls;
-    a backend that computes its text in Python sets it False and is called
-    inline, one call at a time. A backend without the attribute counts as
-    io_bound.
-    """
-
-    def complete(self, system_text: str, user_text: str, params: dict) -> str:
-        raise NotImplementedError
-
-
 # Canned sentence material for the template backend. Deliberately free of
 # sentiment/expletive/abusive lexicon terms so a naive template corpus
 # measures near zero on those cues.
@@ -432,7 +419,7 @@ _MENTION_RE = re.compile(r"Write one tweet addressed to @(?P<display>\w+)\.")
 _POOLS_RE = re.compile(r"Hashtag pool: (?P<hashtags>.*?)\. URL pool: (?P<urls>.*)\Z", re.DOTALL)
 
 
-class TemplateBackend(ContentBackend):
+class TemplateBackend:
     """Deterministic offline generator: a pure function of (prompts, seed).
 
     It recognizes this package's own prompt wording, draws from canned
@@ -541,47 +528,34 @@ def _extract_artifacts(text: str) -> tuple[list[str], list[str], list[str]]:
     return toks["mentions"], toks["hashtags"], toks["urls"]
 
 
-def post_prompt(task: GenerationTask, system_text: str,
-                sample: dict[str, list[str]] | None) -> tuple[str, str] | None:
-    """The prompt half of a post: its (system, user) prompt pair, or None for a retweet.
+def post_steps(p: Persona, task: GenerationTask, system_text: str,
+               sample: dict[str, list[str]] | None, ask, on_event=None):
+    """Generator: the finished Tweet of one generation task, its text got through ask.
 
     system_text is the persona's system prompt with the scheme's steering
     sentences (augment_prompt(build_system_prompt(p), scheme)), the same for
     every post of the persona; sample is the draw_pool_samples slice the user
-    prompt lists, None for a retweet. The task is validated first.
-    """
-    task.validate()
-    if task.kind == "retweet":
-        return None
-    return system_text, build_user_prompt(task, sample)
+    prompt lists, None for a retweet. ask(system_text, user_text) is a
+    generator of waits, yielded on unchanged, that returns the backend's text.
 
-
-def retry_prompt(prompt: tuple[str, str], text: str, on_event=None) -> tuple[str, str] | None:
-    """The prompt pair to send again after the backend answered prompt with text, or None.
-
-    An empty text (blank once stripped) is regenerated once, with
-    RETRY_SUFFIX appended to the user prompt and the retry reported through
-    on_event; finish_post refuses a text that is still empty.
-    """
-    if text.strip():
-        return None
-    if on_event is not None:
-        on_event("retry: empty backend output")
-    return prompt[0], prompt[1] + RETRY_SUFFIX
-
-
-def finish_post(p: Persona, task: GenerationTask, text: str | None) -> Tweet:
-    """The finishing half of a post: its Tweet, from the backend's text (None for a retweet).
-
-    A retweet is a verbatim copy of its target. All texts are capped at 280
+    The task is validated first. A retweet copies its target verbatim and
+    asks nothing. An empty text (blank once stripped) is asked for once
+    more, with RETRY_SUFFIX appended and the retry reported through
+    on_event; a second one is a BackendError. All texts are capped at 280
     characters on a word boundary. A reply or quote whose capped text has no
     @<display name> of its target among its extracted mentions gets it
     prepended, and is capped again.
     """
+    task.validate()
     if task.kind == "retweet":
         text = f"RT @{task.target_display}: {task.target_text}"
-    elif not (text := text.strip()):
-        raise BackendError("backend returned empty output twice for one task")
+    else:
+        user_text = build_user_prompt(task, sample)
+        if not (text := (yield from ask(system_text, user_text)).strip()):
+            if on_event is not None:
+                on_event("retry: empty backend output")
+            if not (text := (yield from ask(system_text, user_text + RETRY_SUFFIX)).strip()):
+                raise BackendError("backend returned empty output twice for one task")
     text = truncate_to_limit(text)
     mentions, hashtags, urls = _extract_artifacts(text)
     if task.kind in ("reply", "quote"):
@@ -610,21 +584,20 @@ def generate_post(
     task: GenerationTask,
     system_text: str,
     sample: dict[str, list[str]] | None,
-    backend: ContentBackend,
+    backend,
     *,
     params: dict | None = None,
     on_event=None,
 ) -> Tweet:
-    """Produce the finished Tweet for one generation task through backend.complete.
+    """Produce the finished Tweet for one generation task: post_steps, with each
+    text got from backend.complete on the calling thread."""
+    params = dict(params or {})
 
-    post_prompt's pair is sent, retry_prompt's once if the text comes back
-    empty, and finish_post makes the Tweet; a retweet calls no backend.
-    """
-    prompt = post_prompt(task, system_text, sample)
-    text = None
-    if prompt is not None:
-        params = dict(params or {})
-        text = backend.complete(*prompt, params)
-        if (again := retry_prompt(prompt, text, on_event)) is not None:
-            text = backend.complete(*again, params)
-    return finish_post(p, task, text)
+    def ask(system_text: str, user_text: str):
+        yield from ()  # no wait: complete blocks
+        return backend.complete(system_text, user_text, params)
+
+    try:
+        next(post_steps(p, task, system_text, sample, ask, on_event))
+    except StopIteration as done:
+        return done.value

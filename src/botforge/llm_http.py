@@ -31,8 +31,8 @@ DEFAULT_MODEL_NAME = "gpt-4.1-mini"
 
 # Statuses worth a retry: timeout, rate limit, and every 5xx.
 RETRY_STATUSES = frozenset({408, 429})
-# The longest Retry-After wait a retry is made after; a reply that asks for
-# more ends its request, as no wait of a run should outlast an hour.
+# The longest wait a retry is made after, Retry-After or backoff; a request
+# that would wait longer ends, as no wait of a run should outlast an hour.
 MAX_RETRY_AFTER_S = 3600.0
 # Reply limits, http.client's: the bytes of one status, header, chunk-size or
 # trailer line with its end, and the lines of one header block with its blank end.
@@ -215,7 +215,7 @@ class LlmHttpBackend:
     token from the environment. Transport errors, 408, 429 and 5xx are
     retried up to the configured cap, after the server's Retry-After when it
     sends one and otherwise after exponential backoff; nothing is retried
-    beyond the cap, a Retry-After over MAX_RETRY_AFTER_S is not waited for,
+    beyond the cap, a wait over MAX_RETRY_AFTER_S is not made,
     and a TLS certificate that fails verification is not retried at all.
     Each request opens its own connection and closes it before it ends.
     Proxy environment variables are not read.
@@ -358,10 +358,14 @@ class LlmHttpBackend:
 
         last_error = "no attempt made"
         retry_after = None
+        backoff = self.backoff_s  # doubled after each retry, to inf once past the float range
         for attempt in range(self.max_retries + 1):
             if attempt:
-                yield None, 0, (retry_after if retry_after is not None
-                                else self.backoff_s * (2 ** (attempt - 1)))
+                if (pause := backoff if retry_after is None else retry_after) > MAX_RETRY_AFTER_S:
+                    raise BackendError(f"backoff of {pause:g} s before attempt {attempt + 1} is "
+                                       f"over {MAX_RETRY_AFTER_S:g} s: not retried ({last_error})")
+                yield None, 0, pause
+                backoff *= 2
             try:
                 status, retry_header, payload = yield from self._attempt(request)
             except ssl.SSLCertVerificationError as exc:  # no retry can change the certificate

@@ -34,13 +34,11 @@ from .content import (
     augment_prompt,
     build_system_prompt,
     draw_pool_samples,
-    finish_post,
     generate_post,
     load_pools,
     make_backend,
     parse_scheme,
-    post_prompt,
-    retry_prompt,
+    post_steps,
     select_narrative,
 )
 from .corpus import (
@@ -379,19 +377,18 @@ def _plan_run(cfg, pop, pools, run_index, first_id, degrees, cache, last_by_agen
     return plan, log
 
 
-def _render_in_order(plan, render, begin, limit):
+def _render_in_order(plan, begin, limit):
     """Render a run's plan, yielding (post, Tweet or exception) in plan order.
 
     A post is started once the tweet it responds to has rendered, lowest
-    plan index first. Retweets, and every post when begin is None, render
-    inline through render(post). Otherwise begin(post) returns the post's
-    exchange: a generator of waits, as LlmHttpBackend._exchange yields them,
-    that returns the post's Tweet. Up to limit exchanges are open at a
-    time, all driven from the calling thread through one selector; a socket
-    wait that outlasts its seconds resumes with TimeoutError. Iteration ends
-    after the first failure in plan order: posts before it are still
-    rendered and yielded, posts after it are not started, and the exchanges
-    still open are closed.
+    plan index first. begin(post) gives the post's steps: a generator of
+    waits, as LlmHttpBackend._exchange yields them, that returns the post's
+    Tweet. Up to limit posts wait at a time, all driven from the calling
+    thread through one selector; a post that makes no wait finishes as it
+    starts and takes no slot, and a socket wait that outlasts its seconds
+    resumes with TimeoutError. Iteration ends after the first failure in
+    plan order: posts before it are still rendered and yielded, posts after
+    it are not started, and the steps still waiting are closed.
     """
     outcomes: list = [None] * len(plan)
     dependents: dict[int, list[int]] = {}
@@ -401,60 +398,43 @@ def _render_in_order(plan, render, begin, limit):
             ready.append(i)
         else:
             dependents.setdefault(post.target, []).append(i)
-    waits: dict = {}  # open exchange -> (plan index, socket it waits for or None, deadline)
+    waits: dict = {}  # waiting steps -> (plan index, socket it waits for or None, deadline)
     stop = len(plan)  # plan index of the first failure so far
     selector = selectors.DefaultSelector()
 
-    def finish(i, outcome):
+    def step(steps, i, error=None):
+        """Run a post's steps to their next wait, or record the post's outcome."""
         nonlocal stop
-        outcomes[i] = outcome
-        if isinstance(outcome, BaseException):
-            stop = min(stop, i)
-        else:
+        try:
+            sock, event, seconds = steps.send(None) if error is None else steps.throw(error)
+        except StopIteration as done:
+            outcomes[i] = done.value
             for k in dependents.pop(i, ()):
                 heapq.heappush(ready, k)
-
-    def render_inline(post):
-        try:
-            return render(post)
-        except Exception as exc:  # delivered in plan order, like an exchange's failure
-            return exc
-
-    def step(exchange, i, error=None):
-        """Run an exchange to its next wait, or finish its post."""
-        try:
-            sock, event, seconds = exchange.send(None) if error is None else exchange.throw(error)
-        except StopIteration as done:
-            finish(i, done.value)
-        except Exception as exc:
-            finish(i, exc)
+        except Exception as exc:  # delivered in plan order
+            outcomes[i] = exc
+            stop = min(stop, i)
         else:
             if sock is not None:
-                selector.register(sock, event, exchange)
-            waits[exchange] = (i, sock, time.monotonic() + seconds)
+                selector.register(sock, event, steps)
+            waits[steps] = (i, sock, time.monotonic() + seconds)
 
-    def resume(exchange, expired=False):
-        """Step an exchange whose wait is over: its socket is ready, or its seconds passed."""
-        i, sock, _ = waits.pop(exchange)
+    def resume(steps, expired=False):
+        """Step a post whose wait is over: its socket is ready, or its seconds passed."""
+        i, sock, _ = waits.pop(steps)
         if sock is not None:
             selector.unregister(sock)
-        step(exchange, i, TimeoutError("timed out") if expired and sock is not None else None)
+        step(steps, i, TimeoutError("timed out") if expired and sock is not None else None)
 
     committed = 0
     try:
         while committed < len(plan):
-            while ready and ready[0] < stop:
-                post = plan[ready[0]]
-                inline = begin is None or post.task.kind == "retweet"
-                if not inline and len(waits) >= limit:
-                    break
+            while ready and ready[0] < stop and len(waits) < limit:
                 i = heapq.heappop(ready)
+                post = plan[i]
                 if post.target is not None:
                     post.task.target_text = outcomes[post.target].text
-                if inline:
-                    finish(i, render_inline(post))
-                else:
-                    step(begin(post), i)
+                step(begin(post), i)
             while committed < len(plan) and outcomes[committed] is not None:
                 yield plan[committed], outcomes[committed]
                 if isinstance(outcomes[committed], BaseException):
@@ -465,12 +445,12 @@ def _render_in_order(plan, render, begin, limit):
                 for key, _ in selector.select(None if timeout == math.inf else max(timeout, 0)):
                     resume(key.data)
                 now = time.monotonic()
-                for exchange in [x for x, (_, _, deadline) in waits.items() if deadline <= now]:
-                    resume(exchange, expired=True)
+                for steps in [x for x, (_, _, deadline) in waits.items() if deadline <= now]:
+                    resume(steps, expired=True)
     finally:
         selector.close()
-        for exchange in waits:
-            exchange.close()
+        for steps in waits:
+            steps.close()
 
 
 def run_simulation(
@@ -492,12 +472,19 @@ def run_simulation(
 
     Each run is planned first, with no backend call, then rendered, and
     tweets commit strictly in (run, agent, slot) order, so the output does
-    not depend on cfg.max_in_flight. An LlmHttpBackend keeps up to
-    max_in_flight requests open, all driven from the calling thread through
-    one selector; any other backend runs up to max_in_flight complete calls
-    on threads when it is io_bound, and inline otherwise. Backend failure aborts with partial results attached
+    not depend on cfg.max_in_flight. Every post is made by
+    content.post_steps, on the calling thread; only the backend call may
+    run elsewhere. An LlmHttpBackend keeps up to max_in_flight requests
+    open, all driven from the calling thread through one selector. Any
+    other backend is an object with complete(system_text, user_text,
+    params). When it is I/O-bound, up to max_in_flight complete calls run
+    at once, each on a thread of its own, so complete must be safe for
+    concurrent calls; a backend that computes its text in Python sets
+    io_bound = False and is called inline, one call at a time, as every
+    backend is at max_in_flight 1. A backend without io_bound counts as
+    I/O-bound. Backend failure aborts with partial results attached
     (SimulationAborted): everything committed before the first failing post
-    in commit order stays valid, and open exchanges are closed. The degree
+    in commit order stays valid, and open requests are closed. The degree
     state then already holds the aborted run's whole plan; the interactions
     logged as committed are the graph's, which counts committed tweets only.
     """
@@ -516,20 +503,6 @@ def run_simulation(
     next_id = prior.prefix.tweet_count + 1 if prior else 1
     start = prior.runs_completed if prior else 0
     params = cfg.backend_params()
-    exchange = backend._exchange if isinstance(backend, LlmHttpBackend) else None
-
-    def render(post: _PlannedPost) -> Tweet:
-        return generate_post(post.persona, post.task, post.system_text, post.pool_sample,
-                             backend, params=params, on_event=post.events.append)
-
-    def exchanged(post: _PlannedPost):
-        """Generator: render's Tweet, made through backend._exchange instead of complete."""
-        prompt = post_prompt(post.task, post.system_text, post.pool_sample)
-        text = yield from exchange(*prompt, params)
-        if (again := retry_prompt(prompt, text, post.events.append)) is not None:
-            text = yield from exchange(*again, params)
-        return finish_post(post.persona, post.task, text)
-
     log = [
         f"simulation: seed={cfg.seed} runs={cfg.runs} start_run={start} "
         f"agents={len(pop)} backend={cfg.backend} scheme={cfg.scheme.level} "
@@ -537,22 +510,34 @@ def run_simulation(
     ]
     status, error = "ok", None
     runs_done = start
-    threaded = (exchange is None and cfg.max_in_flight > 1
-                and getattr(backend, "io_bound", True))
+    http = isinstance(backend, LlmHttpBackend)
+    threaded = not http and cfg.max_in_flight > 1 and getattr(backend, "io_bound", True)
 
     with ThreadPoolExecutor(cfg.max_in_flight) if threaded else nullcontext() as executor:
-        def on_thread(post: _PlannedPost):
-            """Generator: render's Tweet, made on one of the executor's threads."""
-            return _on_thread(executor.submit, partial(render, post), math.inf)
+        if http or threaded:
+            ask = (partial(backend._exchange, params=params) if http else
+                   lambda *prompt: _on_thread(
+                       executor.submit, partial(backend.complete, *prompt, params), math.inf))
 
-        begin = exchanged if exchange is not None else on_thread if threaded else None
+            def begin(post: _PlannedPost):
+                """Generator: the post's Tweet, its text asked for through ask."""
+                return post_steps(post.persona, post.task, post.system_text, post.pool_sample,
+                                  ask, post.events.append)
+        else:
+            def begin(post: _PlannedPost):
+                """Generator that makes no wait: the post's Tweet, from generate_post."""
+                yield from ()
+                return generate_post(post.persona, post.task, post.system_text,
+                                     post.pool_sample, backend, params=params,
+                                     on_event=post.events.append)
+
         try:
             for run_index in range(start, start + cfg.runs):
                 first_id = next_id + len(tweets)
                 plan, plan_log = _plan_run(cfg, pop, pools, run_index, first_id, degrees, cache,
                                            last_by_agent)
                 logged = 0
-                with closing(_render_in_order(plan, render, begin, cfg.max_in_flight)) as posts:
+                with closing(_render_in_order(plan, begin, cfg.max_in_flight)) as posts:
                     for post, outcome in posts:
                         log.extend(plan_log[logged:post.log_end])
                         logged = post.log_end

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import ssl
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -102,7 +103,9 @@ class ChatServer:
     answer(body) -> (status, headers, payload). By default the answers are
     the scripted replies, in order, with the last one repeating; payload is
     JSON-encoded unless it is bytes already. With tls, it serves https://
-    with TLS_CERT.
+    with TLS_CERT. A client that has gone (its connection reset or closed
+    under a read or write) ends its request quietly; any other error in a
+    handler is still printed, with its traceback, to stderr.
     """
 
     def __init__(self, tls: bool = False):
@@ -129,7 +132,12 @@ class ChatServer:
             def log_message(self, *args):
                 pass
 
-        self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        class Server(ThreadingHTTPServer):
+            def handle_error(self, request, client_address):
+                if not isinstance(sys.exc_info()[1], ConnectionError):
+                    super().handle_error(request, client_address)
+
+        self._httpd = Server(("127.0.0.1", 0), Handler)
         if tls:
             context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
             context.load_cert_chain(TLS_CERT, TLS_KEY)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import selectors
 import socket
 
 import numpy as np
@@ -14,6 +15,7 @@ from botforge.cli import main
 from botforge.content import (
     AUGMENTATIONS,
     POOL_SAMPLE_CAP,
+    RETRY_SUFFIX,
     SCHEME_LEVELS,
     TARGETABLE_CUES,
     GenerationTask,
@@ -29,6 +31,7 @@ from botforge.content import (
     load_pools,
     make_backend,
     parse_scheme,
+    post_steps,
     select_narrative,
     truncate_to_limit,
 )
@@ -572,6 +575,50 @@ class TestGeneratePost:
             assert system_text.endswith(" Use positive terms and language")
             base = system_text.removesuffix(" Use positive terms and language")
             assert base in by_persona
+
+
+class TestPostSteps:
+    """The one route from a task to its Tweet, driven by hand."""
+
+    def test_wait_passes_through(self):
+        sock = object()
+
+        def ask(system_text, user_text):
+            yield sock, selectors.EVENT_READ, 1.0
+            return "after one wait"
+
+        steps = post_steps(make_persona("x_01"), original_task(), SYSTEM, NO_POOLS, ask)
+        wait = next(steps)
+        assert wait[0] is sock and wait[1:] == (selectors.EVENT_READ, 1.0)
+        with pytest.raises(StopIteration) as done:
+            steps.send(None)
+        assert done.value.value.text == "after one wait"
+
+    def test_empty_text_asked_again(self):
+        asked, events = [], []
+        texts = iter([" ", "second try text"])
+
+        def ask(system_text, user_text):
+            asked.append((system_text, user_text))
+            yield None, 0, 0.0
+            return next(texts)
+
+        steps = post_steps(make_persona("x_01"), original_task(), SYSTEM, NO_POOLS, ask,
+                           events.append)
+        assert next(steps) == steps.send(None) == (None, 0, 0.0)
+        with pytest.raises(StopIteration) as done:
+            steps.send(None)
+        assert done.value.value.text == "second try text"
+        assert asked[1] == (SYSTEM, asked[0][1] + RETRY_SUFFIX)
+        assert events == ["retry: empty backend output"]
+
+    def test_retweet_asks_nothing(self):
+        def ask(system_text, user_text):
+            raise AssertionError("a retweet asks for no text")
+
+        with pytest.raises(StopIteration) as done:
+            next(post_steps(make_persona("x_01"), retweet_task(), SYSTEM, None, ask))
+        assert done.value.value.text == "RT @OtherAgent: post worth repeating"
 
 
 class TestLlmHttpBackend:

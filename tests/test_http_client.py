@@ -18,6 +18,7 @@ import re
 import selectors
 import socket
 import ssl
+import struct
 import subprocess
 import sys
 import threading
@@ -39,7 +40,7 @@ from botforge.llm_http import LlmHttpBackend, _BadReply, _read_reply
 from botforge.persona import Population, default_population_path
 from botforge.simcore import SimulationAborted, config_from_dict, simulate_to_dir
 
-from conftest import TLS_CERT, ok_payload
+from conftest import TLS_CERT, ChatServer, _serving, ok_payload
 
 KEY = "k-test"
 
@@ -738,7 +739,7 @@ def test_unanswered_requests_abort_the_run(monkeypatch, few_pop, pools, tmp_path
     assert len(exc.value.result.tweets) == 0
 
 
-# --- Retry-After beyond MAX_RETRY_AFTER_S ----------------------------------------
+# --- Waits beyond MAX_RETRY_AFTER_S ----------------------------------------------
 
 _HUGE_RETRY_AFTER = ["3000000", "Fri, 31 Dec 9999 23:59:59 GMT"]
 
@@ -758,20 +759,105 @@ def test_huge_retry_after_aborts_the_run(monkeypatch, chat_server, few_pop, pool
     assert len(chat_server.requests) == 1
 
 
-@pytest.mark.parametrize("retry_after", _HUGE_RETRY_AFTER)
-def test_cli_huge_retry_after_exits_3(chat_server, tmp_path, retry_after):
-    """botforge simulate, in a process of its own: its stderr then holds none of the
-    tracebacks the chat server's threads print for connections the aborted run closed."""
-    chat_server.replies.append((503, {"Retry-After": retry_after}, {}))
+def test_long_backoff_aborts_the_run(monkeypatch, chat_server, few_pop, pools, tmp_path):
+    """A backoff wait over the ceiling is not made either, nor handed to the selector."""
+    monkeypatch.setenv("BOTFORGE_API_KEY", KEY)
+    chat_server.replies.append((503, {}, {}))
     out = tmp_path / "out"
-    done = subprocess.run(
-        [sys.executable, "-m", "botforge.cli", *_simulate_args(out), "--base-url", chat_server.url],
+    with pytest.raises(SimulationAborted, match=r"backoff of 3e\+06 s before attempt 2 is over "
+                                                r"3600 s: not retried \(HTTP 503\)"):
+        simulate_to_dir(_llm_config(out, chat_server.url, max_in_flight=1, backoff_s=3e6),
+                        pop=few_pop, pools=pools)
+    assert json.loads((out / "manifest.json").read_text())["status"] == "aborted"
+    assert len(chat_server.requests) == 1
+
+
+def test_backoff_doubles_up_to_the_ceiling(monkeypatch, chat_server):
+    monkeypatch.setenv("BOTFORGE_API_KEY", KEY)
+    sleeps = []
+    monkeypatch.setattr("botforge.llm_http.time.sleep", sleeps.append)
+    chat_server.replies.append((503, {}, {}))
+    backend = LlmHttpBackend(chat_server.url, max_retries=30, backoff_s=0.001)
+    with pytest.raises(BackendError, match=r"backoff of 4194\.3\d* s before attempt 24"):
+        backend.complete("s", "u", {})
+    assert sleeps == [0.001 * 2 ** k for k in range(22)]  # the last one, 2097 s, is made
+    assert len(chat_server.requests) == 23
+
+
+def test_many_retries_without_backoff(monkeypatch):
+    """2 ** 2000 is past the float range, and a backoff of 0 s stays 0 s all the same."""
+    monkeypatch.setenv("BOTFORGE_API_KEY", KEY)
+    with socket.create_server(("127.0.0.1", 0)) as sock:
+        port = sock.getsockname()[1]  # closed again before the backend connects
+    backend = LlmHttpBackend(f"http://127.0.0.1:{port}/v1", max_retries=2000, backoff_s=0.0)
+    with pytest.raises(BackendError, match=r"after 2001 attempts \(transport error"):
+        backend.complete("s", "u", {})
+
+
+def _cli_simulate(out, base_url, *flags):
+    """botforge simulate against base_url, in a process of its own."""
+    return subprocess.run(
+        [sys.executable, "-m", "botforge.cli", *_simulate_args(out), "--base-url", base_url,
+         *flags],
         env=dict(os.environ, BOTFORGE_API_KEY=KEY, PYTHONPATH=os.pathsep.join(sys.path)),
         capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("retry_after", _HUGE_RETRY_AFTER)
+def test_cli_huge_retry_after_exits_3(chat_server, tmp_path, retry_after):
+    """botforge simulate, in a process of its own, whose stderr is what a user sees."""
+    chat_server.replies.append((503, {"Retry-After": retry_after}, {}))
+    out = tmp_path / "out"
+    done = _cli_simulate(out, chat_server.url)
     assert done.returncode == 3, done.stderr
     assert f"over {llm_http.MAX_RETRY_AFTER_S:g} s" in done.stderr
     assert "Traceback" not in done.stderr
     assert json.loads((out / "manifest.json").read_text())["status"] == "aborted"
+
+
+def test_cli_long_backoff_exits_3(chat_server, tmp_path):
+    chat_server.replies.append((503, {}, {}))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"backoff_s": 3e6, "max_in_flight": 1}))
+    out = tmp_path / "out"
+    done = _cli_simulate(out, chat_server.url, "--config", str(config))
+    assert done.returncode == 3, done.stderr
+    assert f"backoff of 3e+06 s before attempt 2 is over {llm_http.MAX_RETRY_AFTER_S:g} s" \
+        in done.stderr
+    assert "Traceback" not in done.stderr
+    assert json.loads((out / "manifest.json").read_text())["status"] == "aborted"
+
+
+# --- The test chat server ----------------------------------------------------------
+
+
+def _raw_post(server, body: bytes, length: int):
+    """A POST to server on a socket of its own, its Content-Length given apart from its body."""
+    sock = socket.create_connection(("127.0.0.1", urlsplit(server.url).port))
+    sock.sendall(b"POST /v1/chat/completions HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                 b"Content-Length: %d\r\n\r\n%s" % (length, body))
+    return sock
+
+
+def test_chat_server_drops_a_client_that_has_gone(capsys):
+    """A client that resets its connection mid-request costs the server no traceback.
+    Leaving _serving joins the server's handler threads, so all they print is captured."""
+    with contextlib.contextmanager(_serving)(ChatServer()) as server:
+        with _raw_post(server, b"{", 100) as sock:
+            time.sleep(0.05)  # the handler now waits for the rest of the body
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    assert "Traceback" not in capsys.readouterr().err
+    assert server.requests == []
+
+
+def test_chat_server_reports_other_errors(capsys):
+    server = ChatServer()
+    server.answer = lambda body: 1 / 0
+    with contextlib.contextmanager(_serving)(server):
+        with _raw_post(server, b"{}", 2) as sock:
+            assert sock.recv(1) == b""  # closed with no reply
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "ZeroDivisionError" in err
 
 
 # --- Module boundary ---------------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 import re
 import shutil
 import tempfile
+import threading
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import make_persona
 from test_netgraph import tiny_population
 
+import botforge.content
 import botforge.simcore
 from botforge.content import TemplateBackend, default_pools_path
 import botforge.corpus
@@ -549,6 +551,41 @@ class TestAbort:
             simulate_to_dir(cfg, pop=micro_pop, backend=_FailingBackend(fail_after=10))
         with pytest.raises(ManifestError, match="cannot extend a run with status 'aborted'"):
             resume_or_extend(tmp_path / "broken", micro_cfg(runs=1))
+
+
+class _ThreadSafeBackend:
+    """Template texts from a backend with no io_bound, so it runs on threads; records
+    the threads its complete calls run on."""
+
+    def __init__(self):
+        self.template = TemplateBackend(seed=5)
+        self.threads = set()
+
+    def complete(self, system_text, user_text, params):
+        self.threads.add(threading.get_ident())
+        return self.template.complete(system_text, user_text, params)
+
+
+def test_threads_run_only_the_backend_call(micro_pop, pools, monkeypatch):
+    """At 4 in flight, complete runs on other threads, and every post is finished on the
+    calling thread; the outputs are those of max_in_flight 1, which makes no thread."""
+    finished_on = set()
+    extract = botforge.content._extract_artifacts
+
+    def recording(text):
+        finished_on.add(threading.get_ident())
+        return extract(text)
+
+    monkeypatch.setattr(botforge.content, "_extract_artifacts", recording)
+    threaded = _ThreadSafeBackend()
+    result = run_simulation(micro_cfg(max_in_flight=4), micro_pop, threaded, pools=pools)
+    assert finished_on == {threading.get_ident()}
+    assert threaded.threads - {threading.get_ident()}
+    inline = _ThreadSafeBackend()
+    reference = run_simulation(micro_cfg(max_in_flight=1), micro_pop, inline, pools=pools)
+    assert inline.threads == {threading.get_ident()}
+    assert result.tweets == reference.tweets
+    assert result.log == reference.log
 
 
 @pytest.fixture()
