@@ -203,8 +203,8 @@ class ComparisonRow:
     sig_human: bool
 
 
-def _compare_one(cue: str, mean: float, std: float, n: int, baselines: BaselineStats) -> ComparisonRow:
-    row = baselines.lookup(cue)
+def _compare_one(cue: str, mean: float, std: float, n: int) -> ComparisonRow:
+    row = _BASELINES.lookup(cue)
     bot = one_sample_t_from_stats(mean, std, n, row.wild_bot)
     human = one_sample_t_from_stats(mean, std, n, row.wild_human)
     return ComparisonRow(
@@ -221,20 +221,16 @@ def _compare_one(cue: str, mean: float, std: float, n: int, baselines: BaselineS
     )
 
 
-def compare(per_agent: dict[str, CueVector], baselines: BaselineStats | None = None) -> list[ComparisonRow]:
+def compare(per_agent: dict[str, CueVector]) -> list[ComparisonRow]:
     """One row per cue, canonical order: compare_from_report over summarize() of each cue."""
     if len(per_agent) < 2:
         raise ValidationError(f"need >= 2 agents to compare (got {len(per_agent)})")
     return compare_from_report({cue: summarize([getattr(v, cue) for v in per_agent.values()])
-                                for cue in CUE_NAMES}, baselines)
+                                for cue in CUE_NAMES})
 
 
-def compare_from_report(
-    report: dict[str, dict[str, float]], baselines: BaselineStats | None = None
-) -> list[ComparisonRow]:
+def compare_from_report(report: dict[str, dict[str, float]]) -> list[ComparisonRow]:
     """Comparison rows from a cue report's summary statistics ({cue: {mean, std, n}})."""
-    if baselines is None:
-        baselines = baseline_table()
     rows = []
     for cue in CUE_NAMES:
         if cue not in report:
@@ -243,7 +239,7 @@ def compare_from_report(
         n = int(r["n"])
         if n < 2:
             raise ValidationError(f"need >= 2 agents to compare (cue {cue!r} has n={n})")
-        rows.append(_compare_one(cue, float(r["mean"]), float(r["std"]), n, baselines))
+        rows.append(_compare_one(cue, float(r["mean"]), float(r["std"]), n))
     return rows
 
 

@@ -62,18 +62,14 @@ def personas():
 def personas_expand(seed_file, target, backend_name, out, seed, base_url, model_name,
                     temperature, batch_size, retry_cap):
     """Grow a seed population to a target size with generated personas."""
+    cfg = config_from_dict({"backend": backend_name, "seed": seed, "base_url": base_url,
+                            "model_name": model_name, "temperature": temperature})
     seed_pop = load_seed_personas(seed_file)
-    backend = make_backend(backend_name, seed=seed, base_url=base_url)
-    params = {"model_name": model_name, "temperature": temperature, "max_tokens": None}
-    pop = expand_personas(
-        seed_pop,
-        target,
-        backend,
-        run_seed=seed,
-        params=params,
-        batch_size=batch_size,
-        retry_cap=retry_cap,
-    )
+    backend = make_backend(cfg.backend, seed=cfg.seed, base_url=cfg.base_url,
+                           max_retries=cfg.max_retries, backoff_s=cfg.backoff_s)
+    pop = expand_personas(seed_pop, target, backend, run_seed=cfg.seed,
+                          params=cfg.backend_params(), batch_size=batch_size,
+                          retry_cap=retry_cap)
     save_personas(pop, out)
     click.echo(f"wrote {len(pop)} personas to {out}")
 

@@ -359,18 +359,15 @@ class CorpusPrefix:
     tweet_count: int
     size: int
 
-    def chunks(self, digest=None):
+    def chunks(self, digest):
         """The file's first size bytes in pieces, then ManifestError if their
         SHA-256 is not sha256 (the file changed after it was verified). The
         file itself is never written to: an in-place extend copies these
         bytes into .tweets.jsonl.staged, which then replaces the file.
 
-        The pieces are fed to digest, a fresh hashlib.sha256() unless given;
-        a writer that hashes what it writes passes its own, so the copied
-        bytes are hashed once.
+        The pieces are fed to digest, the hashlib.sha256() of the writer
+        that copies them, so the copied bytes are hashed once.
         """
-        if digest is None:
-            digest = hashlib.sha256()
         left = self.size
         with open(self.path, "rb") as fh:
             while chunk := fh.read(min(left, 1 << 20)):

@@ -107,7 +107,6 @@ def tokenize(text: str) -> list[str]:
 class Lexicon:
     """One cue category's term set; terms are lowercase tuples of 1-3 tokens."""
 
-    category: str
     terms: frozenset[tuple[str, ...]]
     max_n: int
 
@@ -121,7 +120,7 @@ class Lexicon:
             parsed.add(toks)
         if not parsed:
             raise SchemaError(f"lexicon[{category}]", "lexicon must be non-empty")
-        return cls(category=category, terms=frozenset(parsed), max_n=max(len(t) for t in parsed))
+        return cls(terms=frozenset(parsed), max_n=max(len(t) for t in parsed))
 
 
 def load_lexicon(path: str | Path, category: str) -> Lexicon:

@@ -165,7 +165,7 @@ def select_partner_detail(
     degrees: DegreeState,
     rng: np.random.Generator,
     *,
-    cache: CandidateCache | None = None,
+    cache: CandidateCache,
 ) -> PartnerChoice:
     """Partner selection with full fallback provenance.
 
@@ -176,8 +176,6 @@ def select_partner_detail(
     n = len(pop)
     if n < 2:
         raise ValidationError("partner selection requires a population of at least 2 agents")
-    if cache is None:
-        cache = CandidateCache(pop)
 
     u = rng.random()
     if u < policy.p_pa:

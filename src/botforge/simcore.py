@@ -169,9 +169,7 @@ _CONFIG_TYPES = {
 _SCHEME_TYPES = {"level": (str,), "targeted_cues": (list,)}
 
 
-def _parse_mixing(value, path: str = "mixing") -> MixingPolicy:
-    if isinstance(value, MixingPolicy):
-        return value
+def _parse_mixing(value) -> MixingPolicy:
     if isinstance(value, str):
         if value in POLICY_PRESETS:
             return POLICY_PRESETS[value]
@@ -187,23 +185,21 @@ def _parse_mixing(value, path: str = "mixing") -> MixingPolicy:
         return MixingPolicy(*nums)
     if isinstance(value, (list, tuple)):
         if len(value) != 3 or any(type(v) not in (int, float) for v in value):
-            raise SchemaError(path, "must be 3 numbers, each an int or a float", value)
+            raise SchemaError("config.mixing", "must be 3 numbers, each an int or a float", value)
         return MixingPolicy(*(float(v) for v in value))
     raise ValidationError(f"cannot interpret mixing policy {value!r}")
 
 
-def _parse_scheme_value(value, path: str) -> PromptScheme:
-    if isinstance(value, PromptScheme):
-        return value
+def _parse_scheme_value(value) -> PromptScheme:
     if isinstance(value, str):
         return parse_scheme(value)
     if isinstance(value, dict):
         unknown = value.keys() - _SCHEME_TYPES.keys()
         if unknown:
-            raise SchemaError(path, f"unknown scheme keys {sorted(unknown)}")
-        _check_types(value, _SCHEME_TYPES, path)
+            raise SchemaError("config.scheme", f"unknown scheme keys {sorted(unknown)}")
+        _check_types(value, _SCHEME_TYPES, "config.scheme")
         if any(type(cue) is not str for cue in value.get("targeted_cues", ())):
-            raise SchemaError(f"{path}.targeted_cues", "must be a list of str",
+            raise SchemaError("config.scheme.targeted_cues", "must be a list of str",
                               value["targeted_cues"])
         return PromptScheme(
             level=value.get("level", "naive"),
@@ -212,19 +208,19 @@ def _parse_scheme_value(value, path: str) -> PromptScheme:
     raise ValidationError(f"cannot interpret scheme {value!r}")
 
 
-def config_from_dict(doc: dict, path: str = "config") -> ScenarioConfig:
+def config_from_dict(doc: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from a JSON-shaped dict (config file / manifest echo)."""
     if not isinstance(doc, dict):
-        raise SchemaError(path, "must be an object", doc)
+        raise SchemaError("config", "must be an object", doc)
     unknown = set(doc) - _CONFIG_KEYS
     if unknown:
-        raise SchemaError(path, f"unknown config keys {sorted(unknown)}")
-    _check_types(doc, _CONFIG_TYPES, path)
+        raise SchemaError("config", f"unknown config keys {sorted(unknown)}")
+    _check_types(doc, _CONFIG_TYPES, "config")
     kwargs = dict(doc)
     if "mixing" in kwargs:
-        kwargs["mixing"] = _parse_mixing(kwargs["mixing"], f"{path}.mixing")
+        kwargs["mixing"] = _parse_mixing(kwargs["mixing"])
     if "scheme" in kwargs:
-        kwargs["scheme"] = _parse_scheme_value(kwargs["scheme"], f"{path}.scheme")
+        kwargs["scheme"] = _parse_scheme_value(kwargs["scheme"])
     cfg = ScenarioConfig(**kwargs)
     cfg.validate()
     return cfg
@@ -675,8 +671,10 @@ def _run_and_write(cfg: ScenarioConfig, pop: Population, pools: dict[str, list[s
                    prior: PriorRun | None = None) -> SimResult:
     """run_simulation, then write_outputs to cfg.out_dir, also for an aborted run.
 
-    backend None means cfg's backend. Both functions are looked up in this
-    module's namespace at call time, so wrappers set there see every call.
+    backend None means cfg's backend. cfg.out_dir is made after the backend
+    is built and before its first call, so a directory that cannot be made
+    costs no request. Both functions are looked up in this module's
+    namespace at call time, so wrappers set there see every call.
     """
     if backend is None:
         backend = make_backend(
@@ -686,6 +684,7 @@ def _run_and_write(cfg: ScenarioConfig, pop: Population, pools: dict[str, list[s
             max_retries=cfg.max_retries,
             backoff_s=cfg.backoff_s,
         )
+    Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     try:
         result = run_simulation(cfg, pop, backend, pools=pools, prior=prior)
     except SimulationAborted as exc:
@@ -719,23 +718,25 @@ def read_manifest(run_dir: str | Path) -> dict:
 
 def verify_manifest_files(run_dir: str | Path, manifest: dict, names) -> None:
     """Check stored hashes for the named files; any mismatch is a refusal."""
-    run_dir = Path(run_dir)
     for name in names:
-        recorded = manifest["files"].get(name)
-        if recorded is None:
+        if name not in manifest["files"]:
             raise ManifestError(f"manifest records no hash for {name}")
-        actual = _sha256_file(run_dir / name)
-        if actual != recorded:
-            raise ManifestError(
-                f"hash mismatch for {name}: manifest records {recorded}, file is {actual}"
-            )
+        _check_hash(manifest, name, _sha256_file(Path(run_dir) / name))
+
+
+def _check_hash(manifest: dict, name: str, actual: str) -> None:
+    recorded = manifest["files"].get(name)
+    if actual != recorded:
+        raise ManifestError(f"hash mismatch for {name}: manifest records {recorded}, "
+                            f"file is {actual}")
 
 
 def _read_prior(prev_dir: Path, manifest: dict, pop: Population) -> PriorRun:
     """The prior state of a verified run directory, from the end of its corpus and graph.csv.
 
     ManifestError when the corpus's last tweet id is not the manifest's
-    tweet_count, or a tweet of the scanned tail names an agent outside pop.
+    tweet_count, a tweet of the scanned tail names an agent outside pop, or
+    the run.log bytes it keeps do not have their recorded hash.
     """
     path = prev_dir / "tweets.jsonl"
     count = manifest["tweet_count"]
@@ -751,33 +752,33 @@ def _read_prior(prev_dir: Path, manifest: dict, pop: Population) -> PriorRun:
                 raise ManifestError(f"{path}: tweet {t.id} names {agent!r}, who is not in "
                                     f"population.json")
     edges, degrees = read_edges_csv(prev_dir / "graph.csv", pop)
+    log = (prev_dir / "run.log").read_bytes()
+    _check_hash(manifest, "run.log", hashlib.sha256(log).hexdigest())
     return PriorRun(manifest["runs_completed"], prefix, {t.author_id: t for t in tail}, edges,
-                    degrees, (prev_dir / "run.log").read_bytes())
+                    degrees, log)
 
 
 def resume_or_extend(prev_dir: str | Path, cfg: ScenarioConfig) -> SimResult:
     """Append cfg.runs further runs on top of a finished run directory.
 
-    The directory's tweets.jsonl, graph.csv, run.log, population.json and
-    pools.json are verified against the manifest hashes. The prior corpus is then
-    trusted and not parsed: each agent's last tweet comes from a backward
-    scan of its end (about one run), the next id from the manifest's
-    tweet_count, and the graph and degree state, so that attachment
-    continues from the prior structure, from graph.csv. Output goes to
-    cfg.out_dir (defaulting to prev_dir); its tweets.jsonl is the prior
-    file's bytes, checked against their hash again, with the new tweets
-    appended, and its run.log the prior run.log's bytes with the new lines
-    appended. The result's tweets are a CorpusView of that file and the new
-    tweets: the prior tweets are never parsed.
+    The directory's tweets.jsonl, graph.csv, run.log (on the bytes kept),
+    population.json and pools.json are verified against the manifest hashes.
+    The prior corpus is then trusted and not parsed: each agent's last tweet
+    comes from a backward scan of its end (about one run), the next id from
+    the manifest's tweet_count, and the graph and degree state, so that
+    attachment continues from the prior structure, from graph.csv. Output
+    goes to cfg.out_dir (defaulting to prev_dir); its tweets.jsonl is the
+    prior file's bytes, checked against their hash again, with the new
+    tweets appended, and its run.log the prior run.log's bytes with the new
+    lines appended. The result's tweets are a CorpusView of that file and
+    the new tweets: the prior tweets are never parsed.
     """
     prev_dir = Path(prev_dir)
     manifest = read_manifest(prev_dir)
     if manifest.get("status") != "ok":
         raise ManifestError(f"cannot extend a run with status {manifest.get('status')!r}")
-    verify_manifest_files(
-        prev_dir, manifest,
-        ("tweets.jsonl", "graph.csv", "run.log", "population.json", "pools.json"),
-    )
+    verify_manifest_files(prev_dir, manifest,
+                          ("tweets.jsonl", "graph.csv", "population.json", "pools.json"))
 
     pop = load_seed_personas(prev_dir / "population.json")
     pools = load_pools(prev_dir / "pools.json")

@@ -669,6 +669,21 @@ class TestPersonasExpand:
         assert "batch_size must be at least 1 and retry_cap at least 0" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("backend, flag, value, message", [
+        ("llm-http", "--temperature", "nan", "temperature must be finite"),
+        ("template", "--temperature", "-3", "temperature must be finite"),
+        ("template", "--seed", "-1", "seed must be a 64-bit unsigned integer"),
+    ])
+    def test_backend_settings_checked_as_simulate_checks_them(
+            self, pop_file, tmp_path, capsys, monkeypatch, backend, flag, value, message):
+        monkeypatch.setenv("BOTFORGE_API_KEY", "k")
+        code = main(["personas", "expand", "--seed-file", pop_file, "--target", "6",
+                     "--out", str(tmp_path / "x.json"), "--backend", backend,
+                     "--base-url", "http://127.0.0.1:9/v1", flag, value])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
     def test_expand_target_below_seed(self, pop_file, tmp_path, capsys):
         code = main([
             "personas", "expand",

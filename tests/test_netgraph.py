@@ -242,10 +242,10 @@ class TestPaSelect:
 class TestSelectPartner:
     def test_pure_pa_mode(self, micro_pop):
         rng = np.random.default_rng(0)
-        d = DegreeState(micro_pop)
+        d, cache = DegreeState(micro_pop), CandidateCache(micro_pop)
         for _ in range(20):
             choice = select_partner_detail(
-                micro_pop.get("a_02"), micro_pop, MixingPolicy.pa_only(), d, rng
+                micro_pop.get("a_02"), micro_pop, MixingPolicy.pa_only(), d, rng, cache=cache
             )
             assert choice.mode == "pa"
             assert choice.partner_id == "a_01"  # only eligible candidate for a_02
@@ -254,7 +254,8 @@ class TestSelectPartner:
         rng = np.random.default_rng(0)
         d = DegreeState(micro_pop)
         choice = select_partner_detail(
-            micro_pop.get("a_02"), micro_pop, MixingPolicy(0.0, 1.0, 0.0), d, rng
+            micro_pop.get("a_02"), micro_pop, MixingPolicy(0.0, 1.0, 0.0), d, rng,
+            cache=CandidateCache(micro_pop),
         )
         assert choice.partner_id == "a_01"
         assert choice.mode == "leader"
@@ -265,7 +266,8 @@ class TestSelectPartner:
         rng = np.random.default_rng(0)
         d = DegreeState(micro_pop)
         choice = select_partner_detail(
-            micro_pop.get("a_01"), micro_pop, MixingPolicy(0.0, 1.0, 0.0), d, rng
+            micro_pop.get("a_01"), micro_pop, MixingPolicy(0.0, 1.0, 0.0), d, rng,
+            cache=CandidateCache(micro_pop),
         )
         assert choice.mode == "pa"
         assert choice.requested_mode == "leader"
@@ -278,7 +280,7 @@ class TestSelectPartner:
         )
         choice = select_partner_detail(
             pop.get("x_01"), pop, MixingPolicy(0.0, 1.0, 0.0), DegreeState(pop),
-            np.random.default_rng(0),
+            np.random.default_rng(0), cache=CandidateCache(pop),
         )
         assert choice.mode == "pa"
         assert "leader->pa" in choice.fallbacks
@@ -292,7 +294,7 @@ class TestSelectPartner:
         )
         choice = select_partner_detail(
             pop.get("x_01"), pop, MixingPolicy.pa_only(), DegreeState(pop),
-            np.random.default_rng(0),
+            np.random.default_rng(0), cache=CandidateCache(pop),
         )
         assert choice.mode == "random"
         assert choice.requested_mode == "pa"
@@ -301,10 +303,11 @@ class TestSelectPartner:
 
     def test_random_mode_never_self(self, micro_pop):
         rng = np.random.default_rng(0)
-        d = DegreeState(micro_pop)
+        d, cache = DegreeState(micro_pop), CandidateCache(micro_pop)
         for _ in range(200):
             choice = select_partner_detail(
-                micro_pop.get("a_01"), micro_pop, MixingPolicy(0.0, 0.0, 1.0), d, rng
+                micro_pop.get("a_01"), micro_pop, MixingPolicy(0.0, 0.0, 1.0), d, rng,
+                cache=cache,
             )
             assert choice.mode == "random"
             assert choice.partner_id != "a_01"
@@ -314,7 +317,7 @@ class TestSelectPartner:
         with pytest.raises(ValidationError):
             select_partner_detail(
                 pop.get("x_01"), pop, MixingPolicy.pa_only(), DegreeState(pop),
-                np.random.default_rng(0),
+                np.random.default_rng(0), cache=CandidateCache(pop),
             )
 
 
@@ -728,7 +731,8 @@ class TestProperties:
         rng = np.random.default_rng(seed)
         agent = pop.personas[0]
         choice = select_partner_detail(
-            agent, pop, POLICY_PRESETS["pa+leader+random"], DegreeState(pop), rng
+            agent, pop, POLICY_PRESETS["pa+leader+random"], DegreeState(pop), rng,
+            cache=CandidateCache(pop),
         )
         assert choice.partner_id in pop
         assert choice.partner_id != agent.id

@@ -342,10 +342,6 @@ class TestParseMixing:
     def test_sequence(self):
         assert _parse_mixing([1, 0, 0]) == MixingPolicy.pa_only()
 
-    def test_policy_passthrough(self):
-        policy = POLICY_PRESETS["pa+leader"]
-        assert _parse_mixing(policy) is policy
-
     def test_wrong_arity_rejected(self):
         with pytest.raises(ValidationError, match="p_pa,p_leader,p_random"):
             _parse_mixing("0.5,0.5")
@@ -713,6 +709,15 @@ class TestSimulateToDir:
         assert sorted({t.author_id for t in result.tweets}) == sorted(micro_pop.ids())
 
 
+    def test_out_dir_made_before_the_first_backend_call(self, micro_pop, tmp_path):
+        (tmp_path / "file").write_text("")
+        backend = _FailingBackend(fail_after=10**6)
+        cfg = micro_cfg(runs=1, out_dir=str(tmp_path / "file" / "run"))
+        with pytest.raises(OSError):
+            simulate_to_dir(cfg, pop=micro_pop, backend=backend)
+        assert backend.calls == 0
+
+
 class TestResumeOrExtend:
     def test_extension_matches_fresh_two_run_corpus(self, micro_pop, pools, run_dir):
         out, cfg, first = run_dir
@@ -762,6 +767,22 @@ class TestResumeOrExtend:
             fh.write("edited\n")
         with pytest.raises(ManifestError, match="hash mismatch for run.log"):
             resume_or_extend(out, cfg)
+
+    def test_run_log_changed_after_check_is_refused(self, run_dir, monkeypatch):
+        out, cfg, _ = run_dir
+        verify = verify_manifest_files
+
+        def verify_then_append(*args):
+            verify(*args)
+            with open(out / "run.log", "a", encoding="utf-8") as fh:
+                fh.write("injected\n")
+
+        monkeypatch.setattr("botforge.simcore.verify_manifest_files", verify_then_append)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        with pytest.raises(ManifestError, match="hash mismatch for run.log"):
+            resume_or_extend(out, replace(cfg, out_dir=None))
+        after = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert after == dict(before, **{"run.log": before["run.log"] + b"injected\n"})
 
     def test_tampered_corpus_refused(self, run_dir):
         out, cfg, _ = run_dir
