@@ -1,7 +1,8 @@
 """Command-line interface: personas, simulate, analyze, compare, export.
 
 Config precedence is flags > config file > defaults (and when extending a
-run, the previous manifest's config echo sits below the config file). The
+run, the previous manifest's config echo sits below the config file; the
+settings its tweets depend on, such as the seed, must equal the echo's). The
 API credential is read only from the environment, never from flags or
 files. Exit codes: 0 success, 1 validation, 2 I/O, 3 backend.
 """
@@ -67,6 +68,7 @@ def personas_expand(seed_file, target, backend_name, out, seed, base_url, model_
     seed_pop = load_seed_personas(seed_file)
     backend = make_backend(cfg.backend, seed=cfg.seed, base_url=cfg.base_url,
                            max_retries=cfg.max_retries, backoff_s=cfg.backoff_s)
+    Path(out).parent.mkdir(parents=True, exist_ok=True)
     pop = expand_personas(seed_pop, target, backend, run_seed=cfg.seed,
                           params=cfg.backend_params(), batch_size=batch_size,
                           retry_cap=retry_cap)

@@ -424,10 +424,8 @@ class TemplateBackend:
 
     It recognizes this package's own prompt wording, draws from canned
     neutral sentence banks, and reuses pool items listed in the prompt.
-    Stateless per call, hence trivially thread-safe.
+    Stateless per call: the simulator calls it inline, on the calling thread.
     """
-
-    io_bound = False  # pure CPU: threads would only add overhead
 
     def __init__(self, seed: int = 0):
         self.seed = int(seed)

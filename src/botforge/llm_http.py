@@ -85,10 +85,10 @@ def _io(sock, call, blocked_on: int):
         yield sock, event, HTTP_TIMEOUT_S
 
 
-def _on_thread(submit, call, seconds):
-    """Generator: call's value (or its exception), call being run on another
-    thread by submit(run) (an Executor's submit, say), as one wait of up to
-    seconds for a socket pair that the thread writes to once call is done."""
+def _on_thread(call, seconds):
+    """Generator: call's value (or its exception), call being run on a daemon
+    thread of its own, as one wait of up to seconds for a socket pair that
+    the thread writes to once call is done."""
     done, wake = socket.socketpair()
     future = Future()
 
@@ -103,17 +103,12 @@ def _on_thread(submit, call, seconds):
 
     with done:
         try:
-            submit(run)
+            threading.Thread(target=run, name="botforge-getaddrinfo", daemon=True).start()
         except BaseException:
             wake.close()
             raise
         yield done, selectors.EVENT_READ, seconds
         return future.result()
-
-
-def _start_thread(run) -> None:
-    """Run run() on a daemon thread of its own."""
-    threading.Thread(target=run, name="botforge-getaddrinfo", daemon=True).start()
 
 
 def _read_reply(sock):
@@ -297,7 +292,7 @@ class LlmHttpBackend:
         eager = self._tls is None and _SEND_WHILE_CONNECTING
         if (addresses := self._addresses) is None:
             lookup = partial(socket.getaddrinfo, *self._address, 0, socket.SOCK_STREAM)
-            addresses = yield from _on_thread(_start_thread, lookup, HTTP_TIMEOUT_S)
+            addresses = yield from _on_thread(lookup, HTTP_TIMEOUT_S)
             self._addresses = addresses
         for n, (family, kind, proto, _, address) in enumerate(addresses, 1):
             sock = socket.socket(family, kind, proto)

@@ -115,8 +115,7 @@ class Population:
     """A validated persona list, its id -> index dict and its community -> leader id dict.
 
     index maps each id to its dense position in personas, stable for the
-    population's lifetime. Read-only after construction; safe to share
-    across threads.
+    population's lifetime. Read-only after construction.
     """
 
     personas: list[Persona]

@@ -19,8 +19,7 @@ import math
 import os
 import selectors
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing, nullcontext
+from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from itertools import chain
@@ -60,7 +59,7 @@ from .errors import (
     _check_types,
     read_json,
 )
-from .llm_http import DEFAULT_MODEL_NAME, LlmHttpBackend, _on_thread
+from .llm_http import DEFAULT_MODEL_NAME, LlmHttpBackend
 from .netgraph import (
     CandidateCache,
     CommGraph,
@@ -88,8 +87,7 @@ MANIFEST_FORMAT = "botforge-run-v1"
 # The files of a run directory that its manifest hashes.
 _DATA_FILES = ("tweets.jsonl", "graph.csv", "graph.graphml", "metrics.json",
                "run.log", "population.json", "pools.json")
-# Backend requests one simulation may keep outstanding, at most: each an open
-# exchange, or a complete call on a thread of its own.
+# llm-http requests one simulation may keep open at once, at most.
 MAX_IN_FLIGHT_LIMIT = 64
 
 @dataclass
@@ -147,6 +145,9 @@ class ScenarioConfig:
 
 
 _CONFIG_KEYS = set(ScenarioConfig().to_manifest_dict())
+# The config keys an extend must keep from its run, as the tweets depend on them.
+_EXTEND_FIXED = ("seed", "mixing", "scheme", "backend", "model_name", "temperature",
+                 "max_tokens", "require_both_eligibility")
 
 # The exact types config values may have in JSON (mixing and scheme are
 # parsed on their own). A bool is refused wherever an int is asked.
@@ -469,20 +470,16 @@ def run_simulation(
     Each run is planned first, with no backend call, then rendered, and
     tweets commit strictly in (run, agent, slot) order, so the output does
     not depend on cfg.max_in_flight. Every post is made by
-    content.post_steps, on the calling thread; only the backend call may
-    run elsewhere. An LlmHttpBackend keeps up to max_in_flight requests
-    open, all driven from the calling thread through one selector. Any
-    other backend is an object with complete(system_text, user_text,
-    params). When it is I/O-bound, up to max_in_flight complete calls run
-    at once, each on a thread of its own, so complete must be safe for
-    concurrent calls; a backend that computes its text in Python sets
-    io_bound = False and is called inline, one call at a time, as every
-    backend is at max_in_flight 1. A backend without io_bound counts as
-    I/O-bound. Backend failure aborts with partial results attached
-    (SimulationAborted): everything committed before the first failing post
-    in commit order stays valid, and open requests are closed. The degree
-    state then already holds the aborted run's whole plan; the interactions
-    logged as committed are the graph's, which counts committed tweets only.
+    content.post_steps, on the calling thread. An LlmHttpBackend keeps up
+    to max_in_flight requests open, all driven from the calling thread
+    through one selector. Any other backend is an object with
+    complete(system_text, user_text, params), called on the calling thread,
+    one call at a time: max_in_flight bounds llm-http requests only.
+    Backend failure aborts with partial results attached (SimulationAborted):
+    everything committed before the first failing post in commit order stays
+    valid, and open requests are closed. The degree state then already
+    holds the aborted run's whole plan; the interactions logged as committed
+    are the graph's, which counts committed tweets only.
     """
     cfg.validate()
     violations = validate_population(pop)
@@ -506,49 +503,42 @@ def run_simulation(
     ]
     status, error = "ok", None
     runs_done = start
-    http = isinstance(backend, LlmHttpBackend)
-    threaded = not http and cfg.max_in_flight > 1 and getattr(backend, "io_bound", True)
+    if isinstance(backend, LlmHttpBackend):
+        ask = partial(backend._exchange, params=params)
 
-    with ThreadPoolExecutor(cfg.max_in_flight) if threaded else nullcontext() as executor:
-        if http or threaded:
-            ask = (partial(backend._exchange, params=params) if http else
-                   lambda *prompt: _on_thread(
-                       executor.submit, partial(backend.complete, *prompt, params), math.inf))
+        def begin(post: _PlannedPost):
+            """Generator: the post's Tweet, its text asked for through _exchange."""
+            return post_steps(post.persona, post.task, post.system_text, post.pool_sample,
+                              ask, post.events.append)
+    else:
+        def begin(post: _PlannedPost):
+            """Generator that makes no wait: the post's Tweet, from generate_post."""
+            yield from ()
+            return generate_post(post.persona, post.task, post.system_text,
+                                 post.pool_sample, backend, params=params,
+                                 on_event=post.events.append)
 
-            def begin(post: _PlannedPost):
-                """Generator: the post's Tweet, its text asked for through ask."""
-                return post_steps(post.persona, post.task, post.system_text, post.pool_sample,
-                                  ask, post.events.append)
-        else:
-            def begin(post: _PlannedPost):
-                """Generator that makes no wait: the post's Tweet, from generate_post."""
-                yield from ()
-                return generate_post(post.persona, post.task, post.system_text,
-                                     post.pool_sample, backend, params=params,
-                                     on_event=post.events.append)
-
-        try:
-            for run_index in range(start, start + cfg.runs):
-                first_id = next_id + len(tweets)
-                plan, plan_log = _plan_run(cfg, pop, pools, run_index, first_id, degrees, cache,
-                                           last_by_agent)
-                logged = 0
-                with closing(_render_in_order(plan, begin, cfg.max_in_flight)) as posts:
-                    for post, outcome in posts:
-                        log.extend(plan_log[logged:post.log_end])
-                        logged = post.log_end
-                        here = (f"[run {run_index}] agent {post.persona.id} "
-                                f"slot {post.task.slot_index}")
-                        log.extend(f"{here}: {msg}" for msg in post.events)
-                        if isinstance(outcome, BaseException):
-                            raise outcome
-                        tweets.append(outcome)
-                        last_by_agent[outcome.author_id] = outcome
-                log.extend(plan_log[logged:])
-                runs_done = run_index + 1
-        except BackendError as exc:
-            status, error = "aborted", str(exc)
-            log.append(f"ABORTED: {error}")
+    try:
+        for run_index in range(start, start + cfg.runs):
+            first_id = next_id + len(tweets)
+            plan, plan_log = _plan_run(cfg, pop, pools, run_index, first_id, degrees, cache,
+                                       last_by_agent)
+            logged = 0
+            with closing(_render_in_order(plan, begin, cfg.max_in_flight)) as posts:
+                for post, outcome in posts:
+                    log.extend(plan_log[logged:post.log_end])
+                    logged = post.log_end
+                    here = f"[run {run_index}] agent {post.persona.id} slot {post.task.slot_index}"
+                    log.extend(f"{here}: {msg}" for msg in post.events)
+                    if isinstance(outcome, BaseException):
+                        raise outcome
+                    tweets.append(outcome)
+                    last_by_agent[outcome.author_id] = outcome
+            log.extend(plan_log[logged:])
+            runs_done = run_index + 1
+    except BackendError as exc:
+        status, error = "aborted", str(exc)
+        log.append(f"ABORTED: {error}")
 
     graph = build_comm_graph(tweets, pop, prior.edges if prior else None)
     log.append(f"committed {len(corpus)} tweets, {graph.total_weight()} interactions")
@@ -771,12 +761,20 @@ def resume_or_extend(prev_dir: str | Path, cfg: ScenarioConfig) -> SimResult:
     prior file's bytes, checked against their hash again, with the new
     tweets appended, and its run.log the prior run.log's bytes with the new
     lines appended. The result's tweets are a CorpusView of that file and
-    the new tweets: the prior tweets are never parsed.
+    the new tweets: the prior tweets are never parsed. A cfg that differs
+    from the run's config in one of _EXTEND_FIXED is refused
+    (ValidationError) before anything is written or asked of a backend.
     """
     prev_dir = Path(prev_dir)
     manifest = read_manifest(prev_dir)
     if manifest.get("status") != "ok":
         raise ManifestError(f"cannot extend a run with status {manifest.get('status')!r}")
+    made = config_from_dict(manifest.get("config", {})).to_manifest_dict()
+    asked = cfg.to_manifest_dict()
+    for key in _EXTEND_FIXED:
+        if asked[key] != made[key]:
+            raise ValidationError(f"cannot extend {prev_dir} with {key} {asked[key]!r}: "
+                                  f"the run was made with {key} {made[key]!r}")
     verify_manifest_files(prev_dir, manifest,
                           ("tweets.jsonl", "graph.csv", "population.json", "pools.json"))
 

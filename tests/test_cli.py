@@ -250,6 +250,33 @@ class TestSimulate:
         assert main(["simulate", "--extend-from", str(cli_run_dir), "--runs", "1"]) == 0
         assert read_manifest(cli_run_dir)["runs_completed"] == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--seed", "8"], "seed 8: the run was made with seed 5"),
+        (["--mixing", "pa+leader"], "mixing [0.7, 0.3, 0.0]: the run was made with mixing "
+                                    "[1.0, 0.0, 0.0]"),
+        (["--scheme", "targets:all"], "the run was made with scheme {'level': 'naive', "
+                                      "'targeted_cues': []}"),
+        (["--temperature", "0.5"], "temperature 0.5: the run was made with temperature 0.0"),
+        (["--require-both-eligibility"], "require_both_eligibility True: the run was made with "
+                                         "require_both_eligibility False"),
+    ], ids=["seed", "mixing", "scheme", "temperature", "require-both"])
+    @pytest.mark.parametrize("in_place", [False, True], ids=["out-dir", "in-place"])
+    def test_extend_refuses_other_settings(self, cli_run_dir, tmp_path, capsys, flags, message,
+                                           in_place):
+        before = {p.name: p.read_bytes() for p in cli_run_dir.iterdir()}
+        out = [] if in_place else ["--out-dir", str(tmp_path / "ext")]
+        assert main(["simulate", "--extend-from", str(cli_run_dir), "--runs", "1", *flags,
+                     *out]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "ext").exists()
+        assert {p.name: p.read_bytes() for p in cli_run_dir.iterdir()} == before
+
+    def test_extend_takes_other_runs_and_out_dir(self, cli_run_dir, tmp_path, capsys):
+        out = tmp_path / "ext"
+        assert main(["simulate", "--extend-from", str(cli_run_dir), "--runs", "2",
+                     "--out-dir", str(out)]) == 0
+        assert read_manifest(out)["runs_completed"] == 3
+
     @pytest.mark.parametrize("key,value", [("runs_completed", None), ("runs_completed", True),
                                            ("tweet_count", -1), ("files", [])])
     def test_extend_from_malformed_manifest(self, cli_run_dir, capsys, key, value):
@@ -668,6 +695,26 @@ class TestPersonasExpand:
         assert code == 1 and calls == []
         assert "batch_size must be at least 1 and retry_cap at least 0" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("parent, code", [("a-file", 2), ("missing/deeper", 0)])
+    def test_out_directory_made_before_any_backend_call(self, pop_file, tmp_path, capsys,
+                                                        monkeypatch, parent, code):
+        calls = []
+
+        class Counting(TemplateBackend):
+            def complete(self, system_text, user_text, params):
+                calls.append(user_text)
+                return super().complete(system_text, user_text, params)
+
+        (tmp_path / "a-file").write_text("")
+        monkeypatch.setattr("botforge.cli.make_backend", lambda *a, **kw: Counting())
+        out = tmp_path / parent / "expanded.json"
+        assert main(["personas", "expand", "--seed-file", pop_file, "--target", "6",
+                     "--out", str(out)]) == code
+        if code:
+            assert calls == []
+        else:
+            assert calls and len(load_seed_personas(out)) == 6
 
     @pytest.mark.parametrize("backend, flag, value, message", [
         ("llm-http", "--temperature", "nan", "temperature must be finite"),

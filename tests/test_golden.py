@@ -5,16 +5,14 @@ predates the plan/render split, and the per-post cue report's with the cue
 extractor that tokenized each post three times; a change that moves any of
 them changes what the simulator produces and must say so and re-pin on
 purpose. The remaining
-tests run one config through a thread-safe fake LLM whose calls finish out of
-order, and require the same bytes at 1 and at 8 requests in flight, for a
-finished run and for one that a backend failure aborts.
+tests run one config through the llm-http backend against a local chat server
+whose replies finish out of order, and require the same bytes at 1 and at 8
+requests in flight, for a finished run and for one that a backend failure aborts.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-import random
-import sys
 import threading
 import time
 
@@ -129,42 +127,45 @@ class _Recorder:
         return self.template.complete(system_text, user_text, params)
 
 
-class _SlowFake:
-    """A thread-safe fake LLM whose calls take a random 0.5-3 ms each.
+class _SlowServer:
+    """A chat server's answer: the template backend's text, each reply sent after
+    0.5-3 ms drawn from a hash of its prompt, so that replies finish out of order.
 
-    Its text is the template backend's, except that a fixed share of first
-    attempts come back empty (so regenerations and their log lines happen),
-    and the prompt pair fail_on raises BackendError. The failure is tied to
-    a prompt, not to an arrival order, so it hits the same post whatever
-    finishes first.
+    A fixed share of first attempts come back empty (so regenerations and
+    their log lines happen), and the prompt pair fail_on gets HTTP 400. Both
+    are tied to a prompt, not to an arrival order, so they hit the same post
+    whatever finishes first.
     """
 
-    def __init__(self, seed: int, fail_on=None):
-        self.template = TemplateBackend(seed)
+    def __init__(self, fail_on=None):
+        self.template = TemplateBackend(GOLDEN_SEED)
         self.fail_on = fail_on
-        self.prompts = []  # in call order
+        self.prompts = []  # in arrival order
         self.in_flight = 0
         self.peak_in_flight = 0
-        self._rng = random.Random(seed)
         self._lock = threading.Lock()
 
-    def complete(self, system_text, user_text, params):
+    def __call__(self, body):
+        system_text, user_text = (m["content"] for m in body["messages"])
+        digest = hashlib.sha256(user_text.encode()).digest()
         with self._lock:
             self.prompts.append((system_text, user_text))
             self.in_flight += 1
             self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
-            delay = self._rng.uniform(0.0005, 0.003)
         try:
-            time.sleep(delay)
+            time.sleep(0.0005 + 0.0025 * digest[1] / 255)
             if (system_text, user_text) == self.fail_on:
-                raise BackendError("backend down")
-            if not user_text.endswith(RETRY_SUFFIX) and hashlib.sha256(
-                    user_text.encode()).digest()[0] < 16:
-                return ""
-            return self.template.complete(system_text, user_text, params)
+                return 400, {}, {"error": "bad request"}
+            if not user_text.endswith(RETRY_SUFFIX) and digest[0] < 16:
+                return 200, {}, ok_payload("")
+            return 200, {}, ok_payload(self.template.complete(system_text, user_text, {}))
         finally:
             with self._lock:
                 self.in_flight -= 1
+
+
+def _http_config(out_dir, url, limit):
+    return _config(out_dir, backend="llm-http", base_url=url, max_in_flight=limit)
 
 
 @pytest.mark.parametrize("mixing,scheme", sorted(PINNED))
@@ -220,45 +221,45 @@ def small_pop(seed_pop):
     return Population(personas=list(seed_pop.personas[::6]))
 
 
-def test_output_independent_of_max_in_flight(small_pop, pools, tmp_path):
-    files, fakes = {}, {}
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # switch threads often, so a lost update would show
-    try:
-        for limit in (1, 8):
-            fakes[limit] = _SlowFake(GOLDEN_SEED)
-            out = tmp_path / f"limit{limit}"
-            simulate_to_dir(_config(out, max_in_flight=limit), pop=small_pop, pools=pools,
-                            backend=fakes[limit])
-            files[limit] = _run_files(out)
-    finally:
-        sys.setswitchinterval(switch)
+def test_output_independent_of_max_in_flight(small_pop, pools, tmp_path, chat_server,
+                                             monkeypatch):
+    monkeypatch.setenv("BOTFORGE_API_KEY", "k-test")
+    files, servers = {}, {}
+    for limit in (1, 8):
+        servers[limit] = chat_server.answer = _SlowServer()
+        out = tmp_path / f"limit{limit}"
+        simulate_to_dir(_http_config(out, chat_server.url, limit), pop=small_pop, pools=pools)
+        files[limit] = _run_files(out)
     assert files[1] == files[8]
-    assert len(fakes[1].prompts) == len(fakes[8].prompts)
-    assert fakes[1].peak_in_flight == 1
-    assert fakes[8].peak_in_flight > 1
+    assert len(servers[1].prompts) == len(servers[8].prompts)
+    assert servers[1].peak_in_flight == 1
+    assert servers[8].peak_in_flight > 1
     assert b"retry: empty backend output" in files[1]["run.log"]
 
 
-def test_aborted_output_independent_of_max_in_flight(small_pop, pools, tmp_path):
-    recorder = _SlowFake(GOLDEN_SEED)
-    simulate_to_dir(_config(tmp_path / "recorded", max_in_flight=1), pop=small_pop,
-                    pools=pools, backend=recorder)
-    k = len(recorder.prompts) * 3 // 4  # a call in the second run
+def test_aborted_output_independent_of_max_in_flight(small_pop, pools, tmp_path, chat_server,
+                                                     monkeypatch):
+    monkeypatch.setenv("BOTFORGE_API_KEY", "k-test")
+    recorder = chat_server.answer = _SlowServer()
+    simulate_to_dir(_http_config(tmp_path / "recorded", chat_server.url, 1), pop=small_pop,
+                    pools=pools)
+    k = len(recorder.prompts) * 3 // 4  # a request in the second run
     fail_on = recorder.prompts[k - 1]
-    files, fakes = {}, {}
+    files, servers = {}, {}
     for limit in (1, 8):
-        fakes[limit] = _SlowFake(GOLDEN_SEED, fail_on=fail_on)
+        servers[limit] = chat_server.answer = _SlowServer(fail_on=fail_on)
         out = tmp_path / f"limit{limit}"
         with pytest.raises(SimulationAborted) as exc:
-            simulate_to_dir(_config(out, max_in_flight=limit), pop=small_pop, pools=pools,
-                            backend=fakes[limit])
+            simulate_to_dir(_http_config(out, chat_server.url, limit), pop=small_pop,
+                            pools=pools)
         assert exc.value.result.status == "aborted"
         files[limit] = _run_files(out)
-    assert len(fakes[1].prompts) == k
+    assert len(servers[1].prompts) == k
+    assert servers[1].peak_in_flight == 1
+    assert servers[8].peak_in_flight > 1
     assert files[1] == files[8]
     log = files[8]["run.log"].decode().splitlines()
-    assert log[-2] == "ABORTED: backend down"
+    assert log[-2] == "ABORTED: backend rejected the request: HTTP 400"
     manifest = json.loads(files[8]["manifest.json"])
     assert log[-1].startswith(f"committed {manifest['tweet_count']} tweets,")
 

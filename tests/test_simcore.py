@@ -7,6 +7,7 @@ import re
 import shutil
 import tempfile
 import threading
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -17,7 +18,6 @@ from hypothesis import strategies as st
 from conftest import make_persona
 from test_netgraph import tiny_population
 
-import botforge.content
 import botforge.simcore
 from botforge.content import TemplateBackend, default_pools_path
 import botforge.corpus
@@ -549,37 +549,35 @@ class TestAbort:
             resume_or_extend(tmp_path / "broken", micro_cfg(runs=1))
 
 
-class _ThreadSafeBackend:
-    """Template texts from a backend with no io_bound, so it runs on threads; records
-    the threads its complete calls run on."""
+class _CallRecorder:
+    """Template texts; records the threads its complete calls run on, and the most
+    calls it ever had open at once."""
 
     def __init__(self):
         self.template = TemplateBackend(seed=5)
         self.threads = set()
+        self.open = self.peak = 0
 
     def complete(self, system_text, user_text, params):
         self.threads.add(threading.get_ident())
-        return self.template.complete(system_text, user_text, params)
+        self.open += 1
+        self.peak = max(self.peak, self.open)
+        try:
+            time.sleep(0.0005)  # room for a second call to start, were one allowed
+            return self.template.complete(system_text, user_text, params)
+        finally:
+            self.open -= 1
 
 
-def test_threads_run_only_the_backend_call(micro_pop, pools, monkeypatch):
-    """At 4 in flight, complete runs on other threads, and every post is finished on the
-    calling thread; the outputs are those of max_in_flight 1, which makes no thread."""
-    finished_on = set()
-    extract = botforge.content._extract_artifacts
-
-    def recording(text):
-        finished_on.add(threading.get_ident())
-        return extract(text)
-
-    monkeypatch.setattr(botforge.content, "_extract_artifacts", recording)
-    threaded = _ThreadSafeBackend()
-    result = run_simulation(micro_cfg(max_in_flight=4), micro_pop, threaded, pools=pools)
-    assert finished_on == {threading.get_ident()}
-    assert threaded.threads - {threading.get_ident()}
-    inline = _ThreadSafeBackend()
-    reference = run_simulation(micro_cfg(max_in_flight=1), micro_pop, inline, pools=pools)
-    assert inline.threads == {threading.get_ident()}
+def test_user_backend_is_called_inline(micro_pop, pools):
+    """At 8 in flight, a backend of the caller's own gets every complete call on the
+    calling thread, one at a time, and the outputs are those of max_in_flight 1."""
+    backend = _CallRecorder()
+    result = run_simulation(micro_cfg(max_in_flight=8), micro_pop, backend, pools=pools)
+    assert backend.threads == {threading.get_ident()}
+    assert backend.peak == 1
+    reference = run_simulation(micro_cfg(max_in_flight=1), micro_pop, _CallRecorder(),
+                               pools=pools)
     assert result.tweets == reference.tweets
     assert result.log == reference.log
 
