@@ -162,20 +162,22 @@ class TTestResult:
 
 
 _ZERO_VAR_ATOL = 1e-9
-# A std this many ulps of the mean or less is rounding noise of a constant sample.
-_ZERO_VAR_ULPS = 4
+# A std at most this fraction of |mean| is rounding noise of a constant sample:
+# np.std leaves a constant sample a std of a few ulps of its mean (5 at 10**6
+# values), and 1e-14 of |mean| is 45 or more ulps.
+_ZERO_VAR_REL = 1e-14
 
 
 def one_sample_t_from_stats(mean: float, std: float, n: int, mu: float) -> TTestResult:
     """One-sample two-sided t-test from summary statistics (std uses n-1).
 
     A zero-variance sample is degenerate: p = 0 when the mean differs from mu
-    (beyond 1e-9), else p = 1. A std within a few ulps of the mean counts as
+    (beyond 1e-9), else p = 1. A std of at most 1e-14 * |mean| counts as
     zero: it is what float rounding leaves of a constant sample.
     """
     if n < 2:
         raise ValidationError(f"need >= 2 observations for a t-test (got {n})")
-    if std <= _ZERO_VAR_ULPS * math.ulp(mean):
+    if std <= _ZERO_VAR_REL * abs(mean):
         if abs(mean - mu) > _ZERO_VAR_ATOL:
             return TTestResult(t=math.copysign(math.inf, mean - mu), p=0.0)
         return TTestResult(t=0.0, p=1.0)

@@ -17,7 +17,8 @@ import click
 from .benchmark import compare_from_report, render_report
 from .content import DEFAULT_MODEL_NAME, make_backend
 from .cues import aggregate_cues, load_lexicons, read_cue_report, write_cue_report
-from .errors import BackendError, BotforgeError, ManifestError, SchemaError, read_json
+from .errors import (BackendError, BotforgeError, ManifestError, SchemaError, ValidationError,
+                     read_json)
 from .netgraph import build_comm_graph, graph_metrics
 from .persona import expand_personas, load_seed_personas, save_personas
 from .simcore import (
@@ -66,6 +67,8 @@ def personas_expand(seed_file, target, backend_name, out, seed, base_url, model_
     cfg = config_from_dict({"backend": backend_name, "seed": seed, "base_url": base_url,
                             "model_name": model_name, "temperature": temperature})
     seed_pop = load_seed_personas(seed_file)
+    if Path(out).is_dir():
+        raise ValidationError(f"--out {out} is a directory; name the file to write")
     backend = make_backend(cfg.backend, seed=cfg.seed, base_url=cfg.base_url,
                            max_retries=cfg.max_retries, backoff_s=cfg.backoff_s)
     Path(out).parent.mkdir(parents=True, exist_ok=True)

@@ -15,8 +15,10 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import dataclass, field, fields
-from itertools import chain, repeat
+from array import array
+from collections import defaultdict
+from dataclasses import dataclass, fields
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -78,7 +80,12 @@ LEXICON_CUE = {
 LEXICON_CATEGORIES = tuple(LEXICON_CUE)
 
 _VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
-_SENTENCE_SPLIT_RE = re.compile(r"[.!?]+")
+# Sentence terminators; a sentence is a non-blank stretch of prose between runs of them.
+_TERMINATORS = ".!?"
+_CONTENT_RUN_RE = re.compile(r"[^.!?]+")
+# Texts _cue_matrix maps and sums as one chunk: its id and per-occurrence
+# arrays stay near a few hundred kB, whatever the corpus size.
+_CHUNK_TEXTS = 512
 
 
 def classify_tokens(text: str) -> dict[str, list[str]]:
@@ -153,14 +160,11 @@ class LexiconTable:
 
     A lexicon's longest-match count equals the count of words that are its
     one-word terms unless a word of the post starts one of its multi-word
-    terms; only then does that lexicon need the n-gram scan. The table also
-    caches each whitespace token text_cues meets; the cached cues depend on
-    the lexicons, so the cache lives and dies with the table.
+    terms; only then does that lexicon need the n-gram scan.
     """
 
     unigrams: dict[str, tuple[int, ...]]  # word -> positions of the cues whose lexicon holds it
     multi: tuple[tuple[int, Lexicon, frozenset[str]], ...]  # (cue position, lexicon, first words)
-    tokens: dict[str, tuple] = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def from_lexicons(cls, lexicons: dict[str, Lexicon]) -> LexiconTable:
@@ -221,64 +225,106 @@ def _syllables(word: str) -> int:
     return max(groups, 1)
 
 
-def _reading_score(n_words: int, syllables: int, prose: list[str]) -> float:
-    if not n_words:
-        return 0.0
-    # URL tokens carry dots that are not sentence ends; prose leaves them out.
-    segments = _SENTENCE_SPLIT_RE.split(" ".join(prose))
-    sentences = max(1, sum(1 for seg in segments if seg.strip()))
-    grade = 0.39 * (n_words / sentences) + 11.8 * (syllables / n_words) - 15.59
-    return min(max(grade / 100.0, 0.0), 1.0)
-
-
 def reading_difficulty(text: str) -> float:
     """Flesch-Kincaid grade mapped onto [0, 1] by grade/100, clamped.
 
     grade = 0.39*(words/sentences) + 11.8*(syllables/words) - 15.59, over
-    non-mention/hashtag/URL tokens. Empty text scores 0.
+    non-mention/hashtag/URL tokens. The sentences are the non-blank segments
+    between runs of `.`, `!` and `?` in the non-URL tokens joined by spaces,
+    at least 1. Empty text scores 0.
     """
-    return _cue_row(text, LexiconTable({}, ()))[_READING_POS]
+    return float(_cue_matrix([text], LexiconTable({}, ()))[0, _READING_POS])
 
 
 def metadata_cues(text: str) -> dict[str, int]:
     """Mention/URL/hashtag token counts for one post text."""
-    row = _cue_row(text, LexiconTable({}, ()))
+    row = _cue_matrix([text], LexiconTable({}, ()))[0]
     return {cue: int(row[_CUE_POS[cue]]) for cue in ("mentions", "urls", "hashtags")}
 
 
-def _cue_row(text: str, table: LexiconTable) -> list[float]:
-    """The eleven text cue values of one post in TEXT_CUES order, from one tokenizer pass."""
-    cache = table.tokens
-    counts = [0] * len(TEXT_CUES)
-    lowered, prose = [], []
-    syllables = 0
-    for raw in text.split():
-        record = cache.get(raw)
-        if record is None:
-            record = cache[raw] = table.token(raw)
-        positions, low, syl, in_prose = record
-        for pos in positions:
-            counts[pos] += 1
-        if low is not None:
-            lowered.append(low)
-            syllables += syl
-        if in_prose:
-            prose.append(raw)
-    for pos, lex, starts in table.multi:
-        if not starts.isdisjoint(lowered):
-            counts[pos] = _count_tokens(lowered, lex)
-    row = [float(n) for n in counts]
-    row[_READING_POS] = _reading_score(len(lowered), syllables, prose)
-    return row
-
-
 def text_cues(text: str, table: LexiconTable) -> dict[str, float]:
-    """All eleven text-derived cue values for one post, in TEXT_CUES order.
+    """All eleven text-derived cue values for one post, in TEXT_CUES order."""
+    return dict(zip(TEXT_CUES, _cue_matrix([text], table)[0].tolist()))
 
-    aggregate_cues builds the table once and passes it for every post, so
-    each distinct token is classified once per call.
+
+def _cue_matrix(texts, table: LexiconTable) -> np.ndarray:
+    """The text x cue matrix of an iterable of texts: row i holds the TEXT_CUES values of text i.
+
+    Each text's whitespace tokens are mapped to integer ids as it is split,
+    and each distinct token is scored once. Every per-text count is then a
+    sum of per-token scores over the text's token ids (np.bincount), which
+    is exact: every count is an integer below 2**53. Reading difficulty
+    follows from the per-text word, syllable and sentence counts with the
+    float operations reading_difficulty states, in its order.
     """
-    return dict(zip(TEXT_CUES, _cue_row(text, table)))
+    vocab: defaultdict[str, int] = defaultdict()
+    vocab.default_factory = vocab.__len__  # a token met for the first time gets the next id
+    # Per chunk of _CHUNK_TEXTS texts, (token ids, bounds): the chunk's text i
+    # has the token ids ids[bounds[i]:bounds[i + 1]]. The ids are intp and the
+    # bincount weights float64, so numpy casts neither.
+    chunks: list[tuple[array, array]] = []
+    for k, text in enumerate(texts):
+        if not k % _CHUNK_TEXTS:
+            chunks.append((array("q"), array("q", [0])))
+        ids, bounds = chunks[-1]
+        ids.extend(map(vocab.__getitem__, text.split()))
+        bounds.append(len(ids))
+
+    # Each distinct token's scores, by id. For sentences, a prose token holds
+    # `runs` stretches free of terminators; it opens (closes) on one unless
+    # its first (last) character is a terminator. Two adjacent prose tokens of
+    # a text, the first not closing and the second not opening on a
+    # terminator, join across the space between them: their stretches meet
+    # in one sentence.
+    first_words = frozenset().union(*(starts for _, _, starts in table.multi))
+    lows, hit_tokens, hit_positions, weights, flags = [], [], [], [], []
+    for tid, raw in enumerate(vocab):
+        positions, low, syllables, in_prose = table.token(raw)
+        lows.append(low)
+        hit_tokens += [tid] * len(positions)
+        hit_positions += positions
+        weights.append((low is not None, syllables,
+                        len(_CONTENT_RUN_RE.findall(raw)) if in_prose else 0))
+        flags.append((in_prose, raw[0] not in _TERMINATORS, raw[-1] not in _TERMINATORS,
+                      low in first_words))
+    is_word, syllables, runs = np.array(weights, dtype=np.float64).reshape(-1, 3).T
+    in_prose, opens, closes, starter = np.array(flags, dtype=bool).reshape(-1, 4).T
+    hits = np.zeros((len(lows), len(TEXT_CUES)), dtype=bool)
+    hits[hit_tokens, hit_positions] = True
+    counts_any = hits.any(axis=1)
+
+    n_cues = len(TEXT_CUES)
+    matrix = np.empty((sum(len(bounds) - 1 for _, bounds in chunks), n_cues))
+    for first, (ids, bounds) in zip(range(0, len(matrix), _CHUNK_TEXTS), chunks):
+        size = len(bounds) - 1
+        rows = matrix[first:first + size]
+        tok = np.frombuffer(ids, dtype=np.intp)
+        text_of = np.repeat(np.arange(size), np.diff(np.frombuffer(bounds, dtype=np.intp)))
+
+        counted = np.flatnonzero(counts_any[tok])
+        occurrence, position = np.nonzero(hits[tok[counted]])
+        rows[:] = np.bincount(text_of[counted[occurrence]] * n_cues + position,
+                              minlength=size * n_cues).reshape(size, n_cues)
+        # The n-gram scan, only for texts holding a first word of a multi-word term.
+        for i in np.flatnonzero(np.bincount(text_of[starter[tok]], minlength=size)).tolist():
+            span = ids[bounds[i]:bounds[i + 1]]
+            lowered = [low for low in map(lows.__getitem__, span) if low is not None]
+            for pos, lex, starts in table.multi:
+                if not starts.isdisjoint(lowered):
+                    rows[i, pos] = _count_tokens(lowered, lex)
+
+        prose = np.flatnonzero(in_prose[tok])
+        prose_tok, prose_text = tok[prose], text_of[prose]
+        joined = closes[prose_tok[:-1]] & opens[prose_tok[1:]] & (prose_text[:-1] == prose_text[1:])
+        sentences = np.clip(np.bincount(prose_text, weights=runs[prose_tok], minlength=size)
+                            - np.bincount(prose_text[1:][joined], minlength=size), 1.0, np.inf)
+        words = np.bincount(text_of, weights=is_word[tok], minlength=size)
+        per_word = np.bincount(text_of, weights=syllables[tok], minlength=size) / np.clip(
+            words, 1.0, np.inf)
+        # A text without words has no syllables either: its grade, -15.59, clamps to 0.
+        grade = 0.39 * (words / sentences) + 11.8 * per_word - 15.59
+        rows[:, _READING_POS] = np.clip(grade / 100.0, 0.0, 1.0)
+    return matrix
 
 
 @dataclass
@@ -324,9 +370,7 @@ def aggregate_cues(
     # Each distinct text's row of the cue matrix, in order of first use.
     text_index = {text: row for row, text in enumerate(dict.fromkeys(cols.texts))}
     rows = np.fromiter(map(text_index.__getitem__, cols.texts), dtype=np.intp, count=n)
-    n_cues = len(TEXT_CUES)
-    matrix = np.fromiter(chain.from_iterable(text_cues(text, table).values() for text in text_index),
-                         dtype=np.float64, count=len(text_index) * n_cues).reshape(-1, n_cues)
+    matrix = _cue_matrix(text_index, table)
 
     # A cue x post array with each cue's values contiguous, in which every
     # agent's posts are one run of columns in corpus order.

@@ -8,8 +8,10 @@ compare the package's route against live scipy as an independent oracle.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -34,6 +36,7 @@ from botforge.cues import (
     CueVector,
     aggregate_cues,
     read_cue_report,
+    summarize,
     write_cue_report,
 )
 from botforge.errors import ValidationError
@@ -194,6 +197,33 @@ class TestOneSampleT:
         res = one_sample_t_from_stats(0.03, 1e-15, 169, 0.5)
         assert math.isfinite(res.t) and res.t < 0
 
+    def test_constant_sample_of_4k_values_is_zero_variance(self):
+        # np.std leaves this constant sample a std just over 4 ulps of its mean.
+        s = summarize(np.full(3999, 0.0018647786946736685))
+        assert s["std"] > 4 * math.ulp(s["mean"])
+        res = one_sample_t_from_stats(s["mean"], s["std"], s["n"], 0.5)
+        assert res.t == -math.inf and res.p == 0.0
+
+    @given(n=st.integers(2, 10**5),
+           # Up to 1e150: the square of a deviation of a few ulps stays finite.
+           v=st.floats(sys.float_info.min, 1e150),
+           mu=st.floats(-1e3, 1e3))
+    @settings(max_examples=200, deadline=None)
+    def test_constant_sample_is_never_t_tested(self, n, v, mu):
+        s = summarize(np.full(n, v))
+        assert one_sample_t_from_stats(s["mean"], s["std"], s["n"], mu).t in (
+            -math.inf, 0.0, math.inf)
+
+    @given(n=st.integers(2, 10**5),
+           v=st.floats(1e-100, 1e100),
+           mu=st.floats(-1e3, 1e3))
+    @settings(max_examples=200, deadline=None)
+    def test_relative_spread_of_1e_9_is_t_tested(self, n, v, mu):
+        # Alternating v(1 - 1e-9), v(1 + 1e-9): a std about 1e-9 of the mean.
+        sample = np.full(n, v) * np.where(np.arange(n) % 2, 1 + 1e-9, 1 - 1e-9)
+        s = summarize(sample)
+        assert math.isfinite(one_sample_t_from_stats(s["mean"], s["std"], s["n"], mu).t)
+
     def test_too_small_sample(self):
         with pytest.raises(ValidationError):
             one_sample_t([1.0], 0.0)
@@ -301,6 +331,21 @@ class TestCompare:
         assert (ps.t_bot, ps.p_bot, ps.sig_bot) == (0.0, 1.0, False)
         # but infinitely far from the human mean of 3.10
         assert ps.t_human == -math.inf and ps.p_human == 0.0 and ps.sig_human
+
+    def test_constant_degree_rows_of_4k_agents_are_zero_variance(self, tmp_path):
+        # The cue report of a 4,000-persona run (pa, naive, template backend):
+        # every degree row is a constant whose std np.std left at 3-5 ulps.
+        path = tmp_path / "cues.csv"
+        path.write_text(
+            "cue,per_agent_mean,per_agent_std,n_agents\n"
+            + "".join(f"{cue},0.0,0.0,4000\n" for cue in CUE_NAMES[:-3])
+            + "total_degree,0.0018647786946736676,6.506026339040092e-19,4000\n"
+            "in_degree,0.0018647786946736696,8.67470178538679e-19,4000\n"
+            "out_degree,0.0018647786946736696,1.0843377231733487e-18,4000\n")
+        rows = {r.cue: r for r in compare_from_report(read_cue_report(path))}
+        for cue in ("total_degree", "in_degree", "out_degree"):
+            r = rows[cue]
+            assert math.isinf(r.t_bot) and math.isinf(r.t_human) and r.p_bot == r.p_human == 0.0
 
     def test_rows_in_canonical_order(self):
         per_agent = {f"a_{i}": _vector() for i in range(3)}

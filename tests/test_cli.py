@@ -716,6 +716,27 @@ class TestPersonasExpand:
         else:
             assert calls and len(load_seed_personas(out)) == 6
 
+    def test_out_naming_a_directory_refused_before_any_backend_call(self, pop_file, tmp_path,
+                                                                     capsys, monkeypatch):
+        calls = []
+
+        class Counting(TemplateBackend):
+            def complete(self, system_text, user_text, params):
+                calls.append(user_text)
+                return super().complete(system_text, user_text, params)
+
+        out = tmp_path / "personas"
+        out.mkdir()
+        (out / "expanded.json").write_text("kept")
+        monkeypatch.setattr("botforge.cli.make_backend", lambda *a, **kw: Counting())
+        code = main(["personas", "expand", "--seed-file", pop_file, "--target", "6",
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and calls == []
+        assert err.startswith(f"error: --out {out} is a directory") and "Traceback" not in err
+        assert [p.name for p in out.iterdir()] == ["expanded.json"]
+        assert (out / "expanded.json").read_text() == "kept"
+
     @pytest.mark.parametrize("backend, flag, value, message", [
         ("llm-http", "--temperature", "nan", "temperature must be finite"),
         ("template", "--temperature", "-3", "temperature must be finite"),

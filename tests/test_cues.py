@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from botforge.content import _extract_artifacts
 from botforge.cues import (
+    _CHUNK_TEXTS,
     CUE_NAMES,
     LEXICON_CATEGORIES,
     LEXICON_CUE,
@@ -613,3 +614,23 @@ class TestOnePassMatchesOracle:
         for lexicons in [*sets, sets[0]]:
             for per_post in (False, True):
                 _assert_aggregate_matches_oracle(tweets, lexicons, per_post)
+
+
+def _boundary_text(i):
+    """Text i of a corpus whose neighbouring texts would change a cue if they leaked into each other."""
+    return [f"w{i} I said shut",  # ends on the first word of "shut up" ...
+            f"up w{i} you",  # ... which this one starts with the rest of
+            f"w{i} no end",  # ends mid-sentence, and the next opens on a word
+            f"start w{i}. Again",
+            f"http://u.example/{i}",  # a URL alone: no prose at all
+            "." * (i // 6 + 1) if i % 12 == 5 else ""][i % 6]  # terminators alone, or empty
+
+
+@pytest.mark.parametrize("per_post", [False, True])
+def test_aggregate_texts_do_not_leak_across_batches(per_post):
+    lexicons = {cat: Lexicon.from_terms(cat, ["shut up", "up", "you"]) for cat in LEXICON_CATEGORIES}
+    lexicons["abusive"] = Lexicon.from_terms("abusive", ["shut", "up shut up"])
+    texts = [_boundary_text(i) for i in range(3 * _CHUNK_TEXTS + 7)]
+    tweets = [post(i, _POSTERS[i % len(_POSTERS)], text) for i, text in enumerate(texts, start=1)]
+    assert len(set(texts)) > 2 * _CHUNK_TEXTS
+    _assert_aggregate_matches_oracle(tweets, lexicons, per_post)
