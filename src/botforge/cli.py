@@ -20,7 +20,7 @@ from .cues import aggregate_cues, load_lexicons, read_cue_report, write_cue_repo
 from .errors import (BackendError, BotforgeError, ManifestError, SchemaError, ValidationError,
                      read_json)
 from .netgraph import build_comm_graph, graph_metrics
-from .persona import expand_personas, load_seed_personas, save_personas
+from .persona import check_expansion, expand_personas, load_seed_personas, save_personas
 from .simcore import (
     SimulationAborted,
     config_from_dict,
@@ -67,6 +67,7 @@ def personas_expand(seed_file, target, backend_name, out, seed, base_url, model_
     cfg = config_from_dict({"backend": backend_name, "seed": seed, "base_url": base_url,
                             "model_name": model_name, "temperature": temperature})
     seed_pop = load_seed_personas(seed_file)
+    check_expansion(seed_pop, target, batch_size, retry_cap)
     if Path(out).is_dir():
         raise ValidationError(f"--out {out} is a directory; name the file to write")
     backend = make_backend(cfg.backend, seed=cfg.seed, base_url=cfg.base_url,

@@ -4,9 +4,10 @@ A generation request is a (system prompt, user prompt) pair: the system
 prompt carries the persona and any cue-steering augmentation; the user
 prompt carries the task (narrative, or the tweet being responded to) plus
 the common hashtag/URL pools. post_steps is the one route from a task to
-its Tweet, asking for the text through a generator of waits. A backend is
-any object with complete(system_text, user_text, params): a deterministic
-template generator that makes the whole pipeline reproducible offline, or
+its Tweet, asking for the text through a generator of waits that
+backend_ask picks for the backend. A backend is any object with
+complete(system_text, user_text, params): a deterministic template
+generator that makes the whole pipeline reproducible offline, or
 botforge.llm_http's client for a chat-completion endpoint (re-exported).
 """
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import random
 import re
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ import numpy as np
 from .corpus import TWEET_MAX_CHARS, Tweet
 from .cues import classify_tokens
 from .errors import BackendError, SchemaError, ValidationError, read_json
-from .llm_http import DEFAULT_MODEL_NAME, LlmHttpBackend  # noqa: F401  (re-exported)
+from .llm_http import DEFAULT_MODEL_NAME, LlmHttpBackend, wait_out  # noqa: F401  (re-exported)
 from .persona import STANCES, Persona
 
 SCHEME_LEVELS = ("naive", "guidelines", "examples", "targets")
@@ -577,25 +579,23 @@ def post_steps(p: Persona, task: GenerationTask, system_text: str,
     )
 
 
-def generate_post(
-    p: Persona,
-    task: GenerationTask,
-    system_text: str,
-    sample: dict[str, list[str]] | None,
-    backend,
-    *,
-    params: dict | None = None,
-    on_event=None,
-) -> Tweet:
-    """Produce the finished Tweet for one generation task: post_steps, with each
-    text got from backend.complete on the calling thread."""
-    params = dict(params or {})
+def backend_ask(backend, params: dict):
+    """post_steps' ask for backend: an LlmHttpBackend's _exchange, or for any other
+    backend a generator that makes no wait around its blocking complete."""
+    if isinstance(backend, LlmHttpBackend):
+        return partial(backend._exchange, params=params)
 
     def ask(system_text: str, user_text: str):
-        yield from ()  # no wait: complete blocks
+        yield from ()
         return backend.complete(system_text, user_text, params)
 
-    try:
-        next(post_steps(p, task, system_text, sample, ask, on_event))
-    except StopIteration as done:
-        return done.value
+    return ask
+
+
+def generate_post(p: Persona, task: GenerationTask, system_text: str,
+                  sample: dict[str, list[str]] | None, backend, *, params: dict | None = None,
+                  on_event=None) -> Tweet:
+    """Produce the finished Tweet for one generation task: post_steps, asking
+    through backend_ask, its waits made on the calling thread by wait_out."""
+    ask = backend_ask(backend, dict(params or {}))
+    return wait_out(post_steps(p, task, system_text, sample, ask, on_event))

@@ -3,7 +3,7 @@
 LlmHttpBackend sends each completion as one POST on a connection of its
 own, over a non-blocking socket. Its exchange is a generator of the waits
 it makes, so the simulator can serve many requests from one thread through
-a selector; complete() serves one exchange by blocking on its waits.
+a selector; wait_out serves one by blocking on its waits.
 """
 from __future__ import annotations
 
@@ -203,6 +203,29 @@ def _read_reply(sock):
     return status, retry_after, (yield from exactly(length if length >= 0 else len(buf)))
 
 
+def wait_out(steps):
+    """The value of steps, a generator of waits as LlmHttpBackend._exchange
+    yields them, each wait made on the calling thread: a pause in time.sleep,
+    a socket wait in a selector of the call's own, resumed with TimeoutError
+    when its seconds pass first. steps is closed before this returns or raises."""
+    with selectors.DefaultSelector() as selector, closing(steps):
+        error = None
+        try:
+            while True:
+                sock, event, seconds = (steps.send(None) if error is None
+                                        else steps.throw(error))
+                error = None
+                if sock is None:
+                    time.sleep(seconds)
+                else:
+                    selector.register(sock, event)
+                    if not selector.select(seconds):
+                        error = TimeoutError("timed out")
+                    selector.unregister(sock)
+        except StopIteration as done:
+            return done.value
+
+
 class LlmHttpBackend:
     """HTTP client for a chat-completion endpoint.
 
@@ -217,7 +240,7 @@ class LlmHttpBackend:
 
     _exchange() is one completion as a generator of the waits it makes, for
     the simulator, which serves many at once from one thread; complete()
-    serves one exchange's waits by blocking on them. Each socket wait may
+    serves one exchange's waits in wait_out. Each socket wait may
     last HTTP_TIMEOUT_S. The host, a name or an IP address alike, is looked
     up on a thread of its own, so that a slow lookup, which may also last
     HTTP_TIMEOUT_S, holds no other request. Its addresses are kept for the
@@ -388,25 +411,8 @@ class LlmHttpBackend:
         )
 
     def complete(self, system_text: str, user_text: str, params: dict) -> str:
-        """_exchange's text, its waits made on the calling thread: each pause in
-        time.sleep, each socket wait in a selector of the call's own."""
-        exchange = self._exchange(system_text, user_text, params)
-        with selectors.DefaultSelector() as selector, closing(exchange):
-            error = None
-            try:
-                while True:
-                    sock, event, seconds = (exchange.send(None) if error is None
-                                            else exchange.throw(error))
-                    error = None
-                    if sock is None:
-                        time.sleep(seconds)
-                    else:
-                        selector.register(sock, event)
-                        if not selector.select(seconds):
-                            error = TimeoutError("timed out")
-                        selector.unregister(sock)
-            except StopIteration as done:
-                return done.value
+        """_exchange's text, its waits made on the calling thread by wait_out."""
+        return wait_out(self._exchange(system_text, user_text, params))
 
     @staticmethod
     def _extract(payload: bytes) -> str:

@@ -197,10 +197,9 @@ def persona_from_doc(obj, path: str = "persona", origin: str = "manual") -> Pers
     return p
 
 
-def _build_population(personas: list[Persona]) -> Population:
-    pop = Population(personas)
-    violations = validate_population(pop)
-    if violations:
+def check_population(pop: Population) -> Population:
+    """pop, if it has no violation; otherwise a ValidationError naming every one."""
+    if violations := validate_population(pop):
         raise ValidationError("; ".join(violations))
     return pop
 
@@ -221,7 +220,7 @@ def load_seed_personas(path: str | Path) -> Population:
     personas = [
         persona_from_doc(obj, path=f"personas[{i}]", origin="manual") for i, obj in enumerate(doc)
     ]
-    return _build_population(personas)
+    return check_population(Population(personas))
 
 
 def save_personas(pop: Population, path: str | Path) -> None:
@@ -248,6 +247,16 @@ def _extract_json_array(text: str):
     )
 
 
+def check_expansion(seed: Population, target_count: int, batch_size: int, retry_cap: int) -> None:
+    """ValidationError for expand_personas settings it cannot run with."""
+    if batch_size < 1 or retry_cap < 0:
+        raise ValidationError(f"batch_size must be at least 1 and retry_cap at least 0 "
+                              f"(got {batch_size} and {retry_cap})")
+    if target_count < len(seed):
+        raise ValidationError(
+            f"target below seed size: target_count={target_count} < {len(seed)} seeds")
+
+
 def expand_personas(
     seed: Population,
     target_count: int,
@@ -266,15 +275,7 @@ def expand_personas(
     validation are dropped and regenerated; after retry_cap fruitless batches the
     expansion fails with a summary of what was dropped.
     """
-    if batch_size < 1 or retry_cap < 0:
-        raise ValidationError(
-            f"batch_size must be at least 1 and retry_cap at least 0 "
-            f"(got {batch_size} and {retry_cap})"
-        )
-    if target_count < len(seed):
-        raise ValidationError(
-            f"target below seed size: target_count={target_count} < {len(seed)} seeds"
-        )
+    check_expansion(seed, target_count, batch_size, retry_cap)
     if target_count == len(seed):
         return seed
 
@@ -337,4 +338,4 @@ def expand_personas(
                 )
         batch_index += 1
 
-    return _build_population(committed)
+    return check_population(Population(committed))

@@ -21,7 +21,6 @@ import selectors
 import time
 from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import partial
 from itertools import chain
 from pathlib import Path
 from types import NoneType
@@ -31,9 +30,10 @@ from .content import (
     GenerationTask,
     PromptScheme,
     augment_prompt,
+    backend_ask,
     build_system_prompt,
     draw_pool_samples,
-    generate_post,
+    generate_post,  # noqa: F401  (perfbench/tracing.py wraps simcore's name)
     load_pools,
     make_backend,
     parse_scheme,
@@ -59,7 +59,7 @@ from .errors import (
     _check_types,
     read_json,
 )
-from .llm_http import DEFAULT_MODEL_NAME, LlmHttpBackend
+from .llm_http import DEFAULT_MODEL_NAME
 from .netgraph import (
     CandidateCache,
     CommGraph,
@@ -77,7 +77,7 @@ from .netgraph import (
     select_partner_detail,
     weighted_density,
 )
-from .persona import Persona, Population, load_seed_personas, save_personas, validate_population
+from .persona import Persona, Population, check_population, load_seed_personas, save_personas
 from .rng import stream
 
 # Slot kinds are processed in this order within an agent's turn.
@@ -374,18 +374,19 @@ def _plan_run(cfg, pop, pools, run_index, first_id, degrees, cache, last_by_agen
     return plan, log
 
 
-def _render_in_order(plan, begin, limit):
+def _render_in_order(plan, ask, limit):
     """Render a run's plan, yielding (post, Tweet or exception) in plan order.
 
     A post is started once the tweet it responds to has rendered, lowest
-    plan index first. begin(post) gives the post's steps: a generator of
-    waits, as LlmHttpBackend._exchange yields them, that returns the post's
-    Tweet. Up to limit posts wait at a time, all driven from the calling
-    thread through one selector; a post that makes no wait finishes as it
-    starts and takes no slot, and a socket wait that outlasts its seconds
-    resumes with TimeoutError. Iteration ends after the first failure in
-    plan order: posts before it are still rendered and yielded, posts after
-    it are not started, and the steps still waiting are closed.
+    plan index first. Its steps are content.post_steps with ask (see
+    content.backend_ask): a generator of waits, as LlmHttpBackend._exchange
+    yields them, that returns the post's Tweet and appends its events to
+    post.events. Up to limit posts wait at a time, all driven from the
+    calling thread through one selector; a post that makes no wait finishes
+    as it starts and takes no slot, and a socket wait that outlasts its
+    seconds resumes with TimeoutError. Iteration ends after the first failure
+    in plan order: posts before it are still rendered and yielded, posts
+    after it are not started, and the steps still waiting are closed.
     """
     outcomes: list = [None] * len(plan)
     dependents: dict[int, list[int]] = {}
@@ -431,7 +432,8 @@ def _render_in_order(plan, begin, limit):
                 post = plan[i]
                 if post.target is not None:
                     post.task.target_text = outcomes[post.target].text
-                step(begin(post), i)
+                step(post_steps(post.persona, post.task, post.system_text, post.pool_sample,
+                                ask, post.events.append), i)
             while committed < len(plan) and outcomes[committed] is not None:
                 yield plan[committed], outcomes[committed]
                 if isinstance(outcomes[committed], BaseException):
@@ -470,9 +472,10 @@ def run_simulation(
     Each run is planned first, with no backend call, then rendered, and
     tweets commit strictly in (run, agent, slot) order, so the output does
     not depend on cfg.max_in_flight. Every post is made by
-    content.post_steps, on the calling thread. An LlmHttpBackend keeps up
-    to max_in_flight requests open, all driven from the calling thread
-    through one selector. Any other backend is an object with
+    content.post_steps, on the calling thread, asking through
+    content.backend_ask(backend, cfg.backend_params()). An LlmHttpBackend
+    keeps up to max_in_flight requests open, all driven from the calling
+    thread through one selector. Any other backend is an object with
     complete(system_text, user_text, params), called on the calling thread,
     one call at a time: max_in_flight bounds llm-http requests only.
     Backend failure aborts with partial results attached (SimulationAborted):
@@ -482,9 +485,7 @@ def run_simulation(
     are the graph's, which counts committed tweets only.
     """
     cfg.validate()
-    violations = validate_population(pop)
-    if violations:
-        raise ValidationError("; ".join(violations))
+    check_population(pop)
     if pools is None:
         pools = load_pools(cfg.pools_path) if cfg.pools_path else EMPTY_POOLS
 
@@ -495,7 +496,6 @@ def run_simulation(
     last_by_agent: dict[str, Tweet] = dict(prior.last_by_agent) if prior else {}
     next_id = prior.prefix.tweet_count + 1 if prior else 1
     start = prior.runs_completed if prior else 0
-    params = cfg.backend_params()
     log = [
         f"simulation: seed={cfg.seed} runs={cfg.runs} start_run={start} "
         f"agents={len(pop)} backend={cfg.backend} scheme={cfg.scheme.level} "
@@ -503,28 +503,14 @@ def run_simulation(
     ]
     status, error = "ok", None
     runs_done = start
-    if isinstance(backend, LlmHttpBackend):
-        ask = partial(backend._exchange, params=params)
-
-        def begin(post: _PlannedPost):
-            """Generator: the post's Tweet, its text asked for through _exchange."""
-            return post_steps(post.persona, post.task, post.system_text, post.pool_sample,
-                              ask, post.events.append)
-    else:
-        def begin(post: _PlannedPost):
-            """Generator that makes no wait: the post's Tweet, from generate_post."""
-            yield from ()
-            return generate_post(post.persona, post.task, post.system_text,
-                                 post.pool_sample, backend, params=params,
-                                 on_event=post.events.append)
-
+    ask = backend_ask(backend, cfg.backend_params())
     try:
         for run_index in range(start, start + cfg.runs):
             first_id = next_id + len(tweets)
             plan, plan_log = _plan_run(cfg, pop, pools, run_index, first_id, degrees, cache,
                                        last_by_agent)
             logged = 0
-            with closing(_render_in_order(plan, begin, cfg.max_in_flight)) as posts:
+            with closing(_render_in_order(plan, ask, cfg.max_in_flight)) as posts:
                 for post, outcome in posts:
                     log.extend(plan_log[logged:post.log_end])
                     logged = post.log_end
@@ -661,11 +647,14 @@ def _run_and_write(cfg: ScenarioConfig, pop: Population, pools: dict[str, list[s
                    prior: PriorRun | None = None) -> SimResult:
     """run_simulation, then write_outputs to cfg.out_dir, also for an aborted run.
 
-    backend None means cfg's backend. cfg.out_dir is made after the backend
-    is built and before its first call, so a directory that cannot be made
-    costs no request. Both functions are looked up in this module's
-    namespace at call time, so wrappers set there see every call.
+    backend None means cfg's backend. cfg and pop are checked first, so that
+    settings run_simulation refuses make no directory; cfg.out_dir is made
+    after the backend is built and before its first call, so a directory
+    that cannot be made costs no request. Both functions are looked up in
+    this module's namespace at call time, so wrappers set there see every call.
     """
+    cfg.validate()
+    check_population(pop)
     if backend is None:
         backend = make_backend(
             cfg.backend,

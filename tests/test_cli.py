@@ -752,6 +752,33 @@ class TestPersonasExpand:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--target", "6", "--batch-size", "0"], "batch_size must be at least 1"),
+        (["--target", "6", "--retry-cap", "-1"], "retry_cap at least 0"),
+        (["--target", "3"], "target below seed size"),
+    ], ids=["batch-size-0", "retry-cap-minus-1", "target-below-seeds"])
+    def test_bad_settings_make_no_directory(self, pop_file, tmp_path, capsys, monkeypatch,
+                                            flags, message):
+        """The four micro personas cannot be expanded so: exit 1 before --out's parent
+        is made, and before any backend is built or called."""
+        calls = []
+
+        class Counting(TemplateBackend):
+            def complete(self, system_text, user_text, params):
+                calls.append(user_text)
+                return super().complete(system_text, user_text, params)
+
+        def counting_backend(*args, **kwargs):
+            calls.append("built")
+            return Counting()
+
+        monkeypatch.setattr("botforge.cli.make_backend", counting_backend)
+        code = main(["personas", "expand", "--seed-file", pop_file,
+                     "--out", str(tmp_path / "a" / "p.json"), *flags])
+        assert code == 1 and calls == []
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
     def test_expand_target_below_seed(self, pop_file, tmp_path, capsys):
         code = main([
             "personas", "expand",

@@ -34,7 +34,8 @@ from hypothesis import strategies as st
 
 from botforge import content, llm_http
 from botforge.cli import main
-from botforge.content import TemplateBackend
+from botforge.content import (POOL_SAMPLE_CAP, RETRY_SUFFIX, GenerationTask, TemplateBackend,
+                              build_system_prompt, generate_post)
 from botforge.errors import BackendError, ValidationError
 from botforge.llm_http import LlmHttpBackend, _BadReply, _read_reply
 from botforge.persona import Population, default_population_path
@@ -792,6 +793,132 @@ def test_many_retries_without_backoff(monkeypatch):
     backend = LlmHttpBackend(f"http://127.0.0.1:{port}/v1", max_retries=2000, backoff_s=0.0)
     with pytest.raises(BackendError, match=r"after 2001 attempts \(transport error"):
         backend.complete("s", "u", {})
+
+
+# --- Blocking waits: wait_out, and generate_post over llm-http ---------------------
+
+
+def test_wait_out_without_a_wait(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("botforge.llm_http.time.sleep", sleeps.append)
+    steps_run = []
+
+    def steps():
+        steps_run.append(1)
+        yield from ()
+        return "at once"
+
+    assert llm_http.wait_out(steps()) == "at once"
+    assert steps_run == [1] and sleeps == []
+
+
+def test_wait_out_sleeps_through_a_pause(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("botforge.llm_http.time.sleep", sleeps.append)
+
+    def steps():
+        assert (yield None, 0, 2.5) is None
+        return "after the pause"
+
+    assert llm_http.wait_out(steps()) == "after the pause"
+    assert sleeps == [2.5]
+
+
+def test_wait_out_throws_timeout_into_a_lapsed_socket_wait():
+    quiet, peer = socket.socketpair()  # nothing is ever written to peer
+    with quiet, peer:
+        def steps():
+            started = time.monotonic()
+            try:
+                yield quiet, selectors.EVENT_READ, 0.05
+            except TimeoutError as exc:
+                return str(exc), time.monotonic() - started
+            return "ready", 0.0
+
+        message, waited = llm_http.wait_out(steps())
+    assert message == "timed out" and 0.04 <= waited < 5
+
+
+def test_wait_out_runs_finally_before_raising_an_uncaught_timeout():
+    quiet, peer = socket.socketpair()
+    finished = []
+    with quiet, peer:
+        def steps():
+            try:
+                yield quiet, selectors.EVENT_READ, 0.05
+            finally:
+                finished.append("finally")
+
+        with pytest.raises(TimeoutError, match="timed out") as raised:
+            llm_http.wait_out(steps())
+    assert finished == ["finally"]
+    assert raised.traceback[-1].name == "steps"  # raised out of the steps, not after them
+
+
+def test_wait_out_closes_steps_whose_wait_cannot_be_made():
+    closed_sock = socket.socket()
+    closed_sock.close()
+    finished = []
+
+    def steps():
+        try:
+            yield closed_sock, selectors.EVENT_READ, 1.0
+        finally:
+            finished.append("finally")
+
+    with pytest.raises(ValueError):  # a closed socket cannot be registered
+        llm_http.wait_out(steps())
+    assert finished == ["finally"]
+
+
+def _post_inputs(few_pop, pools):
+    """A persona of few_pop, its system prompt and pool slice, and an original and a
+    reply task of its."""
+    p = few_pop.personas[0]
+    sample = {key: items[:POOL_SAMPLE_CAP] for key, items in pools.items()}
+    tasks = [GenerationTask(kind="original", tweet_id=1, run_index=0, slot_index=0,
+                            narrative=p.narratives[0]),
+             GenerationTask(kind="reply", tweet_id=2, run_index=0, slot_index=1,
+                            target_tweet_id=1, target_text="Stage notes are up.",
+                            target_agent_id="o_01", target_display="OtherAgent")]
+    return p, build_system_prompt(p), sample, tasks
+
+
+def test_generate_post_over_llm_http_equals_template(monkeypatch, chat_server, few_pop, pools):
+    monkeypatch.setenv("BOTFORGE_API_KEY", KEY)
+    chat_server.answer = _template_answer
+    p, system_text, sample, tasks = _post_inputs(few_pop, pools)
+    backend = LlmHttpBackend(chat_server.url)
+    for task in tasks:
+        assert (generate_post(p, task, system_text, sample, backend)
+                == generate_post(p, task, system_text, sample, TemplateBackend(SEED)))
+    assert len(chat_server.requests) == len(tasks)
+
+
+def test_generate_post_over_llm_http_asks_again_after_an_empty_reply(monkeypatch, chat_server,
+                                                                     few_pop, pools):
+    monkeypatch.setenv("BOTFORGE_API_KEY", KEY)
+    chat_server.replies += [(200, {}, ok_payload("  ")), (200, {}, ok_payload("second text"))]
+    p, system_text, sample, tasks = _post_inputs(few_pop, pools)
+    events = []
+    tweet = generate_post(p, tasks[0], system_text, sample, LlmHttpBackend(chat_server.url),
+                          on_event=events.append)
+    assert tweet.text == "second text"
+    asked = [body["messages"][1]["content"] for _, _, body in chat_server.requests]
+    assert len(asked) == 2 and asked[1] == asked[0] + RETRY_SUFFIX
+    assert events == ["retry: empty backend output"]
+
+
+def test_generate_post_over_llm_http_retries_a_429(monkeypatch, chat_server, few_pop, pools):
+    monkeypatch.setenv("BOTFORGE_API_KEY", KEY)
+    sleeps = []
+    monkeypatch.setattr("botforge.llm_http.time.sleep", sleeps.append)
+    chat_server.replies += [(429, {}, {}), (200, {}, ok_payload("after the 429"))]
+    p, system_text, sample, tasks = _post_inputs(few_pop, pools)
+    backend = LlmHttpBackend(chat_server.url, backoff_s=0.25)
+    tweet = generate_post(p, tasks[0], system_text, sample, backend)
+    assert tweet.text == "after the 429"
+    assert len(chat_server.requests) == 2 and sleeps == [0.25]
 
 
 def _cli_simulate(out, base_url, *flags):

@@ -715,8 +715,38 @@ class TestSimulateToDir:
             simulate_to_dir(cfg, pop=micro_pop, backend=backend)
         assert backend.calls == 0
 
+    @pytest.mark.parametrize("settings, pop, message", [
+        ({"runs": 0}, None, "runs must be >= 1"),
+        ({"max_in_flight": 0}, None, "max_in_flight must be between"),
+        ({}, Population(personas=[]), "non-empty"),
+    ], ids=["runs-0", "max-in-flight-0", "empty-population"])
+    def test_refused_settings_make_no_directory(self, micro_pop, tmp_path, monkeypatch,
+                                                settings, pop, message):
+        """Settings run_simulation refuses are refused before cfg's backend is built
+        and before out_dir is made."""
+        from botforge.persona import save_personas
+
+        save_personas(micro_pop, tmp_path / "pop.json")
+        built = []
+        monkeypatch.setattr("botforge.simcore.make_backend", lambda *a, **kw: built.append(1))
+        cfg = micro_cfg(out_dir=str(tmp_path / "a" / "run"),
+                        population_path=str(tmp_path / "pop.json"))
+        with pytest.raises(ValidationError, match=message):
+            simulate_to_dir(replace(cfg, **settings), pop=pop)
+        assert built == []
+        assert not (tmp_path / "a").exists()
+
 
 class TestResumeOrExtend:
+    def test_zero_runs_refused_before_the_out_dir_is_made(self, run_dir, monkeypatch):
+        out, cfg, _ = run_dir
+        built = []
+        monkeypatch.setattr("botforge.simcore.make_backend", lambda *a, **kw: built.append(1))
+        with pytest.raises(ValidationError, match="runs must be >= 1"):
+            resume_or_extend(out, replace(cfg, runs=0, out_dir=str(out.parent / "ext")))
+        assert built == []
+        assert not (out.parent / "ext").exists()
+
     def test_extension_matches_fresh_two_run_corpus(self, micro_pop, pools, run_dir):
         out, cfg, first = run_dir
         ext = resume_or_extend(out, replace(cfg, out_dir=str(out.parent / "ext")))
