@@ -25,6 +25,8 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 from types import NoneType
 
+import orjson
+
 from .errors import ManifestError, SchemaError, _check_types
 
 TWEET_KINDS = ("original", "retweet", "quote", "reply")
@@ -165,17 +167,13 @@ def tweet_from_dict(obj, path: str = "tweet") -> Tweet:
     return t
 
 
-def _signature(obj: dict) -> tuple:
-    """A document's keys in order, its value types in order, its kind and its slot_kind."""
-    return (*obj, *map(type, obj.values()), obj.get("kind"), obj.get("slot_kind"))
-
-
-def _accepted_signatures() -> frozenset:
-    """The signature of every document tweet_from_dict accepts, its text and artifacts apart.
+def _accepted_kinds() -> frozenset:
+    """(kind, slot_kind, type of target_tweet_id, type of target_agent_id) of
+    every document tweet_from_dict accepts, its text and artifacts apart.
 
     Built by running the full check on one document per combination of
-    value types, kind and slot_kind, each with the keys in the writer's
-    order, a short text and empty artifact lists.
+    value types, kind and slot_kind, each with a short text and empty
+    artifact lists. Every other key has one type it may hold.
     """
     sample = {int: 1, str: "a", NoneType: None, list: []}
     accepted = set()
@@ -187,15 +185,17 @@ def _accepted_signatures() -> frozenset:
                 tweet_from_dict(doc)
             except SchemaError:
                 continue
-            accepted.add(_signature(doc))
+            accepted.add((kind, slot_kind, type(doc["target_tweet_id"]),
+                          type(doc["target_agent_id"])))
     return frozenset(accepted)
 
 
-_ACCEPTED = _accepted_signatures()
+_ACCEPTED = _accepted_kinds()
 _STR = frozenset((str,))
 
-# The C scanner json.loads runs, called without its Python wrappers.
-_scan_once = json.JSONDecoder().scan_once
+# The longest line orjson reads. orjson 3.8.3 overflows the C stack on a valid document nested
+# deep enough (2,048 levels on a 128 KiB stack); a line this long nests 1,024 levels at most.
+_ORJSON_MAX_BYTES = 2048
 
 
 def _where(path, lineno: int | None) -> str:
@@ -206,36 +206,39 @@ def _where(path, lineno: int | None) -> str:
 def _read_line(line: bytes, path, lineno: int | None = None) -> dict | None:
     """The checked tweet document on one corpus line, or None for a blank line.
 
-    A SchemaError names _where(path, lineno). A document whose signature is
-    in _ACCEPTED, whose text fits and whose artifacts are all str is
-    accepted as it is; any other goes through tweet_from_dict, which
-    accepts it (say, with its keys in another order) or words the error.
+    A SchemaError names _where(path, lineno). A line of at most
+    _ORJSON_MAX_BYTES bytes whose orjson document has every key of a tweet
+    and no other, each value of its type in _TWEET_TYPES, a kind, slot_kind
+    and targets in _ACCEPTED, a text that fits and artifacts all str is
+    that document. json.loads reads every other line and words every error,
+    and its document goes through tweet_from_dict, which accepts or refuses it.
     """
+    if len(line) <= _ORJSON_MAX_BYTES:
+        try:
+            obj = orjson.loads(line)
+            (tid, author, kind, text, target_tweet, target_agent, run_index, slot_index,
+             slot_kind, mentions, hashtags, urls) = _tweet_args(obj)
+            if (len(obj) == len(_TWEET_TYPES) and type(author) is type(text) is str
+                    and type(tid) is type(run_index) is type(slot_index) is int
+                    and (kind, slot_kind, type(target_tweet), type(target_agent)) in _ACCEPTED
+                    and len(text) <= TWEET_MAX_CHARS
+                    and type(mentions) is type(hashtags) is type(urls) is list
+                    and _STR.issuperset(map(type, mentions + hashtags + urls))):
+                return obj
+        except (orjson.JSONDecodeError, KeyError, TypeError):
+            pass  # no object, a key missing or an unhashable kind: json and tweet_from_dict decide
     try:
         text = line.decode("utf-8").strip()
     except UnicodeDecodeError as exc:
         raise SchemaError(_where(path, lineno), f"not valid UTF-8: {exc}") from exc
     if not text:
         return None
-    # The stripped line starts and ends with no JSON whitespace, so json.loads
-    # would scan it from 0 and require the scan to end at its end.
     try:
-        try:
-            obj, end = _scan_once(text, 0)
-        except (StopIteration, json.JSONDecodeError):
-            end = -1
-        if end != len(text):
-            obj = json.loads(text)  # json.loads words the error
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(_where(path, lineno), f"not valid JSON: {exc}") from exc
     except RecursionError:
         raise SchemaError(_where(path, lineno), "not valid JSON: nested too deeply") from None
-    try:
-        if (type(obj) is dict and _signature(obj) in _ACCEPTED and len(obj["text"]) <= TWEET_MAX_CHARS
-                and _STR.issuperset(map(type, obj["mentions"] + obj["hashtags"] + obj["urls"]))):
-            return obj
-    except TypeError:  # an unhashable kind or slot_kind
-        pass
     tweet_from_dict(obj, path=_where(path, lineno))
     return obj
 

@@ -206,9 +206,10 @@ def _read_reply(sock):
 def wait_out(steps):
     """The value of steps, a generator of waits as LlmHttpBackend._exchange
     yields them, each wait made on the calling thread: a pause in time.sleep,
-    a socket wait in a selector of the call's own, resumed with TimeoutError
-    when its seconds pass first. steps is closed before this returns or raises."""
-    with selectors.DefaultSelector() as selector, closing(steps):
+    a socket wait in a selector made at the first one, resumed with TimeoutError when
+    its seconds pass first. steps and the selector are closed before this returns or raises."""
+    selector = None
+    with closing(steps):
         error = None
         try:
             while True:
@@ -218,12 +219,16 @@ def wait_out(steps):
                 if sock is None:
                     time.sleep(seconds)
                 else:
+                    selector = selector or selectors.DefaultSelector()
                     selector.register(sock, event)
                     if not selector.select(seconds):
                         error = TimeoutError("timed out")
                     selector.unregister(sock)
         except StopIteration as done:
             return done.value
+        finally:
+            if selector is not None:
+                selector.close()
 
 
 class LlmHttpBackend:

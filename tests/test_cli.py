@@ -442,6 +442,23 @@ def test_deeply_nested_json_is_refused(cli_run_dir, pop_file, tmp_path, capsys, 
     assert capsys.readouterr().err == f"error: {where}: not valid JSON: nested too deeply\n"
 
 
+# Valid JSON nested deep enough to overflow the stack of a decoder that follows it.
+_DEEP_VALID = {"arrays": "[" * 300_000 + "]" * 300_000,
+               "objects": '{"a":' * 300_000 + "1" + "}" * 300_000}
+
+
+@pytest.mark.parametrize("deep", sorted(_DEEP_VALID))
+@pytest.mark.parametrize("kind", ["corpus (analyze)", "corpus tail"])
+def test_deeply_nested_valid_line_is_refused(cli_run_dir, pop_file, tmp_path, kind, deep):
+    """botforge in a process of its own: a crash there fails this test, and pytest goes on."""
+    argv, where = _nested_input(kind, cli_run_dir, pop_file, tmp_path, _DEEP_VALID[deep])
+    done = subprocess.run([sys.executable, "-m", "botforge.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (
+        1, f"error: {where}: not valid JSON: nested too deeply\n")
+
+
 class _DownAfter:
     """A backend whose calls after the first n fail."""
 

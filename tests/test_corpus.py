@@ -11,7 +11,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from types import SimpleNamespace
 
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -208,7 +210,17 @@ _DAMAGE = (
     "bool id", "int text", "nested mention", "extra key", "missing key", "crlf",
     "bom", "truncated", "nbsp", "reordered keys", "float id", "long text", "number hashtag",
     "retweet without target tweet", "original with target", "repeated key",
+    "lone surrogate", "id 2**64", "id -2**63-1", "nan id", "infinite id",
+    "vertical tab", "form feed", "file separator", "line separator", "long line",
+    "str artifacts", "list kind",
 )
+
+# Lines json accepts or reads in another form than orjson, or that orjson is not given.
+_JSON_DECIDES = ("lone surrogate", "id 2**64", "id -2**63-1", "nan id", "infinite id",
+                 "vertical tab", "form feed", "file separator", "line separator", "long line")
+# Characters str.strip removes that JSON does not count as whitespace.
+_STRIPPED = {"vertical tab": "\x0b", "form feed": "\x0c", "file separator": "\x1c",
+             "line separator": "\u2028"}
 
 
 def _damaged(line: str, doc: dict, how: str) -> list[str]:
@@ -258,6 +270,25 @@ def _damaged(line: str, doc: dict, how: str) -> list[str]:
         return [_line(dict(doc, kind="original", target_tweet_id=None, target_agent_id="a_02"))]
     if how == "repeated key":  # JSON keeps the last value, and the key's first place
         return [line[:-1] + ', "author_id": "b_02"}']
+    if how == "lone surrogate":  # json reads the escape; orjson refuses it
+        return [json.dumps(dict(doc, text="\ud800" + doc["text"][:200]))]
+    if how == "id 2**64":  # json reads an int; orjson a float
+        return [_line(dict(doc, id=2**64))]
+    if how == "id -2**63-1":
+        return [_line(dict(doc, id=-2**63 - 1))]
+    if how == "nan id":  # json reads NaN and Infinity; orjson refuses them
+        return [_line(dict(doc, id=float("nan")))]
+    if how == "infinite id":
+        return [_line(dict(doc, id=float("inf")))]
+    if how in _STRIPPED:
+        return [_STRIPPED[how] + line + _STRIPPED[how]]
+    if how == "str artifacts":  # refused, though "@a" + "#b" + "c" is a str whose items are str
+        return [_line(dict(doc, mentions="@a", hashtags="#b", urls="c"))]
+    if how == "list kind":  # unhashable
+        return [_line(dict(doc, kind=[doc["kind"]]))]
+    if how == "long line":  # valid, and longer than the lines orjson is given
+        long_url = "https://example.com/" + "x" * botforge.corpus._ORJSON_MAX_BYTES
+        return [_line(dict(doc, urls=[*doc["urls"], long_url]))]
     return [line + "\r"]  # crlf: the reader's newline handling turns \r\n into \n
 
 
@@ -303,21 +334,48 @@ class TestReaderMatchesOracle:
     @pytest.mark.parametrize("kind", ["original", "retweet", "reply"])
     @pytest.mark.parametrize("how", ["reordered keys", "bool id", "float id", "long text",
                                      "number hashtag", "retweet without target tweet",
-                                     "original with target", "repeated key"])
+                                     "original with target", "repeated key", "str artifacts",
+                                     "list kind", *_JSON_DECIDES])
     def test_line_cases(self, tmp_path, how, kind):
-        # Each line is one a signature lookup does not accept alone; every
-        # reader must give the oracle's outcome for it.
+        # Each line is one whose orjson document, if any, the reader does not
+        # accept alone; every reader must give the oracle's outcome for it.
         doc = _doc(2, kind)
         lines = [_line(_doc(1)), *_damaged(_line(doc), doc, how), _line(_doc(3))]
         path = tmp_path / "tweets.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         expected = _outcome(_oracle_read, path)
-        accepted = how in ("reordered keys", "repeated key")
+        accepted = how not in ("bool id", "float id", "long text", "number hashtag",
+                               "retweet without target tweet", "original with target",
+                               "nan id", "infinite id", "str artifacts", "list kind")
         assert (expected[1] is None) == accepted, expected
         assert _outcome(read_tweets_jsonl, path) == expected
         assert _column_outcome(path) == _as_column_outcome(expected)
         tail = _outcome(lambda p: read_corpus_tail(p, {"ghost"}, p.stat().st_size), path)
         assert tail == expected
+
+    def test_orjson_is_given_only_lines_within_the_gate(self, tmp_path, monkeypatch):
+        # Each line is a valid document padded with spaces to the gate's
+        # length with its end, or one byte more; every reader reads both.
+        gate = botforge.corpus._ORJSON_MAX_BYTES
+        lines = [_line(_doc(i)) for i in (1, 2)]
+        lines = [line + " " * (gate + i - 1 - len(line.encode())) for i, line in enumerate(lines)]
+        path = tmp_path / "tweets.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        given = []
+
+        def loads(line):
+            given.append(len(line))
+            return orjson.loads(line)
+
+        monkeypatch.setattr(botforge.corpus, "orjson",
+                            SimpleNamespace(loads=loads, JSONDecodeError=orjson.JSONDecodeError))
+        assert read_tweets_jsonl(path) == _tweets(2)
+        assert read_corpus_columns(path).ids == [1, 2]
+        assert given == [gate, gate]
+        # The tail scan reads each line without its end, so both fit the gate,
+        # after the empty text that follows the last end.
+        assert read_corpus_tail(path, {"ghost"}, path.stat().st_size) == _tweets(2)
+        assert given[2:] == [0, gate, gate - 1]
 
     def test_reordered_keys_give_the_same_tweet(self, tmp_path):
         doc = _doc(1, "reply")

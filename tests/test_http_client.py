@@ -921,6 +921,46 @@ def test_generate_post_over_llm_http_retries_a_429(monkeypatch, chat_server, few
     assert len(chat_server.requests) == 2 and sleeps == [0.25]
 
 
+def _count_selectors(monkeypatch) -> list:
+    """A list of every selector llm_http makes from now on."""
+    made, make = [], selectors.DefaultSelector
+
+    def counting():
+        made.append(make())
+        return made[-1]
+
+    monkeypatch.setattr(llm_http.selectors, "DefaultSelector", counting)
+    return made
+
+
+def test_template_generate_post_makes_no_selector(monkeypatch, few_pop, pools):
+    made = _count_selectors(monkeypatch)
+    p, system_text, sample, tasks = _post_inputs(few_pop, pools)
+    for task in tasks:
+        generate_post(p, task, system_text, sample, TemplateBackend(SEED))
+    assert made == []
+
+
+def test_a_pause_makes_no_selector(monkeypatch):
+    made = _count_selectors(monkeypatch)
+    monkeypatch.setattr("botforge.llm_http.time.sleep", lambda seconds: None)
+
+    def steps():
+        yield None, 0, 0.25
+        return "after the pause"
+
+    assert llm_http.wait_out(steps()) == "after the pause"
+    assert made == []
+
+
+def test_complete_makes_one_selector_and_closes_it(monkeypatch, chat_server):
+    monkeypatch.setenv("BOTFORGE_API_KEY", KEY)
+    chat_server.replies.append((200, {}, ok_payload("one exchange")))
+    made = _count_selectors(monkeypatch)
+    assert LlmHttpBackend(chat_server.url).complete("s", "u", {}) == "one exchange"
+    assert len(made) == 1 and made[0].get_map() is None  # a closed selector has no map
+
+
 def _cli_simulate(out, base_url, *flags):
     """botforge simulate against base_url, in a process of its own."""
     return subprocess.run(
