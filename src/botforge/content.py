@@ -101,6 +101,8 @@ class PromptScheme:
                 raise ValidationError(f"unknown cue name {cue!r}")
         if self.level != "naive" and not self.targeted_cues:
             raise ValidationError(f"scheme level {self.level!r} requires at least one cue")
+        if self.level == "naive" and self.targeted_cues:
+            raise ValidationError("scheme level 'naive' takes no cues")
         ordered = tuple(c for c in TARGETABLE_CUES if c in self.targeted_cues)
         object.__setattr__(self, "targeted_cues", ordered)
 

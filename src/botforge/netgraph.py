@@ -64,26 +64,19 @@ class DegreeState:
         n = len(pop)
         self.in_deg = np.zeros(n, dtype=np.int64)
         self.out_deg = np.zeros(n, dtype=np.int64)
-        self.n_interactions = 0
 
     def commit(self, source_id: str, target_id: str) -> None:
         """Record one committed interaction edge source → target."""
         self.out_deg[self._pop.index[source_id]] += 1
         self.in_deg[self._pop.index[target_id]] += 1
-        self.n_interactions += 1
 
     def violations(self) -> list[str]:
         out = []
         if (self.in_deg < 0).any() or (self.out_deg < 0).any():
             out.append("degree counters must be non-negative")
-        if int(self.in_deg.sum()) != self.n_interactions:
-            out.append(
-                f"in-degree sum {int(self.in_deg.sum())} != interactions {self.n_interactions}"
-            )
-        if int(self.out_deg.sum()) != self.n_interactions:
-            out.append(
-                f"out-degree sum {int(self.out_deg.sum())} != interactions {self.n_interactions}"
-            )
+        ins, outs = int(self.in_deg.sum()), int(self.out_deg.sum())
+        if ins != outs:
+            out.append(f"in-degree sum {ins} != out-degree sum {outs}")
         return out
 
 
@@ -432,7 +425,6 @@ def read_edges_csv(
     degrees = DegreeState(pop)
     sums = np.bincount(ends, weights, minlength=2 * n).astype(np.int64)
     degrees.out_deg, degrees.in_deg = sums[:n], sums[n:]
-    degrees.n_interactions = total
     return edges, degrees
 
 

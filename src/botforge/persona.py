@@ -18,7 +18,6 @@ from .errors import BackendError, SchemaError, ValidationError, _check_types, re
 from .rng import stream
 
 STANCES = ("support", "oppose", "neutral")
-ORIGINS = ("manual", "generated")
 
 _RANGE_KEYS = ("posts_per_run", "retweets_per_run", "replies_per_run", "quotes_per_run")
 # Keys of the persona JSON document, in canonical write order, and each
@@ -69,7 +68,6 @@ class Persona:
     replies_per_run: tuple[int, int]
     quotes_per_run: tuple[int, int] = DEFAULT_QUOTES_PER_RUN
     is_leader: bool = False
-    origin: str = "manual"
 
     def violations(self, path: str = "persona") -> list[str]:
         """Field-level invariant violations, empty when the persona is valid."""
@@ -87,15 +85,13 @@ class Persona:
             yield "narratives", "must be a non-empty array of non-empty strings"
         if self.stance not in STANCES:
             yield "stance", f"must be one of {STANCES} (got {self.stance!r})"
-        if self.origin not in ORIGINS:
-            yield "origin", f"must be one of {ORIGINS} (got {self.origin!r})"
         for name in _RANGE_KEYS:
             lo, hi = getattr(self, name)
             if not (0 <= lo <= hi):
                 yield name, f"requires 0 <= lo <= hi (got [{lo}, {hi}])"
 
     def to_doc(self) -> dict:
-        """Persona document object (the JSON wire form; origin is not part of it)."""
+        """Persona document object (the JSON wire form)."""
         return {
             "id": self.id,
             "display_name": self.display_name,
@@ -167,7 +163,7 @@ def validate_population(pop: Population) -> list[str]:
     return violations
 
 
-def persona_from_doc(obj, path: str = "persona", origin: str = "manual") -> Persona:
+def persona_from_doc(obj, path: str = "persona") -> Persona:
     """Build a Persona from one document object, raising SchemaError on any defect.
 
     The document's keys, shapes and exact types are checked here, every
@@ -191,7 +187,7 @@ def persona_from_doc(obj, path: str = "persona", origin: str = "manual") -> Pers
 
     # Arrays become tuples; an omitted optional key takes Persona's default.
     p = Persona(**{key: tuple(value) if type(value) in (list, tuple) else value
-                   for key, value in obj.items()}, origin=origin)
+                   for key, value in obj.items()})
     for name, message in p._problems():
         raise SchemaError(f"{path}.{name}", message)
     return p
@@ -210,16 +206,14 @@ def default_population_path() -> Path:
 
 
 def load_seed_personas(path: str | Path) -> Population:
-    """Load and validate a persona document; all personas get origin=manual."""
+    """Load and validate a persona document."""
     try:
         doc = read_json(path)
     except OSError as exc:
         raise OSError(f"cannot read persona file {path}: {exc}") from exc
     if not isinstance(doc, list):
         raise SchemaError(str(path), "top level must be an array of persona objects")
-    personas = [
-        persona_from_doc(obj, path=f"personas[{i}]", origin="manual") for i, obj in enumerate(doc)
-    ]
+    personas = [persona_from_doc(obj, path=f"personas[{i}]") for i, obj in enumerate(doc)]
     return check_population(Population(personas))
 
 
@@ -230,7 +224,8 @@ def save_personas(pop: Population, path: str | Path) -> None:
 
 
 def _extract_json_array(text: str):
-    """Parse a JSON array out of backend text, tolerating code fences and prose margins."""
+    """The JSON value in backend text, tolerating code fences and prose margins around
+    an array; None when there is none to parse."""
     try:
         return json.loads(text)
     except (json.JSONDecodeError, RecursionError):  # RecursionError: nested too deeply
@@ -242,9 +237,7 @@ def _extract_json_array(text: str):
             return json.loads(text[start:end + 1])
         except (json.JSONDecodeError, RecursionError):
             pass
-    raise BackendError(
-        "backend did not return a parseable JSON array of personas", raw_text=text
-    )
+    return None
 
 
 def check_expansion(seed: Population, target_count: int, batch_size: int, retry_cap: int) -> None:
@@ -269,7 +262,7 @@ def expand_personas(
 ) -> Population:
     """Grow a population to target_count by requesting persona batches from a backend.
 
-    Seed personas are returned verbatim; generated ones carry origin=generated and
+    Seed personas are returned verbatim and first; the generated ones follow, with
     ids that never collide with seed ids. Each batch prompt embeds a few-shot
     sample of seed personas and demands a structured JSON array. Records that fail
     validation are dropped and regenerated; after retry_cap fruitless batches the
@@ -295,12 +288,12 @@ def expand_personas(
         examples = json.dumps([seed.personas[i].to_doc() for i in sorted(sample_idx)])
         user_text = EXPANSION_USER_PROMPT.format(count=want, examples=examples)
         raw = backend.complete(EXPANSION_SYSTEM_PROMPT, user_text, params)
-        try:
-            records = _extract_json_array(raw)
-        except BackendError as exc:
-            drop_log.append(f"batch[{batch_index}]: {exc}")
+        records = _extract_json_array(raw)
+        if records is None:
+            drop_log.append(f"batch[{batch_index}]: backend did not return a parseable "
+                            "JSON array of personas")
             records = []
-        if not isinstance(records, list):
+        elif not isinstance(records, list):
             drop_log.append(f"batch[{batch_index}]: top-level JSON was not an array")
             records = []
 
@@ -310,7 +303,7 @@ def expand_personas(
                 break
             path = f"batch[{batch_index}][{j}]"
             try:
-                p = persona_from_doc(obj, path=path, origin="generated")
+                p = persona_from_doc(obj, path=path)
             except SchemaError as exc:
                 drop_log.append(str(exc))
                 continue

@@ -382,11 +382,12 @@ def _render_in_order(plan, ask, limit):
     content.backend_ask): a generator of waits, as LlmHttpBackend._exchange
     yields them, that returns the post's Tweet and appends its events to
     post.events. Up to limit posts wait at a time, all driven from the
-    calling thread through one selector; a post that makes no wait finishes
-    as it starts and takes no slot, and a socket wait that outlasts its
-    seconds resumes with TimeoutError. Iteration ends after the first failure
-    in plan order: posts before it are still rendered and yielded, posts
-    after it are not started, and the steps still waiting are closed.
+    calling thread through one selector, made at the first wait; a post
+    that makes no wait finishes as it starts and takes no slot, and a
+    socket wait that outlasts its seconds resumes with TimeoutError.
+    Iteration ends after the first failure in plan order: posts before it
+    are still rendered and yielded, posts after it are not started, and the
+    steps still waiting are closed.
     """
     outcomes: list = [None] * len(plan)
     dependents: dict[int, list[int]] = {}
@@ -398,11 +399,11 @@ def _render_in_order(plan, ask, limit):
             dependents.setdefault(post.target, []).append(i)
     waits: dict = {}  # waiting steps -> (plan index, socket it waits for or None, deadline)
     stop = len(plan)  # plan index of the first failure so far
-    selector = selectors.DefaultSelector()
+    selector = None
 
     def step(steps, i, error=None):
         """Run a post's steps to their next wait, or record the post's outcome."""
-        nonlocal stop
+        nonlocal stop, selector
         try:
             sock, event, seconds = steps.send(None) if error is None else steps.throw(error)
         except StopIteration as done:
@@ -413,6 +414,7 @@ def _render_in_order(plan, ask, limit):
             outcomes[i] = exc
             stop = min(stop, i)
         else:
+            selector = selector or selectors.DefaultSelector()
             if sock is not None:
                 selector.register(sock, event, steps)
             waits[steps] = (i, sock, time.monotonic() + seconds)
@@ -447,7 +449,8 @@ def _render_in_order(plan, ask, limit):
                 for steps in [x for x, (_, _, deadline) in waits.items() if deadline <= now]:
                     resume(steps, expired=True)
     finally:
-        selector.close()
+        if selector is not None:
+            selector.close()
         for steps in waits:
             steps.close()
 

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import selectors
 import ssl
 import sys
 import threading
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -28,7 +30,6 @@ def make_persona(
     replies=(1, 5),
     quotes=(0, 2),
     leader: bool = False,
-    origin: str = "manual",
 ) -> Persona:
     return Persona(
         id=pid,
@@ -41,8 +42,39 @@ def make_persona(
         replies_per_run=replies,
         quotes_per_run=quotes,
         is_leader=leader,
-        origin=origin,
     )
+
+
+@contextmanager
+def selector_guard(monkeypatch):
+    """Yield a list of every selectors.DefaultSelector made inside the block;
+    at its end, close the ones still open and fail naming how many there were.
+    monkeypatch puts DefaultSelector back when it is undone.
+
+    An epoll selector left open gives no ResourceWarning when it is collected,
+    so the error::ResourceWarning filter cannot see one. socketserver and
+    subprocess use PollSelector, so only the package's selectors are counted.
+    """
+    made, make = [], selectors.DefaultSelector
+
+    def recording():
+        made.append(make())
+        return made[-1]
+
+    monkeypatch.setattr(selectors, "DefaultSelector", recording)
+    yield made
+    left_open = [s for s in made if s.get_map() is not None]
+    for s in left_open:
+        s.close()
+    if left_open:
+        pytest.fail(f"{len(left_open)} of {len(made)} selectors left open")
+
+
+@pytest.fixture(autouse=True)
+def selectors_made(monkeypatch):
+    """Every selector a test makes; the test fails if one is still open at its end."""
+    with selector_guard(monkeypatch) as made:
+        yield made
 
 
 @pytest.fixture(scope="session")

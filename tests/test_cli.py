@@ -118,6 +118,20 @@ class TestSimulate:
                      "--out-dir", str(tmp_path / "run"), "--scheme", "bogus"])
         assert code == 1
 
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_naive_scheme_with_cues_is_refused(self, pop_file, tmp_path, capsys, form):
+        argv = ["simulate", "--population", pop_file, "--out-dir", str(tmp_path / "run")]
+        if form == "flag":
+            argv += ["--scheme", "naive:abusive"]
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(
+                {"scheme": {"level": "naive", "targeted_cues": ["abusive"]}}))
+            argv += ["--config", str(cfg_path)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: scheme level 'naive' takes no cues\n"
+        assert not (tmp_path / "run").exists()
+
     def test_llm_http_requires_base_url(self, pop_file, tmp_path, capsys):
         code = main(["simulate", "--population", pop_file,
                      "--out-dir", str(tmp_path / "run"), "--backend", "llm-http"])

@@ -11,7 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from types import SimpleNamespace
+from itertools import product
+from types import NoneType, SimpleNamespace
 
 import orjson
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 import botforge.corpus
 from botforge.corpus import (
+    _TWEET_TYPES,
     TWEET_KINDS,
     CorpusPrefix,
     CorpusView,
@@ -384,6 +386,24 @@ class TestReaderMatchesOracle:
                         encoding="utf-8")
         first, second = read_tweets_jsonl(path)
         assert first == second == tweet_from_dict(doc)
+
+    def test_accepted_kinds_are_those_tweet_from_dict_accepts(self):
+        # The table as it was built before it came from Tweet.violations: the full
+        # document check on every combination of value types, kind and slot_kind.
+        sample = {int: 1, str: "a", NoneType: None, list: []}
+        accepted = set()
+        for types in product(*_TWEET_TYPES.values()):
+            for kind, slot_kind in product(TWEET_KINDS, repeat=2):
+                doc = {key: sample[t] for key, t in zip(_TWEET_TYPES, types)}
+                doc.update(kind=kind, slot_kind=slot_kind)
+                try:
+                    tweet_from_dict(doc)
+                except SchemaError:
+                    continue
+                accepted.add((kind, slot_kind, type(doc["target_tweet_id"]),
+                              type(doc["target_agent_id"])))
+        assert botforge.corpus._ACCEPTED == accepted
+        assert len(accepted) == 20
 
     def test_simulated_corpus(self, tmp_path, micro_pop, pools):
         from botforge.simcore import ScenarioConfig, simulate_to_dir

@@ -39,9 +39,9 @@ from botforge.content import (POOL_SAMPLE_CAP, RETRY_SUFFIX, GenerationTask, Tem
 from botforge.errors import BackendError, ValidationError
 from botforge.llm_http import LlmHttpBackend, _BadReply, _read_reply
 from botforge.persona import Population, default_population_path
-from botforge.simcore import SimulationAborted, config_from_dict, simulate_to_dir
+from botforge.simcore import SimulationAborted, config_from_dict, run_simulation, simulate_to_dir
 
-from conftest import TLS_CERT, ChatServer, _serving, ok_payload
+from conftest import TLS_CERT, ChatServer, _serving, ok_payload, selector_guard
 
 KEY = "k-test"
 
@@ -921,28 +921,14 @@ def test_generate_post_over_llm_http_retries_a_429(monkeypatch, chat_server, few
     assert len(chat_server.requests) == 2 and sleeps == [0.25]
 
 
-def _count_selectors(monkeypatch) -> list:
-    """A list of every selector llm_http makes from now on."""
-    made, make = [], selectors.DefaultSelector
-
-    def counting():
-        made.append(make())
-        return made[-1]
-
-    monkeypatch.setattr(llm_http.selectors, "DefaultSelector", counting)
-    return made
-
-
-def test_template_generate_post_makes_no_selector(monkeypatch, few_pop, pools):
-    made = _count_selectors(monkeypatch)
+def test_template_generate_post_makes_no_selector(selectors_made, few_pop, pools):
     p, system_text, sample, tasks = _post_inputs(few_pop, pools)
     for task in tasks:
         generate_post(p, task, system_text, sample, TemplateBackend(SEED))
-    assert made == []
+    assert selectors_made == []
 
 
-def test_a_pause_makes_no_selector(monkeypatch):
-    made = _count_selectors(monkeypatch)
+def test_a_pause_makes_no_selector(monkeypatch, selectors_made):
     monkeypatch.setattr("botforge.llm_http.time.sleep", lambda seconds: None)
 
     def steps():
@@ -950,15 +936,56 @@ def test_a_pause_makes_no_selector(monkeypatch):
         return "after the pause"
 
     assert llm_http.wait_out(steps()) == "after the pause"
-    assert made == []
+    assert selectors_made == []
 
 
-def test_complete_makes_one_selector_and_closes_it(monkeypatch, chat_server):
+def test_complete_makes_one_selector_and_closes_it(monkeypatch, selectors_made, chat_server):
     monkeypatch.setenv("BOTFORGE_API_KEY", KEY)
     chat_server.replies.append((200, {}, ok_payload("one exchange")))
-    made = _count_selectors(monkeypatch)
     assert LlmHttpBackend(chat_server.url).complete("s", "u", {}) == "one exchange"
-    assert len(made) == 1 and made[0].get_map() is None  # a closed selector has no map
+    assert len(selectors_made) == 1
+    assert selectors_made[0].get_map() is None  # a closed selector has no map
+
+
+def test_template_run_makes_no_selector(selectors_made, few_pop, pools):
+    result = run_simulation(config_from_dict({"seed": SEED, "runs": 1}), few_pop,
+                            TemplateBackend(SEED), pools=pools)
+    assert len(result.tweets) > 100 and selectors_made == []
+
+
+def test_run_whose_waits_are_pauses_makes_one_selector(monkeypatch, selectors_made, few_pop,
+                                                      pools):
+    template_ask = content.backend_ask(TemplateBackend(SEED), {})
+
+    def pausing_ask(system_text, user_text):
+        yield None, 0, 0.0
+        return (yield from template_ask(system_text, user_text))
+
+    cfg = config_from_dict({"seed": SEED, "runs": 1})
+    plain = run_simulation(cfg, few_pop, TemplateBackend(SEED), pools=pools)
+    monkeypatch.setattr("botforge.simcore.backend_ask", lambda backend, params: pausing_ask)
+    paused = run_simulation(cfg, few_pop, TemplateBackend(SEED), pools=pools)
+    assert paused.tweets == plain.tweets
+    assert len(selectors_made) == 1 and selectors_made[0].get_map() is None
+
+
+def test_llm_http_run_makes_one_selector_a_run_and_closes_it(monkeypatch, selectors_made,
+                                                             chat_server, few_pop, pools,
+                                                             tmp_path):
+    monkeypatch.setenv("BOTFORGE_API_KEY", KEY)
+    chat_server.answer = _template_answer
+    simulate_to_dir(_llm_config(tmp_path / "http", chat_server.url, runs=2), pop=few_pop,
+                    pools=pools)
+    assert len(selectors_made) == 2
+    assert all(s.get_map() is None for s in selectors_made)
+
+
+def test_the_selector_guard_fails_on_a_selector_left_open(monkeypatch, selectors_made):
+    with pytest.raises(pytest.fail.Exception, match="^1 of 2 selectors left open$"):
+        with selector_guard(monkeypatch) as made:
+            selectors.DefaultSelector().close()
+            kept_open = selectors.DefaultSelector()
+    assert made == selectors_made and kept_open.get_map() is None  # closed by the guard
 
 
 def _cli_simulate(out, base_url, *flags):

@@ -77,8 +77,14 @@ class TestDegreeState:
         assert micro_pop.ids() == ["a_01", "a_02", "b_01", "b_02"]
         np.testing.assert_array_equal(d.out_deg, [2, 0, 0, 1])
         np.testing.assert_array_equal(d.in_deg, [1, 0, 0, 2])
-        assert d.n_interactions == 3
+        assert int(d.in_deg.sum()) == 3
         assert d.violations() == []
+
+    def test_unequal_degree_sums_are_a_violation(self, micro_pop):
+        d = DegreeState(micro_pop)
+        d.commit("a_01", "b_02")
+        d.in_deg[0] += 1
+        assert d.violations() == ["in-degree sum 2 != out-degree sum 1"]
 
     def test_unknown_agent_rejected(self, micro_pop):
         d = DegreeState(micro_pop)
@@ -546,7 +552,7 @@ class TestGraphFromEdges:
             committed.commit(t.author_id, t.target_agent_id)
         assert degrees.in_deg.tolist() == committed.in_deg.tolist()
         assert degrees.out_deg.tolist() == committed.out_deg.tolist()
-        assert degrees.n_interactions == split
+        assert int(degrees.in_deg.sum()) == split
 
     @pytest.mark.parametrize("split", [0, 1, 3, 6])
     def test_degree_arrays_count_each_edge_once(self, micro_pop, tmp_path, split):
@@ -614,7 +620,7 @@ class TestGraphFromEdges:
         # a_01, a_02, b_01, b_02 in population order
         assert degrees.out_deg.tolist() == [4, 0, 2, 1]
         assert degrees.in_deg.tolist() == [2, 4, 1, 0]
-        assert degrees.n_interactions == 7
+        assert int(degrees.in_deg.sum()) == 7
         assert degrees.out_deg.dtype == degrees.in_deg.dtype == np.int64
         assert degrees.violations() == []
 
@@ -627,7 +633,7 @@ class TestGraphFromEdges:
         _, degrees = read_edges_csv(path, micro_pop)
         assert degrees.out_deg.tolist() == [4, big, 2, 1]
         assert degrees.in_deg.tolist() == [2, 4, 1 + big, 0]
-        assert degrees.n_interactions == 2**53 - 1
+        assert int(degrees.in_deg.sum()) == int(degrees.out_deg.sum()) == 2**53 - 1
 
 
 class TestExports:

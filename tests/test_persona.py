@@ -102,10 +102,6 @@ class TestPersonaDoc:
         p = make_persona("x_01", stance="oppose", quotes=(1, 3))
         assert persona_from_doc(p.to_doc()) == p
 
-    def test_origin_not_serialized(self):
-        p = make_persona("x_01", origin="generated")
-        assert "origin" not in p.to_doc()
-
     def test_missing_key_names_path(self):
         doc = make_persona("x_01").to_doc()
         del doc["community"]
@@ -181,7 +177,6 @@ class TestSeedFile:
     def test_shipped_population_loads_clean(self, seed_pop):
         assert len(seed_pop) == 169
         assert validate_population(seed_pop) == []
-        assert all(p.origin == "manual" for p in seed_pop.personas)
         # every community has exactly one leader
         communities: dict[str, list[str]] = {}
         for p in seed_pop.personas:
@@ -199,7 +194,13 @@ class TestSeedFile:
         assert [p.to_doc() for p in again.personas] == [
             p.to_doc() for p in micro_pop.personas
         ]
-        assert all(p.origin == "manual" for p in again.personas)
+
+    def test_expanded_population_survives_save_and_load(self, seed_pop, tmp_path):
+        out = expand_personas(seed_pop, 200, TemplateBackend(7))
+        save_personas(out, tmp_path / "expanded.json")
+        again = load_seed_personas(tmp_path / "expanded.json")
+        assert again == out
+        assert again.personas[:len(seed_pop)] == seed_pop.personas
 
     def test_load_rejects_duplicate_ids(self, tmp_path):
         docs = [make_persona("x_01").to_doc(), make_persona("x_01").to_doc()]
@@ -232,10 +233,9 @@ class TestExpansion:
         out = expand_personas(micro_pop, 25, TemplateBackend(seed=3), run_seed=9)
         assert len(out) == 25
         assert validate_population(out) == []
-        kinds = {p.origin for p in out.personas}
-        assert kinds == {"manual", "generated"}
-        # seeds are preserved verbatim and first
+        # seeds are preserved verbatim and first, the generated ones after them
         assert out.personas[: len(micro_pop)] == micro_pop.personas
+        assert not set(out.ids()[len(micro_pop):]) & set(micro_pop.ids())
 
     def test_expand_is_deterministic(self, micro_pop):
         a = expand_personas(micro_pop, 20, TemplateBackend(seed=3), run_seed=9)
@@ -257,7 +257,6 @@ class TestExpansion:
         out = expand_personas(micro_pop, 5, backend, batch_size=1, retry_cap=3)
         assert backend.calls == 2
         assert out.personas[-1].id == "gen_ok_001"
-        assert out.personas[-1].origin == "generated"
 
     @pytest.mark.parametrize("key, value, field", REFUSALS)
     def test_each_bad_record_dropped(self, micro_pop, key, value, field):
@@ -265,7 +264,7 @@ class TestExpansion:
         good = make_persona("gen_ok_001")
         backend = _ScriptedBackend([json.dumps([bad, good.to_doc()])])
         out = expand_personas(micro_pop, len(micro_pop) + 1, backend, batch_size=1)
-        assert out.personas[len(micro_pop):] == [replace(good, origin="generated")]
+        assert out.personas[len(micro_pop):] == [good]
 
     def test_too_deeply_nested_batch_dropped(self, micro_pop):
         ok = json.dumps([make_persona("gen_ok_001", "alpha").to_doc()])
@@ -285,6 +284,18 @@ class TestExpansion:
         backend = _ScriptedBackend(["not json at all"] * 10)
         with pytest.raises(BackendError, match="stalled"):
             expand_personas(micro_pop, 6, backend, batch_size=1, retry_cap=2)
+
+    @pytest.mark.parametrize("raw, logged", [
+        ("not json at all", "backend did not return a parseable JSON array of personas"),
+        ('{"id": "x_01"}', "top-level JSON was not an array"),
+    ])
+    def test_unusable_batch_logged(self, micro_pop, raw, logged):
+        backend = _ScriptedBackend([raw])
+        with pytest.raises(BackendError) as failed:
+            expand_personas(micro_pop, 6, backend, batch_size=1, retry_cap=0)
+        assert str(failed.value) == (
+            f"persona expansion stalled after 0 fruitless batches: batch[0]: {logged}")
+        assert failed.value.raw_text == raw
 
     def test_default_batch_size_is_ten(self):
         assert EXPANSION_BATCH_SIZE == 10

@@ -960,7 +960,6 @@ class TestExtendReadsTail:
         for (src, dst), e in edges.items():
             by_edge.out_deg[pop.index[src]] += e.weight
             by_edge.in_deg[pop.index[dst]] += e.weight
-            by_edge.n_interactions += e.weight
         by_tweet = DegreeState(pop)
         for t in read_tweets_jsonl(out / "tweets.jsonl"):
             if t.kind != "original":
@@ -968,7 +967,6 @@ class TestExtendReadsTail:
         for expected in (by_edge, by_tweet):
             assert degrees.out_deg.tolist() == expected.out_deg.tolist()
             assert degrees.in_deg.tolist() == expected.in_deg.tolist()
-            assert degrees.n_interactions == expected.n_interactions
         assert degrees.violations() == [] and len(edges) > 1000
 
     def test_parses_about_the_last_run(self, paper_run, monkeypatch, tmp_path):
